@@ -25,24 +25,26 @@ def basis_size(d: int) -> int:
     return d * d
 
 
+def basis_elements(d: int, start: int, stop: int) -> np.ndarray:
+    """Stack of the basis matrices of dimension d with indices start..stop-1."""
+    idx = np.arange(start, stop)
+    m = np.zeros((len(idx), d, d), dtype=np.complex128)
+    diag = idx < d
+    m[diag, idx[diag], idx[diag]] = 1.0
+    rest = np.flatnonzero(~diag)
+    iu, ju = _triu(d)
+    pair, kind = np.divmod(idx[rest] - d, 2)
+    i, j = iu[pair], ju[pair]
+    m[rest, i, j] = np.where(kind == 0, 1.0, 1.0j) / SQRT2
+    m[rest, j, i] = np.where(kind == 0, 1.0, -1.0j) / SQRT2
+    return m
+
+
 def basis_element(d: int, idx: int) -> np.ndarray:
     """The idx-th basis matrix of dimension d (see module docstring for order)."""
     if not 0 <= idx < d * d:
         raise IndexError(f"basis index {idx} out of range for dimension {d}")
-    m = np.zeros((d, d), dtype=np.complex128)
-    if idx < d:
-        m[idx, idx] = 1.0
-        return m
-    iu, ju = _triu(d)
-    pair, kind = divmod(idx - d, 2)
-    i, j = int(iu[pair]), int(ju[pair])
-    if kind == 0:
-        m[i, j] = 1.0 / SQRT2
-        m[j, i] = 1.0 / SQRT2
-    else:
-        m[i, j] = 1.0j / SQRT2
-        m[j, i] = -1.0j / SQRT2
-    return m
+    return basis_elements(d, idx, idx + 1)[0]
 
 
 def basis_label(d: int, idx: int) -> str:
@@ -56,23 +58,27 @@ def basis_label(d: int, idx: int) -> str:
 
 
 def coords(matrix: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix in the basis: c_i = Tr(B_i A)."""
-    d = matrix.shape[0]
+    """Real coordinates of a Hermitian matrix in the basis: c_i = Tr(B_i A).
+
+    A stack of shape (..., d, d) gives coordinates of shape (..., d*d).
+    """
+    d = matrix.shape[-1]
     iu, ju = _triu(d)
-    off = matrix[iu, ju]
-    out = np.empty(d * d, dtype=np.float64)
-    out[:d] = np.diag(matrix).real
-    out[d::2] = SQRT2 * off.real
-    out[d + 1::2] = SQRT2 * off.imag
+    off = matrix[..., iu, ju]
+    out = np.empty(matrix.shape[:-2] + (d * d,), dtype=np.float64)
+    out[..., :d] = np.diagonal(matrix, axis1=-2, axis2=-1).real
+    out[..., d::2] = SQRT2 * off.real
+    out[..., d + 1::2] = SQRT2 * off.imag
     return out
 
 
 def from_coords(vec: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`coords`."""
-    m = np.zeros((d, d), dtype=np.complex128)
-    np.fill_diagonal(m, vec[:d])
+    """Inverse of :func:`coords`; a stack of shape (..., d*d) gives (..., d, d)."""
+    m = np.zeros(vec.shape[:-1] + (d, d), dtype=np.complex128)
+    diag = np.arange(d)
+    m[..., diag, diag] = vec[..., :d]
     iu, ju = _triu(d)
-    z = (vec[d::2] + 1j * vec[d + 1::2]) / SQRT2
-    m[iu, ju] = z
-    m[ju, iu] = z.conj()
+    z = (vec[..., d::2] + 1j * vec[..., d + 1::2]) / SQRT2
+    m[..., iu, ju] = z
+    m[..., ju, iu] = z.conj()
     return m

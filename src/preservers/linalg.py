@@ -7,6 +7,7 @@ factor ordering is row-major (the leftmost factor is the slowest index), so
 the product basis vector ``e_i (x) u_j`` sits at flat index ``i * dimK + j``.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,7 +69,7 @@ def _check_dims(dims, total: int) -> tuple[int, ...] | None:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise StructureError(f"factor dimensions must be positive, got {dims}")
-    if int(np.prod(dims)) != total:
+    if math.prod(dims) != total:
         raise StructureError(f"product of factor dims {dims} != matrix dimension {total}")
     return dims
 
@@ -175,7 +176,7 @@ def partial_trace(a: HermitianOperator, which: int) -> HermitianOperator:
     new_dims = dims[:f] + dims[f + 1:]
     if not new_dims:
         return HermitianOperator(np.array([[traced]], dtype=np.complex128), (1,))
-    d = int(np.prod(new_dims))
+    d = math.prod(new_dims)
     return HermitianOperator(np.ascontiguousarray(traced).reshape(d, d), new_dims)
 
 

@@ -20,11 +20,13 @@ from .linalg import (
     PureState,
     as_rng,
     is_pure,
+    pure_state,
     purity_defect,
     random_pure,
     spanning_states,
 )
 from .superop import (
+    BLOCK_ENTRIES,
     CONJUGATE,
     LINEAR,
     Isometry,
@@ -53,33 +55,43 @@ class PureClassification:
         return self.kind in (TRACE_REPLACER, CONJUGATION)
 
 
-def _diag_images(op: SuperOperator, m: int):
-    out = []
-    for k in range(m):
-        e = np.zeros(m * m)
-        e[k] = 1.0
-        out.append(basis.from_coords(op.coeff @ e, op.out_dim))
-    return out
-
-
-def _cross_image(op: SuperOperator, m: int, idx: int) -> np.ndarray:
-    e = np.zeros(m * m)
-    e[idx] = 1.0
-    return basis.from_coords(op.coeff @ e, op.out_dim)
+def _first_impure(op: SuperOperator, vectors: np.ndarray, tol: float):
+    """Index of the first unit vector (a row of ``vectors``) whose projection
+    the map sends to an impure image at ``tol``, or None.  The images are
+    computed by one coefficient product and tested by one stacked ``eigh``
+    with the thresholds of :func:`is_pure`."""
+    projs = vectors[:, :, None] * vectors[:, None, :].conj()
+    images = basis.from_coords(basis.coords(projs) @ op.coeff.T, op.out_dim)
+    w = np.linalg.eigh(images)[0]  # ascending
+    bad = (np.abs(w[:, -1] - 1.0) > tol) | (np.abs(w[:, :-1]).max(axis=1, initial=0.0) > tol)
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None
 
 
 def find_impure_witness(op: SuperOperator, tol: float, seed: int = 0,
                         random_tries: int = 1000):
     """First pure state (deterministic family, then seeded random) whose image
-    fails purity at ``tol``; None when the scan is exhausted."""
-    for p in spanning_states(op.in_dim):
-        if not is_pure(apply(op, p.projection.with_dims(op.in_dims)), tol)[0]:
-            return p
+    fails purity at ``tol``; None when the scan is exhausted.
+
+    Candidates are tested in blocks, in order; the random ones are the draws
+    of ``random_pure``, so the witness is the one a state-by-state scan
+    finds.  A Generator passed as ``seed`` advances by whole blocks.
+    """
+    d = op.in_dim
+    step = max(1, BLOCK_ENTRIES // max(d, op.out_dim) ** 2)
+    family = spanning_states(d)
+    for start in range(0, len(family), step):
+        block = family[start:start + step]
+        i = _first_impure(op, np.array([p.vector for p in block]), tol)
+        if i is not None:
+            return block[i]
     rng = as_rng(seed)
-    for _ in range(random_tries):
-        p = random_pure(op.in_dim, rng)
-        if not is_pure(apply(op, p.projection.with_dims(op.in_dims)), tol)[0]:
-            return p
+    for start in range(0, random_tries, step):
+        g = rng.standard_normal((min(step, random_tries - start), 2, d))
+        v = g[:, 0] + 1j * g[:, 1]
+        i = _first_impure(op, v / np.linalg.norm(v, axis=1, keepdims=True), tol)
+        if i is not None:
+            return pure_state(v[i])
     return None
 
 
@@ -111,7 +123,9 @@ def classify_pure_preserver(op: SuperOperator, tol: float = EPS_CLS,
     if len(op.in_dims) != 1 or len(op.out_dims) != 1:
         raise StructureError("single-factor maps only; use the bipartite classifier")
     m, n = op.in_dim, op.out_dim
-    diag = _diag_images(op, m)
+    # images of the diagonal units, then of the pairs (X_0j, Y_0j), j = 1..m-1
+    images = basis.from_coords(op.coeff[:, :3 * m - 2].T, n)
+    diag = images[:m]
 
     # trace-replacement candidate
     const = all(np.max(np.abs(d - diag[0])) <= 10 * tol for d in diag[1:])
@@ -135,14 +149,10 @@ def classify_pure_preserver(op: SuperOperator, tol: float = EPS_CLS,
             if not ok:
                 return _not_preserver(op, tol, seed)
             cols.append(q.vector)
-        iu, ju = np.triu_indices(m, 1)
         signs = []
         fit_failed = False
-        for pair in range(len(iu)):
-            i, j = int(iu[pair]), int(ju[pair])
-            if i != 0:
-                continue
-            x_img = _cross_image(op, m, m + 2 * pair)
+        for j in range(1, m):
+            x_img, y_img = images[m + 2 * j - 2], images[m + 2 * j - 1]
             z = cols[0].conj() @ x_img @ cols[j]
             if abs(z) < 1e-6:
                 fit_failed = True
@@ -153,7 +163,6 @@ def classify_pure_preserver(op: SuperOperator, tol: float = EPS_CLS,
             if np.max(np.abs(x_img - target)) > 100 * tol:
                 fit_failed = True
                 break
-            y_img = _cross_image(op, m, m + 2 * pair + 1)
             y_plus = 1j * (np.outer(cols[0], cols[j].conj())
                            - np.outer(cols[j], cols[0].conj())) / np.sqrt(2.0)
             res_plus = np.max(np.abs(y_img - y_plus))

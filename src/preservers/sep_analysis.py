@@ -16,9 +16,11 @@ conjugation per slot, and verifying the rebuilt map coefficientwise.
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
+from . import basis
 from .errors import ClassificationError, StructureError
 from .linalg import (
     EPS_CLS,
@@ -30,7 +32,6 @@ from .linalg import (
     partial_trace,
     pure_state,
     random_pure,
-    reduce_to_factor,
     spanning_states,
     tensor,
     tensor_all,
@@ -51,7 +52,6 @@ from .superop import (
     canonical_multi,
     canonical_sep,
     conjugate_operator,
-    from_action,
     superop_equal,
 )
 
@@ -86,16 +86,42 @@ def slice_phi(op: SuperOperator, a: HermitianOperator, b: HermitianOperator,
     return partial_trace(img, 2 if which == 1 else 1)
 
 
+def _section_maps(op: SuperOperator, states, k: int) -> list[SuperOperator]:
+    """The single-factor maps X -> output factor j of op(s_1 (x) ... (x) s_n)
+    with X in input slot k (0-based) and the pure states s_i elsewhere
+    (``states[k]`` is ignored), one map for every output factor j.
+
+    By the vec-Kronecker identity this is the product of the coefficient
+    matrix with the coordinates of the stacked inputs (basis element in slot
+    k), followed by a stacked reduction to each output factor.
+    """
+    d = op.in_dims[k]
+    units = basis.basis_elements(d, 0, d * d)
+    inputs = reduce(np.kron, [units if i == k else s.projection.matrix[None]
+                              for i, s in enumerate(states)])
+    images = basis.from_coords(basis.coords(inputs) @ op.coeff.T, op.out_dim)
+    n = len(op.out_dims)
+    images = images.reshape((d * d,) + op.out_dims * 2)
+    rows = list(range(1, n + 1))
+    maps = []
+    for j, dj in enumerate(op.out_dims):
+        cols = rows[:j] + [n + 1] + rows[j + 1:]
+        reduced = np.einsum(images, [0] + rows + cols, [0, j + 1, n + 1])
+        maps.append(SuperOperator((d,), (dj,), np.ascontiguousarray(basis.coords(reduced).T)))
+    return maps
+
+
 def _slice_superop(op: SuperOperator, fixed: PureState, fixed_slot: int,
                    which: int) -> SuperOperator:
     """Coordinatize A -> phi_which(A, Q) (fixed_slot=2) or B -> phi_which(P, B)."""
-    m, n = op.in_dims
-    out_d = op.out_dims[which - 1]
-    if fixed_slot == 2:
-        q = fixed.projection
-        return from_action((m,), (out_d,), lambda a: slice_phi(op, a, q, which))
-    p = fixed.projection
-    return from_action((n,), (out_d,), lambda b: slice_phi(op, p, b, which))
+    return _section_maps(op, (fixed, fixed), 2 - fixed_slot)[which - 1]
+
+
+def _classify_slices(op: SuperOperator, fixed: PureState, fixed_slot: int,
+                     tol: float, seed: int):
+    """Classifications of both slice maps (which = 1, 2) at one anchor."""
+    return [classify_pure_preserver(s, tol, seed)
+            for s in _section_maps(op, (fixed, fixed), 2 - fixed_slot)]
 
 
 def _case_letter(c1: PureClassification, c2: PureClassification, primes: bool):
@@ -296,14 +322,12 @@ def classify_sep_preserver(op: SuperOperator, tol: float = EPS_CLS,
     q0 = basis_state(n, 0)
     p0 = basis_state(m, 0)
 
-    row_phi1 = classify_pure_preserver(_slice_superop(op, q0, 2, 1), tol, seed)
-    row_phi2 = classify_pure_preserver(_slice_superop(op, q0, 2, 2), tol, seed)
+    row_phi1, row_phi2 = _classify_slices(op, q0, 2, tol, seed)
     row = _case_letter(row_phi1, row_phi2, primes=False)
     if row is None:
         return _sep_not_preserver(op, tol, seed)
 
-    col_phi1 = classify_pure_preserver(_slice_superop(op, p0, 1, 1), tol, seed)
-    col_phi2 = classify_pure_preserver(_slice_superop(op, p0, 1, 2), tol, seed)
+    col_phi1, col_phi2 = _classify_slices(op, p0, 1, tol, seed)
     col = _case_letter(col_phi1, col_phi2, primes=True)
     if col is None:
         return _sep_not_preserver(op, tol, seed)
@@ -315,15 +339,13 @@ def classify_sep_preserver(op: SuperOperator, tol: float = EPS_CLS,
     extra_q = [q for q in (basis_state(n, 1) if n > 1 else None,
                            uniform_state(n) if n > 1 else None) if q is not None]
     for q in extra_q:
-        c1 = classify_pure_preserver(_slice_superop(op, q, 2, 1), tol, seed)
-        c2 = classify_pure_preserver(_slice_superop(op, q, 2, 2), tol, seed)
+        c1, c2 = _classify_slices(op, q, 2, tol, seed)
         if _case_letter(c1, c2, primes=False) != row:
             return _sep_not_preserver(op, tol, seed, grid)
     extra_p = [p for p in (basis_state(m, 1) if m > 1 else None,
                            uniform_state(m) if m > 1 else None) if p is not None]
     for p in extra_p:
-        c1 = classify_pure_preserver(_slice_superop(op, p, 1, 1), tol, seed)
-        c2 = classify_pure_preserver(_slice_superop(op, p, 1, 2), tol, seed)
+        c1, c2 = _classify_slices(op, p, 1, tol, seed)
         if _case_letter(c1, c2, primes=True) != col:
             return _sep_not_preserver(op, tol, seed, grid)
 
@@ -346,7 +368,7 @@ def classify_sep_preserver(op: SuperOperator, tol: float = EPS_CLS,
     return SepClassification(FORM, form=form, grid=grid, residual=cmp.max_dev)
 
 
-def check_both_directions(c: SepClassification, dims=None) -> bool:
+def check_both_directions(c: SepClassification) -> bool:
     """Whether a classified map preserves product pure states in both
     directions: exactly the constructive tags 6/7 with square (hence unitary)
     isometries."""
@@ -535,15 +557,7 @@ def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
 
     isometries = []
     for slot in range(n):
-        k = perm[slot] - 1
-
-        def slot_action(x: HermitianOperator, k=k, slot=slot):
-            mats = [s.projection for s in base]
-            mats[k] = x
-            full = tensor_all(mats).with_dims(dims)
-            return reduce_to_factor(apply(op, full), slot + 1)
-
-        sub = from_action((dims[k],), (dims[slot],), slot_action)
+        sub = _section_maps(op, base, perm[slot] - 1)[slot]
         cls = classify_pure_preserver(sub, tol, seed)
         if cls.kind != CONJUGATION:
             return _multi_not_preserver(op, tol, seed)

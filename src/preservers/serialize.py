@@ -5,6 +5,7 @@ locate the problem; unknown basis tags are rejected rather than guessed at.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -63,7 +64,7 @@ def matrix_from_json(obj, path: str = "$") -> HermitianOperator:
     if not isinstance(dims, list) or not all(isinstance(d, int) and d >= 1 for d in dims):
         raise StructureError(f"{path}.dims: expected a list of positive integers")
     mat = _complex_matrix(obj, path)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     if mat.shape != (d, d):
         raise StructureError(f"{path}: matrix shape {mat.shape} != dims product {d}")
     try:

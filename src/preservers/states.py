@@ -7,6 +7,7 @@ canonical form.  PPT is shipped only to falsify separability (a negative
 partial transpose certifies entanglement; a positive one proves nothing).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,7 @@ def separable_state(weights, terms) -> SeparableState:
     for t in terms:
         if tuple(f.dim for f in t) != dims:
             raise StructureError("all terms must share the same factor dimensions")
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     rho = np.zeros((d, d), dtype=np.complex128)
     for w, t in zip(weights, terms):
         rho += w * tensor_all([f.projection for f in t]).matrix

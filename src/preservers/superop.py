@@ -1,13 +1,19 @@
 """Real-linear maps on Hermitian operator spaces.
 
 A map is stored as its real coefficient matrix in the orthonormal Hermitian
-basis of the full input/output spaces (not as a Choi matrix: the maps handled
-here are only real-linear, e.g. they may involve transposes, and the real
-representation covers every canonical form uniformly; a Choi export exists
-for interchange).
+basis of the full input/output spaces.  The real representation covers every
+canonical form, transposes included, with real arithmetic.  Every real-linear
+map on Hermitian matrices has a unique complex-linear extension to all
+matrices, so the Choi export (:func:`to_choi`) is faithful too.
+
+The constructors build coefficient matrices from stacked evaluations: a
+vectorized action runs on blocks of basis elements at once, and maps that
+only replace the trace need no evaluation at all.
 """
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -18,13 +24,7 @@ from .linalg import (
     HermitianOperator,
     PureState,
     as_rng,
-    partial_trace,
-    partial_transpose,
-    permute_factors,
     spanning_states,
-    swap_theta,
-    tensor,
-    trace_norm,
 )
 
 LINEAR = "linear"
@@ -48,19 +48,19 @@ class SuperOperator:
 
     @property
     def in_dim(self) -> int:
-        return int(np.prod(self.in_dims))
+        return math.prod(self.in_dims)
 
     @property
     def out_dim(self) -> int:
-        return int(np.prod(self.out_dims))
+        return math.prod(self.out_dims)
 
 
 def make_superop(in_dims, out_dims, coeff) -> SuperOperator:
     in_dims = _dims_tuple(in_dims)
     out_dims = _dims_tuple(out_dims)
     coeff = np.asarray(coeff, dtype=np.float64)
-    din = int(np.prod(in_dims))
-    dout = int(np.prod(out_dims))
+    din = math.prod(in_dims)
+    dout = math.prod(out_dims)
     if coeff.shape != (dout * dout, din * din):
         raise StructureError(
             f"coefficient shape {coeff.shape} does not match dims "
@@ -73,7 +73,7 @@ def make_superop(in_dims, out_dims, coeff) -> SuperOperator:
 
 def identity_superop(dims) -> SuperOperator:
     dims = _dims_tuple(dims)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     return SuperOperator(dims, dims, np.eye(d * d))
 
 
@@ -88,8 +88,8 @@ def from_action(in_dims, out_dims, action) -> SuperOperator:
     """Coordinatize a real-linear action by evaluating it on every basis element."""
     in_dims = _dims_tuple(in_dims)
     out_dims = _dims_tuple(out_dims)
-    din = int(np.prod(in_dims))
-    dout = int(np.prod(out_dims))
+    din = math.prod(in_dims)
+    dout = math.prod(out_dims)
     coeff = np.empty((dout * dout, din * din), dtype=np.float64)
     for idx in range(din * din):
         b = HermitianOperator(basis.basis_element(din, idx), in_dims)
@@ -100,6 +100,25 @@ def from_action(in_dims, out_dims, action) -> SuperOperator:
             )
         coeff[:, idx] = basis.coords(out.matrix)
     return SuperOperator(in_dims, out_dims, coeff)
+
+
+# Stacked evaluations take their inputs in blocks of about this many complex
+# entries (at least din basis elements of dimension din when building a map),
+# which bounds their working set.
+BLOCK_ENTRIES = 8192
+
+
+def _stacked_coeff(din: int, dout: int, action) -> np.ndarray:
+    """Coefficient matrix of a real-linear ``action`` that maps a stack of
+    din x din matrices to the stack of their dout x dout images; it is
+    evaluated on blocks of basis elements."""
+    n = din * din
+    step = max(din, BLOCK_ENTRIES // n)
+    coeff = np.empty((dout * dout, n), dtype=np.float64)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        coeff[:, start:stop] = basis.coords(action(basis.basis_elements(din, start, stop))).T
+    return coeff
 
 
 def compose(outer: SuperOperator, inner: SuperOperator) -> SuperOperator:
@@ -196,31 +215,66 @@ def random_isometry(d_out: int, d_in: int, seed=0, flag: str = LINEAR) -> Isomet
 # ---------------------------------------------------------------------------
 # elementary constructors
 
+def _product_coeff(in_dims, slots) -> np.ndarray:
+    """Coefficient matrix of A -> W X W+ with W the Kronecker product of the
+    slot isometries.
+
+    Each slot is (source, isometry): source is the 0-based input factor that
+    the slot carries (transposed first under the conjugate flag), or None for
+    a slot whose 1-column isometry is a replacement state, fed by the trace.
+    X is A with every factor no slot carries traced out and the carried
+    factors in slot order.  With no carried factor the map only replaces the
+    trace, and its coefficient matrix is an outer product.
+    """
+    w = reduce(np.kron, [iso.matrix for _, iso in slots])
+    carried = [(src, iso.flag) for src, iso in slots if src is not None]
+    din = math.prod(in_dims)
+    if not carried:
+        return np.outer(basis.coords(w @ w.conj().T), basis.coords(np.eye(din)))
+    n = len(in_dims)
+    used = {src for src, _ in carried}
+    rows = list(range(1, n + 1))
+    cols = [n + 1 + f if f in used else 1 + f for f in range(n)]
+    out_rows = [cols[s] if flag == CONJUGATE else rows[s] for s, flag in carried]
+    out_cols = [rows[s] if flag == CONJUGATE else cols[s] for s, flag in carried]
+    e = w.shape[1]
+    w_h = w.conj().T
+    shape = in_dims * 2
+
+    def action(x):
+        y = np.einsum(x.reshape((len(x),) + shape), [0] + rows + cols,
+                      [0] + out_rows + out_cols)
+        return w @ y.reshape(len(x), e, e) @ w_h
+
+    return _stacked_coeff(din, w.shape[0], action)
+
+
+def _replacement(r: PureState):
+    """The slot that writes the pure state r, scaled by the trace."""
+    return None, Isometry(r.vector.reshape(-1, 1))
+
+
+def _product_map(in_dims, slots) -> SuperOperator:
+    out_dims = tuple(iso.d_out for _, iso in slots)
+    return SuperOperator(in_dims, out_dims, _product_coeff(in_dims, slots))
+
+
 def trace_replacer(r: PureState, in_dims, out_dims=None) -> SuperOperator:
     """The map A -> Tr(A) R for a fixed pure state R."""
     in_dims = _dims_tuple(in_dims)
     out_dims = _dims_tuple(out_dims) if out_dims is not None else (r.dim,)
-    if int(np.prod(out_dims)) != r.dim:
+    if math.prod(out_dims) != r.dim:
         raise StructureError("output dims do not match the replacement state")
-    proj = r.projection.matrix
-
-    def action(a: HermitianOperator) -> HermitianOperator:
-        return HermitianOperator(a.trace() * proj, out_dims)
-
-    return from_action(in_dims, out_dims, action)
+    return SuperOperator(in_dims, out_dims, _product_coeff(in_dims, (_replacement(r),)))
 
 
 def conjugation(u: Isometry, in_dims=None, out_dims=None) -> SuperOperator:
     """The map A -> VAV+ (or V A^t V+ under the conjugate flag)."""
     in_dims = _dims_tuple(in_dims) if in_dims is not None else (u.d_in,)
     out_dims = _dims_tuple(out_dims) if out_dims is not None else (u.d_out,)
-    if int(np.prod(in_dims)) != u.d_in or int(np.prod(out_dims)) != u.d_out:
+    if math.prod(in_dims) != u.d_in or math.prod(out_dims) != u.d_out:
         raise StructureError("isometry shape does not match the requested dims")
-
-    def action(a: HermitianOperator) -> HermitianOperator:
-        return HermitianOperator(conjugate_operator(u, a.matrix), out_dims)
-
-    return from_action(in_dims, out_dims, action)
+    return SuperOperator(in_dims, out_dims, _product_coeff((u.d_in,), ((0, u),)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,26 +309,9 @@ def _require(cond: bool, msg: str):
         raise StructureError(msg)
 
 
-def _pt_flagged(a: HermitianOperator, isos) -> HermitianOperator:
-    """Partial-transpose every factor whose isometry carries the conjugate flag."""
-    out = a
-    for i, iso in enumerate(isos):
-        if iso.flag == CONJUGATE:
-            out = partial_transpose(out, i + 1)
-    return out
-
-
-def _kron_conj(a: HermitianOperator, isos, out_dims) -> HermitianOperator:
-    big = isos[0].matrix
-    for iso in isos[1:]:
-        big = np.kron(big, iso.matrix)
-    return HermitianOperator(big @ a.matrix @ big.conj().T, out_dims)
-
-
 def canonical_sep(form: SepForm, dims) -> SuperOperator:
     """Build the superoperator of a tag 1-7 canonical form on input dims (m, n)."""
     m, n = _dims_tuple(dims)
-    in_dims = (m, n)
     t = form.tag
     if t in (8, 9):
         raise StructureError(
@@ -283,41 +320,21 @@ def canonical_sep(form: SepForm, dims) -> SuperOperator:
         )
     if t == 1:
         _require(form.r1 is not None and form.r2 is not None, "form 1 needs r1 and r2")
-        out_dims = (form.r1.dim, form.r2.dim)
-        target = tensor(form.r1.projection, form.r2.projection)
-
-        def action(a):
-            return HermitianOperator(a.trace() * target.matrix, out_dims)
-
+        slots = (_replacement(form.r1), _replacement(form.r2))
     elif t in (2, 4):
         _require(form.u1 is not None and form.r2 is not None, f"form {t} needs u1 and r2")
-        u1, r2 = form.u1, form.r2
-        traced, kept = (2, m) if t == 2 else (1, n)
-        _require(u1.d_in == kept, f"form {t} isometry input must be {kept}, got {u1.d_in}")
-        out_dims = (u1.d_out, r2.dim)
-
-        def action(a):
-            x = partial_trace(a, traced)
-            return tensor(
-                HermitianOperator(conjugate_operator(u1, x.matrix), None),
-                r2.projection,
-            ).with_dims(out_dims)
-
+        src = 0 if t == 2 else 1
+        kept = (m, n)[src]
+        _require(form.u1.d_in == kept,
+                 f"form {t} isometry input must be {kept}, got {form.u1.d_in}")
+        slots = ((src, form.u1), _replacement(form.r2))
     elif t in (3, 5):
         _require(form.u2 is not None and form.r1 is not None, f"form {t} needs r1 and u2")
-        u2, r1 = form.u2, form.r1
-        kept = n if t == 3 else m
-        traced_out = 1 if t == 3 else 2
-        _require(u2.d_in == kept, f"form {t} isometry input must be {kept}, got {u2.d_in}")
-        out_dims = (r1.dim, u2.d_out)
-
-        def action(a):
-            x = partial_trace(a, traced_out)
-            return tensor(
-                r1.projection,
-                HermitianOperator(conjugate_operator(u2, x.matrix), None),
-            ).with_dims(out_dims)
-
+        src = 1 if t == 3 else 0
+        kept = (m, n)[src]
+        _require(form.u2.d_in == kept,
+                 f"form {t} isometry input must be {kept}, got {form.u2.d_in}")
+        slots = (_replacement(form.r1), (src, form.u2))
     elif t in (6, 7):
         _require(form.u1 is not None and form.u2 is not None, f"form {t} needs u1 and u2")
         u1, u2 = form.u1, form.u2
@@ -326,17 +343,10 @@ def canonical_sep(form: SepForm, dims) -> SuperOperator:
             (u1.d_in, u2.d_in) == want,
             f"form {t} isometry inputs must be {want}, got {(u1.d_in, u2.d_in)}",
         )
-        out_dims = (u1.d_out, u2.d_out)
-
-        def action(a):
-            x = swap_theta(a) if t == 7 else a
-            x = _pt_flagged(x, (u1, u2))
-            return _kron_conj(x, (u1, u2), out_dims)
-
+        slots = ((0, u1), (1, u2)) if t == 6 else ((1, u1), (0, u2))
     else:
         raise StructureError(f"unknown form tag {form.tag}")
-
-    return from_action(in_dims, out_dims, action)
+    return _product_map((m, n), slots)
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +382,7 @@ def canonical_multi(form: MultiForm, dims) -> SuperOperator:
             iso.d_in <= iso.d_out,
             f"slot {j + 1} violates the dimension law dim_in <= dim_out",
         )
-    out_dims = tuple(iso.d_out for iso in isos)
-
-    def action(a):
-        x = permute_factors(a, perm)
-        x = _pt_flagged(x, isos)
-        return _kron_conj(x, isos, out_dims)
-
-    return from_action(dims, out_dims, action)
+    return _product_map(dims, tuple((p - 1, iso) for p, iso in zip(perm, isos)))
 
 
 def inverse_isometry(u: Isometry) -> Isometry:
@@ -445,38 +448,12 @@ def affine_to_linear(state_action, dim: int, tol: float = 1e-8, seed: int = 7) -
 def to_choi(op: SuperOperator) -> np.ndarray:
     """Choi matrix of the complex-linear extension, sum_ij Phi(E_ij) (x) E_ij.
 
-    Interchange only; the real basis representation remains the source of
-    truth (conjugate-linear content is not faithfully complex-linear).
+    The export is faithful: a real-linear map on Hermitian matrices extends
+    to exactly one complex-linear map on all matrices.  The transpose, for
+    instance, is complex-linear, and its Choi matrix is the swap operator.
+    Expanding E_ij in the Hermitian basis gives sum_k Phi(B_k) (x) conj(B_k).
     """
     din, dout = op.in_dim, op.out_dim
-    j = np.zeros((dout * din, dout * din), dtype=np.complex128)
-
-    def image_of_unit(i, k):
-        # E_ik expressed through the Hermitian basis, with i as a formal scalar
-        if i == k:
-            e = np.zeros(din * din)
-            e[i] = 1.0
-            return basis.from_coords(op.coeff @ e, dout)
-        a, b = (i, k) if i < k else (k, i)
-        iu, ju = np.triu_indices(din, 1)
-        pair = int(np.flatnonzero((iu == a) & (ju == b))[0])
-        ex = np.zeros(din * din)
-        ex[din + 2 * pair] = 1.0
-        ey = np.zeros(din * din)
-        ey[din + 2 * pair + 1] = 1.0
-        img_x = basis.from_coords(op.coeff @ ex, dout)
-        img_y = basis.from_coords(op.coeff @ ey, dout)
-        sign = -1.0 if i < k else 1.0
-        return (img_x + sign * 1j * img_y) / np.sqrt(2.0)
-
-    for i in range(din):
-        for k in range(din):
-            unit = np.zeros((din, din), dtype=np.complex128)
-            unit[i, k] = 1.0
-            j += np.kron(image_of_unit(i, k), unit)
-    return j
-
-
-def trace_norm_contraction_defect(op: SuperOperator, a: HermitianOperator) -> float:
-    """How much  ||Phi(A)||_Tr <= ||A||_Tr  is violated (0 when it holds)."""
-    return max(0.0, trace_norm(apply(op, a)) - trace_norm(a))
+    units = basis.basis_elements(din, 0, din * din)
+    images = basis.from_coords(op.coeff.T, dout)
+    return np.einsum("kab,kcd->acbd", images, units.conj()).reshape(dout * din, dout * din)

@@ -17,23 +17,36 @@ from preservers import (
     check_both_directions,
     classify_multi_preserver,
     classify_sep_preserver,
+    basis_state,
     doubling_obstruction_check,
     from_action,
     is_product_pure,
+    is_pure,
     make_superop,
     mc_verify_product,
     partial_transpose,
     pure_state,
     random_isometry,
     random_pure,
+    reduce_to_factor,
     slice_phi,
     superop_equal,
     swap_theta,
     tensor,
+    tensor_all,
     trace_replacer,
 )
-from preservers.sep_analysis import _pattern_sample, _probe_pattern89, product_span_rank
-from preservers.superop import conjugate_operator
+from preservers.linalg import as_rng, spanning_states
+from preservers.pure_analysis import find_impure_witness
+from preservers.sep_analysis import (
+    _pattern_sample,
+    _probe_pattern89,
+    _section_maps,
+    _slice_superop,
+    product_span_rank,
+)
+from preservers.superop import conjugate_operator, conjugation, isometry
+from preservers import basis
 
 
 def test_slice_phi_identity_form1_swap():
@@ -362,3 +375,98 @@ def test_convex_mixtures_of_forms_are_rejected():
     assert c.kind == "not_preserver"
     p, q = c.witness
     assert not is_product_pure(apply(mix, tensor(p.projection, q.projection)))[0]
+
+
+# ---------------------------------------------------------------------------
+# slice maps and witness scans against state-by-state references
+
+def _noisy_sep(seed: int, m: int, n: int, noise: float):
+    rng = np.random.default_rng(seed)
+    tag = int(rng.choice([t for t in range(1, 8) if legal_dims(t, m, n)]))
+    op = canonical_sep(random_sep_form(tag, m, n, rng), (m, n))
+    return make_superop((m, n), op.out_dims,
+                        op.coeff + noise * rng.standard_normal(op.coeff.shape))
+
+
+def test_slice_superop_matches_slice_phi_reference():
+    rng = np.random.default_rng(40)
+    for seed, (m, n) in enumerate([(2, 3), (3, 2), (1, 3), (3, 3)]):
+        op = _noisy_sep(seed, m, n, 1e-3)
+        p, q = random_pure(m, rng), random_pure(n, rng)
+        for which in (1, 2):
+            out_d = (m, n)[which - 1]
+            ref = from_action((m,), (out_d,),
+                              lambda a: slice_phi(op, a, q.projection, which))
+            got = _slice_superop(op, q, 2, which)
+            assert np.max(np.abs(got.coeff - ref.coeff)) <= 1e-14
+            ref = from_action((n,), (out_d,),
+                              lambda b: slice_phi(op, p.projection, b, which))
+            got = _slice_superop(op, p, 1, which)
+            assert np.max(np.abs(got.coeff - ref.coeff)) <= 1e-14
+
+
+def test_section_maps_match_per_element_reference():
+    rng = np.random.default_rng(41)
+    dims = (2, 3, 2)
+    d = int(np.prod(dims))
+    op = make_superop(dims, dims, np.eye(d * d) + 1e-3 * rng.standard_normal((d * d, d * d)))
+    states = tuple(random_pure(k, rng) for k in dims)
+    for k in range(3):
+        maps = _section_maps(op, states, k)
+        for slot, got in enumerate(maps):
+            def action(x, k=k, slot=slot):
+                mats = [s.projection for s in states]
+                mats[k] = x
+                return reduce_to_factor(apply(op, tensor_all(mats).with_dims(dims)), slot + 1)
+
+            ref = from_action((dims[k],), (dims[slot],), action)
+            assert np.max(np.abs(got.coeff - ref.coeff)) <= 1e-14
+
+
+def _witness_reference(op, tol, seed=0, random_tries=1000):
+    """State-by-state scan; returns (witness, where it was found)."""
+    for p in spanning_states(op.in_dim):
+        if not is_pure(apply(op, p.projection.with_dims(op.in_dims)), tol)[0]:
+            return p, "family"
+    rng = as_rng(seed)
+    for i in range(random_tries):
+        p = random_pure(op.in_dim, rng)
+        if not is_pure(apply(op, p.projection.with_dims(op.in_dims)), tol)[0]:
+            return p, f"random {i}"
+    return None, "none"
+
+
+@pytest.mark.parametrize("seed, dims, fixed_slot, which, where", [
+    (1, (2, 3), 2, 2, "family"),
+    (0, (2, 2), 1, 2, "random 3"),
+    (0, (2, 2), 1, 1, "none"),
+])
+def test_batched_witness_scan_on_boundary_slices(seed, dims, fixed_slot, which, where):
+    # slices of canonical forms with 3e-9 coefficient noise, as in the
+    # classifier's boundary cases
+    op = _noisy_sep(seed, *dims, 3e-9)
+    anchor = basis_state(dims[fixed_slot - 1], 0)
+    sl = _slice_superop(op, anchor, fixed_slot, which)
+    ref, found = _witness_reference(sl, 1e-8, seed=3)
+    assert found == where
+    got = find_impure_witness(sl, 1e-8, seed=3)
+    if ref is None:
+        assert got is None
+    else:
+        assert np.array_equal(got.vector, ref.vector)
+
+
+def test_batched_witness_scan_across_blocks():
+    # an 8 -> 9 embedding plus a rank-one leak onto the unused output
+    # direction: the image is impure exactly when |<w|psi>|^2 > 0.6, which
+    # first happens deep among the random tries, several blocks in
+    tol = 1e-8
+    w = random_pure(8, np.random.default_rng(2))
+    leak = np.zeros((9, 9), dtype=complex)
+    leak[8, 8] = 1.0
+    coeff = (conjugation(isometry(np.eye(9, 8))).coeff
+             + (tol / 0.6) * np.outer(basis.coords(leak), basis.coords(w.projection.matrix)))
+    op = make_superop((8,), (9,), coeff)
+    ref, found = _witness_reference(op, tol)
+    assert found == "random 733"
+    assert np.array_equal(find_impure_witness(op, tol).vector, ref.vector)

@@ -26,12 +26,15 @@ from preservers import (
     is_product_pure,
     isometry,
     make_superop,
+    partial_trace,
+    partial_transpose,
     permute_factors,
     random_hermitian,
     random_isometry,
     random_pure,
     random_unitary,
     superop_equal,
+    swap_theta,
     tensor,
     tensor_all,
     to_choi,
@@ -40,6 +43,7 @@ from preservers import (
 )
 from preservers import basis_state
 from preservers.basis import basis_element, basis_label, coords, from_coords
+from preservers.superop import conjugate_operator
 
 
 def test_basis_orthonormality_and_labels():
@@ -61,6 +65,19 @@ def test_coords_round_trip():
         v = coords(a.matrix)
         assert v.dtype == np.float64
         assert np.allclose(from_coords(v, d), a.matrix, atol=1e-12)
+
+
+def test_stacked_coords_match_per_matrix_calls():
+    rng = np.random.default_rng(30)
+    for d in (1, 2, 3, 5):
+        stack = np.array([[random_hermitian(d, rng).matrix for _ in range(3)]
+                          for _ in range(4)])
+        c = coords(stack)
+        assert c.shape == (4, 3, d * d)
+        assert np.array_equal(c, np.array([[coords(a) for a in row] for row in stack]))
+        back = from_coords(c, d)
+        assert back.shape == (4, 3, d, d)
+        assert np.array_equal(back, np.array([[from_coords(v, d) for v in row] for row in c]))
 
 
 def test_from_action_identity_transpose_and_trace():
@@ -363,3 +380,118 @@ def test_make_superop_validation():
         make_superop((2,), (2,), np.ones((3, 4)))
     with pytest.raises(StructureError):
         make_superop((2,), (2,), np.full((4, 4), np.nan))
+
+
+def test_to_choi_of_transpose_is_swap():
+    transpose = from_action((2,), (2,), lambda a: HermitianOperator(a.matrix.T, (2,)))
+    swap = np.zeros((4, 4))
+    for i in range(2):
+        for k in range(2):
+            swap[2 * i + k, 2 * k + i] = 1.0
+    assert np.max(np.abs(to_choi(transpose) - swap)) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# blocked constructors against column-by-column references
+
+def _herm(x, dims=None):
+    return HermitianOperator(x, dims)
+
+
+def _kron_conj(x: HermitianOperator, isos) -> HermitianOperator:
+    """The per-slot conjugations of a factor-ordered operand, flags first."""
+    for i, iso in enumerate(isos):
+        if iso.flag == CONJUGATE:
+            x = partial_transpose(x, i + 1)
+    big = isos[0].matrix
+    for iso in isos[1:]:
+        big = np.kron(big, iso.matrix)
+    return _herm(big @ x.matrix @ big.conj().T)
+
+
+def _sep_action(form: SepForm):
+    """Per-element action of a tag 1-7 form, written from its definition."""
+    t = form.tag
+
+    def conj(u, x):
+        return _herm(conjugate_operator(u, x.matrix))
+
+    if t == 1:
+        target = tensor(form.r1.projection, form.r2.projection).matrix
+        return lambda a: _herm(a.trace() * target)
+    if t in (2, 4):
+        return lambda a: tensor(conj(form.u1, partial_trace(a, 2 if t == 2 else 1)),
+                                form.r2.projection)
+    if t in (3, 5):
+        return lambda a: tensor(form.r1.projection,
+                                conj(form.u2, partial_trace(a, 1 if t == 3 else 2)))
+    if t == 6:
+        return lambda a: _kron_conj(a, (form.u1, form.u2))
+    return lambda a: _kron_conj(swap_theta(a), (form.u1, form.u2))
+
+
+def _sep_forms(m, n, rng):
+    """Every tag 1-7 form legal on (m, n), each with every flag pair; the
+    second isometry of forms 3 and 6 pads its output by one dimension."""
+    flags = (LINEAR, CONJUGATE)
+    for f1 in flags:
+        for f2 in flags:
+            iso = {2: ((m, m), None), 3: (None, (n + 1, n)), 4: ((m, n), None),
+                   5: (None, (n, m)), 6: ((m, m), (n + 1, n)), 7: ((m, n), (n, m))}
+            for t in range(1, 8):
+                if not legal_dims(t, m, n):
+                    continue
+                shapes = iso.get(t, (None, None))
+                if (shapes[0] is None and f1 == CONJUGATE) or (shapes[1] is None and f2 == CONJUGATE):
+                    continue
+                u1 = random_isometry(*shapes[0], rng, f1) if shapes[0] else None
+                u2 = random_isometry(*shapes[1], rng, f2) if shapes[1] else None
+                yield SepForm(t, r1=random_pure(m, rng), r2=random_pure(n, rng), u1=u1, u2=u2)
+
+
+def test_canonical_sep_matches_column_reference():
+    rng = np.random.default_rng(31)
+    seen = set()
+    for m in (1, 2, 3):
+        for n in (1, 2, 3):
+            for form in _sep_forms(m, n, rng):
+                op = canonical_sep(form, (m, n))
+                ref = from_action((m, n), op.out_dims, _sep_action(form))
+                assert np.max(np.abs(op.coeff - ref.coeff)) <= 1e-14, (form.tag, m, n)
+                seen.add(form.tag)
+    assert seen == set(range(1, 8))
+
+
+def test_canonical_multi_matches_column_reference():
+    rng = np.random.default_rng(32)
+    for dims, perm, flags in [((2, 3, 2), (3, 2, 1), (LINEAR, CONJUGATE, CONJUGATE)),
+                              ((3, 2, 2), (1, 3, 2), (CONJUGATE, LINEAR, CONJUGATE)),
+                              ((2, 2), (2, 1), (CONJUGATE, LINEAR)),
+                              ((2, 1, 3), (1, 2, 3), (LINEAR, CONJUGATE, LINEAR))]:
+        isos = tuple(random_isometry(dims[p - 1], dims[p - 1], rng, f)
+                     for p, f in zip(perm, flags))
+        op = canonical_multi(MultiForm(perm, isos), dims)
+        ref = from_action(dims, dims, lambda a: _kron_conj(permute_factors(a, perm), isos))
+        assert np.max(np.abs(op.coeff - ref.coeff)) <= 1e-14, dims
+
+
+def test_conjugation_and_trace_replacer_match_column_reference():
+    rng = np.random.default_rng(33)
+    for (d_in, d_out), flag in [((1, 1), LINEAR), ((1, 3), CONJUGATE), ((2, 2), CONJUGATE),
+                                ((2, 4), LINEAR), ((3, 5), CONJUGATE)]:
+        u = random_isometry(d_out, d_in, rng, flag)
+        op = conjugation(u)
+        ref = from_action((d_in,), (d_out,),
+                          lambda a: _herm(conjugate_operator(u, a.matrix)))
+        assert np.max(np.abs(op.coeff - ref.coeff)) <= 1e-14
+    u = random_isometry(4, 4, rng, CONJUGATE)
+    op = conjugation(u, (2, 2), (2, 2))
+    assert (op.in_dims, op.out_dims) == ((2, 2), (2, 2))
+    ref = from_action((2, 2), (2, 2), lambda a: _herm(conjugate_operator(u, a.matrix)))
+    assert np.max(np.abs(op.coeff - ref.coeff)) <= 1e-14
+
+    for in_dims, out_dims in [((1,), (1,)), ((3,), (2,)), ((2, 3), (2, 2)), ((2,), (4,))]:
+        r = random_pure(int(np.prod(out_dims)), rng)
+        op = trace_replacer(r, in_dims, out_dims)
+        ref = from_action(in_dims, out_dims, lambda a: _herm(a.trace() * r.projection.matrix))
+        assert np.max(np.abs(op.coeff - ref.coeff)) <= 1e-14
