@@ -295,6 +295,13 @@ def trace_norm(a: HermitianOperator) -> float:
     return float(np.sum(np.abs(w)))
 
 
+def spectral_defect(w: np.ndarray):
+    """Purity defect max(|w_top - 1|, max |w_rest|) of ascending eigenvalues
+    stacked along the last axis (the second term is 0 in dimension 1): a
+    matrix is pure at ``tol`` exactly when its defect is at most ``tol``."""
+    return np.maximum(np.abs(w[..., -1] - 1.0), np.abs(w[..., :-1]).max(axis=-1, initial=0.0))
+
+
 def is_pure(a: HermitianOperator, tol: float = PURITY_TOL):
     """Test whether the spectrum is (1, 0, ..., 0) within ``tol``.
 
@@ -303,9 +310,7 @@ def is_pure(a: HermitianOperator, tol: float = PURITY_TOL):
     from 1 and of every other eigenvalue from 0.
     """
     w, v = eig_hermitian(a)
-    if abs(w[0] - 1.0) > tol:
-        return False, None
-    if a.dim > 1 and np.max(np.abs(w[1:])) > tol:
+    if spectral_defect(w[::-1]) > tol:
         return False, None
     return True, pure_state(v[:, 0])
 
@@ -333,13 +338,55 @@ def is_product_pure(a: HermitianOperator, tol: float = PURITY_TOL):
     return True, factors
 
 
+def _first_true(bad: np.ndarray, limit: int) -> int:
+    """Index of the first True among ``bad[:limit]``, else ``limit``."""
+    hits = np.flatnonzero(bad[:limit])
+    return int(hits[0]) if hits.size else limit
+
+
+def first_not_pure(images: np.ndarray, tol: float = PURITY_TOL):
+    """Index of the first matrix of the stack ``images`` (t, D, D) that
+    :func:`is_pure` rejects at ``tol``, or None: one stacked ``eigh``."""
+    first = _first_true(spectral_defect(np.linalg.eigh(images)[0]) > tol, len(images))
+    return first if first < len(images) else None
+
+
+def first_not_product_pure(images: np.ndarray, dims, tol: float = PURITY_TOL):
+    """Index of the first matrix of the stack ``images`` (t, D, D) on the
+    factors ``dims`` that :func:`is_product_pure` rejects at ``tol``, or None.
+
+    The checks and thresholds are those of :func:`is_product_pure`: the
+    image is pure and every single-factor reduction is pure (one stacked
+    ``eigh`` each), and the tensor product of the reductions' top
+    eigenvectors rebuilds the image within max(tol, 1e-10).  Each check only
+    looks at the images before the first failure found so far, so a failing
+    first image costs one eigendecomposition.
+    """
+    dims = tuple(dims)
+    n = len(dims)
+    # eigh rather than eigvalsh, as in is_pure, so the eigenvalues and hence
+    # the verdicts are those of the single-image tests
+    limit = _first_true(spectral_defect(np.linalg.eigh(images)[0]) > tol, len(images))
+    t = images.reshape((len(images),) + dims * 2)
+    rows = list(range(1, n + 1))
+    psi = np.ones((limit, 1), dtype=np.complex128)
+    for f in range(n):
+        if limit == 0:
+            return 0
+        cols = rows[:f] + [n + 1] + rows[f + 1:]
+        w, v = np.linalg.eigh(np.einsum(t[:limit], [0] + rows + cols, [0, f + 1, n + 1]))
+        limit = _first_true(spectral_defect(w) > tol, limit)
+        psi = (psi[:limit, :, None] * v[:limit, None, :, -1]).reshape(limit, psi.shape[1] * dims[f])
+    recon = psi[:, :, None] * psi[:, None, :].conj()
+    dev = np.abs(recon - images[:limit]).max(axis=(1, 2))
+    limit = _first_true(dev > max(tol, 1e-10), limit)
+    return limit if limit < len(images) else None
+
+
 def purity_defect(a: HermitianOperator) -> float:
     """Distance of the spectrum from (1, 0, ..., 0); 0 for exact pure states."""
     w, _ = eig_hermitian(a)
-    defect = abs(w[0] - 1.0)
-    if a.dim > 1:
-        defect = max(defect, float(np.max(np.abs(w[1:]))))
-    return defect
+    return float(spectral_defect(w[::-1]))
 
 
 # ---------------------------------------------------------------------------

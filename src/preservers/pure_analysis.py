@@ -8,7 +8,9 @@ on the coefficient level, and otherwise produces a concrete pure state whose
 image fails purity.
 """
 
+import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -19,11 +21,12 @@ from .linalg import (
     HermitianOperator,
     PureState,
     as_rng,
+    first_not_pure,
     is_pure,
     pure_state,
     purity_defect,
-    random_pure,
     spanning_states,
+    spectral_defect,
 )
 from .superop import (
     BLOCK_ENTRIES,
@@ -55,17 +58,52 @@ class PureClassification:
         return self.kind in (TRACE_REPLACER, CONJUGATION)
 
 
-def _first_impure(op: SuperOperator, vectors: np.ndarray, tol: float):
-    """Index of the first unit vector (a row of ``vectors``) whose projection
-    the map sends to an impure image at ``tol``, or None.  The images are
-    computed by one coefficient product and tested by one stacked ``eigh``
-    with the thresholds of :func:`is_pure`."""
-    projs = vectors[:, :, None] * vectors[:, None, :].conj()
-    images = basis.from_coords(basis.coords(projs) @ op.coeff.T, op.out_dim)
-    w = np.linalg.eigh(images)[0]  # ascending
-    bad = (np.abs(w[:, -1] - 1.0) > tol) | (np.abs(w[:, :-1]).max(axis=1, initial=0.0) > tol)
-    hits = np.flatnonzero(bad)
-    return int(hits[0]) if hits.size else None
+def _scan(op: SuperOperator, dims, first_bad, family=(), random_tries: int = 0, seed=0):
+    """First input, a tuple of pure states on the factors ``dims`` of the
+    input space, whose image ``first_bad`` rejects: the tuples of ``family``
+    in order, then ``random_tries`` seeded draws.  Returns (position, tuple,
+    image of the tuple) or None.
+
+    ``first_bad`` gets a stack of images and returns the index of the first
+    rejected one, or None.  Inputs are tested in blocks that double from one
+    input up to ``BLOCK_ENTRIES // D**2`` inputs, so an early failure costs
+    one small block; a block's images come from one coefficient product.
+    Each block of draws is one ``standard_normal((t, 2 * sum(dims)))``, the
+    stream of ``t`` rounds of ``random_pure`` calls (real then imaginary
+    part, factor by factor), so the result is that of a state-by-state scan;
+    a Generator passed as ``seed`` advances by whole blocks.
+    """
+    cap = max(1, BLOCK_ENTRIES // max(op.in_dim, op.out_dim) ** 2)
+
+    def blocks(total):
+        start, size = 0, 1
+        while start < total:
+            stop = min(start + size, total)
+            yield start, stop
+            start, size = stop, min(2 * size, cap)
+
+    def images(vectors):
+        psi = reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(len(a), -1), vectors)
+        projs = psi[:, :, None] * psi[:, None, :].conj()
+        return basis.from_coords(basis.coords(projs) @ op.coeff.T, op.out_dim)
+
+    for start, stop in blocks(len(family)):
+        block = family[start:stop]
+        imgs = images([np.array([c[k].vector for c in block]) for k in range(len(dims))])
+        i = first_bad(imgs)
+        if i is not None:
+            return start + i, tuple(block[i]), imgs[i]
+    rng = as_rng(seed)
+    offsets = list(itertools.accumulate(dims, initial=0))
+    for start, stop in blocks(random_tries):
+        g = rng.standard_normal((stop - start, 2 * offsets[-1]))
+        raw = [g[:, 2 * o:2 * o + d] + 1j * g[:, 2 * o + d:2 * (o + d)]
+               for o, d in zip(offsets, dims)]
+        imgs = images([v / np.linalg.norm(v, axis=1, keepdims=True) for v in raw])
+        i = first_bad(imgs)
+        if i is not None:
+            return len(family) + start + i, tuple(pure_state(v[i]) for v in raw), imgs[i]
+    return None
 
 
 def find_impure_witness(op: SuperOperator, tol: float, seed: int = 0,
@@ -73,26 +111,15 @@ def find_impure_witness(op: SuperOperator, tol: float, seed: int = 0,
     """First pure state (deterministic family, then seeded random) whose image
     fails purity at ``tol``; None when the scan is exhausted.
 
-    Candidates are tested in blocks, in order; the random ones are the draws
-    of ``random_pure``, so the witness is the one a state-by-state scan
-    finds.  A Generator passed as ``seed`` advances by whole blocks.
+    Candidates are tested in blocks that double from one state; the random
+    ones are the draws of ``random_pure``, so the witness is the one a
+    state-by-state scan finds.  A Generator passed as ``seed`` advances by
+    whole blocks.
     """
     d = op.in_dim
-    step = max(1, BLOCK_ENTRIES // max(d, op.out_dim) ** 2)
-    family = spanning_states(d)
-    for start in range(0, len(family), step):
-        block = family[start:start + step]
-        i = _first_impure(op, np.array([p.vector for p in block]), tol)
-        if i is not None:
-            return block[i]
-    rng = as_rng(seed)
-    for start in range(0, random_tries, step):
-        g = rng.standard_normal((min(step, random_tries - start), 2, d))
-        v = g[:, 0] + 1j * g[:, 1]
-        i = _first_impure(op, v / np.linalg.norm(v, axis=1, keepdims=True), tol)
-        if i is not None:
-            return pure_state(v[i])
-    return None
+    hit = _scan(op, (d,), lambda images: first_not_pure(images, tol),
+                [(p,) for p in spanning_states(d)], random_tries, seed)
+    return None if hit is None else hit[1][0]
 
 
 def _not_preserver(op: SuperOperator, tol: float, seed: int) -> PureClassification:
@@ -200,11 +227,16 @@ class MCResult:
 def mc_verify_pure(op: SuperOperator, samples: int = 500, seed: int = 0,
                    tol: float = EPS_CLS) -> MCResult:
     """Monte-Carlo purity check, independent of the classifier: random pure
-    inputs, each image tested with the spectral purity oracle."""
-    rng = as_rng(seed)
-    for i in range(samples):
-        p = random_pure(op.in_dim, rng)
-        img = apply(op, p.projection.with_dims(op.in_dims))
-        if not is_pure(img, tol)[0]:
-            return MCResult(False, i + 1, witness=p, defect=purity_defect(img))
-    return MCResult(True, samples)
+    inputs, each image tested with the spectral purity oracle.
+
+    The samples are the draws of ``random_pure``, tested in blocks that
+    double from one state, so the result is that of a state-by-state loop; a
+    Generator passed as ``seed`` advances by whole blocks.
+    """
+    hit = _scan(op, (op.in_dim,), lambda images: first_not_pure(images, tol),
+                random_tries=samples, seed=seed)
+    if hit is None:
+        return MCResult(True, samples)
+    i, (p,), image = hit
+    return MCResult(False, i + 1, witness=p,
+                    defect=float(spectral_defect(np.linalg.eigvalsh(image))))

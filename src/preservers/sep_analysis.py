@@ -28,6 +28,7 @@ from .linalg import (
     PureState,
     as_rng,
     basis_state,
+    first_not_product_pure,
     is_product_pure,
     partial_trace,
     pure_state,
@@ -42,6 +43,7 @@ from .pure_analysis import (
     NOT_PRESERVER,
     TRACE_REPLACER,
     PureClassification,
+    _scan,
     classify_pure_preserver,
 )
 from .superop import (
@@ -186,21 +188,24 @@ class SepClassification:
         return self.kind == FORM
 
 
+def _first_not_product(op: SuperOperator, tol: float):
+    return lambda images: first_not_product_pure(images, op.out_dims, tol)
+
+
 def find_product_witness(op: SuperOperator, tol: float, seed: int = 0,
                          random_tries: int = 1000):
-    """First product pure state whose image is not product pure."""
+    """First product pure state whose image is not product pure: the
+    spanning family pairs in order, then seeded random pairs.
+
+    Candidates are tested in blocks that double from one pair; the random
+    ones are the draws of ``random_pure``, so the witness is the one a
+    pair-by-pair scan finds.  A Generator passed as ``seed`` advances by
+    whole blocks.
+    """
     m, n = op.in_dims
-    for p, q in itertools.product(spanning_states(m), spanning_states(n)):
-        img = apply(op, tensor(p.projection, q.projection))
-        if not is_product_pure(img, tol)[0]:
-            return p, q
-    rng = as_rng(seed)
-    for _ in range(random_tries):
-        p, q = random_pure(m, rng), random_pure(n, rng)
-        img = apply(op, tensor(p.projection, q.projection))
-        if not is_product_pure(img, tol)[0]:
-            return p, q
-    return None
+    family = list(itertools.product(spanning_states(m), spanning_states(n)))
+    hit = _scan(op, op.in_dims, _first_not_product(op, tol), family, random_tries, seed)
+    return None if hit is None else hit[1]
 
 
 def _sep_not_preserver(op: SuperOperator, tol: float, seed: int,
@@ -439,16 +444,19 @@ def _product_factors(op: SuperOperator, states, tol: float):
 
 def find_multi_product_witness(op: SuperOperator, tol: float, seed: int = 0,
                                det_cap: int = 729, random_tries: int = 1000):
+    """First product pure state whose image is not product pure: the first
+    ``det_cap`` products of the spanning families in lexicographic order,
+    then seeded random products.
+
+    Candidates are tested in blocks that double from one product; the random
+    ones are the draws of ``random_pure``, so the witness is the one a
+    state-by-state scan finds.  A Generator passed as ``seed`` advances by
+    whole blocks.
+    """
     families = [spanning_states(d) for d in op.in_dims]
-    for combo in itertools.islice(itertools.product(*families), det_cap):
-        if _product_factors(op, combo, tol) is None:
-            return tuple(combo)
-    rng = as_rng(seed)
-    for _ in range(random_tries):
-        combo = tuple(random_pure(d, rng) for d in op.in_dims)
-        if _product_factors(op, combo, tol) is None:
-            return combo
-    return None
+    family = list(itertools.islice(itertools.product(*families), det_cap))
+    hit = _scan(op, op.in_dims, _first_not_product(op, tol), family, random_tries, seed)
+    return None if hit is None else hit[1]
 
 
 def _multi_not_preserver(op: SuperOperator, tol: float, seed: int) -> MultiClassification:
@@ -580,10 +588,14 @@ class MCProductResult:
 
 def mc_verify_product(op: SuperOperator, samples: int = 500, seed: int = 0,
                       tol: float = EPS_CLS) -> MCProductResult:
-    """Monte-Carlo product-purity check on random product pure inputs."""
-    rng = as_rng(seed)
-    for i in range(samples):
-        combo = tuple(random_pure(d, rng) for d in op.in_dims)
-        if _product_factors(op, combo, tol) is None:
-            return MCProductResult(False, i + 1, witness=combo)
-    return MCProductResult(True, samples)
+    """Monte-Carlo product-purity check on random product pure inputs.
+
+    The samples are the draws of ``random_pure``, factor by factor, tested
+    in blocks that double from one input, so the result is that of a
+    sample-by-sample loop; a Generator passed as ``seed`` advances by whole
+    blocks.
+    """
+    hit = _scan(op, op.in_dims, _first_not_product(op, tol), random_tries=samples, seed=seed)
+    if hit is None:
+        return MCProductResult(True, samples)
+    return MCProductResult(False, hit[0] + 1, witness=hit[1])

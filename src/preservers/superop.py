@@ -142,7 +142,8 @@ def superop_equal(a: SuperOperator, b: SuperOperator, tol: float = 1e-9) -> Supe
     """Max-norm comparison of coefficient matrices (same basis, same dims)."""
     if a.in_dims != b.in_dims or a.out_dims != b.out_dims:
         raise StructureError("cannot compare maps with different factor dimensions")
-    diff = np.abs(a.coeff - b.coeff)
+    diff = a.coeff - b.coeff
+    np.abs(diff, out=diff)
     flat = int(np.argmax(diff))
     out_idx, in_idx = np.unravel_index(flat, diff.shape)
     max_dev = float(diff[out_idx, in_idx])

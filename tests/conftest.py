@@ -6,6 +6,8 @@ identity, and Kronecker products come from the definitional double loop.
 """
 
 import itertools
+import math
+from functools import reduce
 
 import numpy as np
 
@@ -13,6 +15,10 @@ from preservers import (
     CONJUGATE,
     LINEAR,
     SepForm,
+    basis,
+    conjugation,
+    isometry,
+    make_superop,
     random_isometry,
     random_pure,
 )
@@ -81,6 +87,26 @@ def random_multiform_setup(rng, n=3, dim_choices=(2, 3)):
             perm[a] = b + 1
     flags = [random_flag(rng) for _ in range(n)]
     return dims, tuple(perm), flags
+
+
+def leaky_embedding(in_dims, w_seed: int, ratio: float, tol: float = 1e-8):
+    """The embedding of ``in_dims`` into the same factors with the last one
+    grown by one, plus a leak onto the unused output direction: the image of
+    a pure state psi has purity defect tol * |<w|psi>|^2 / ratio, so it is
+    impure at ``tol`` exactly when |<w|psi>|^2 > ratio, for the product pure
+    state w drawn from ``w_seed``.  Failures are rare for a ratio near 1, so
+    a scan meets its first one only after many inputs."""
+    in_dims = tuple(in_dims)
+    out_dims = in_dims[:-1] + (in_dims[-1] + 1,)
+    v = reduce(np.kron, [np.eye(d) for d in in_dims[:-1]]
+               + [np.eye(in_dims[-1] + 1, in_dims[-1])])
+    rng = np.random.default_rng(w_seed)
+    w = reduce(np.kron, [random_pure(d, rng).vector for d in in_dims])
+    u = np.zeros(math.prod(out_dims))
+    u[in_dims[-1]] = 1.0
+    leak = np.outer(basis.coords(np.outer(u, u)), basis.coords(np.outer(w, w.conj())))
+    coeff = conjugation(isometry(v), in_dims, out_dims).coeff + (tol / ratio) * leak
+    return make_superop(in_dims, out_dims, coeff)
 
 
 # ---------------------------------------------------------------------------

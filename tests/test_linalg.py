@@ -32,6 +32,7 @@ from preservers import (
     tensor_all,
     trace_norm,
 )
+from preservers.linalg import first_not_product_pure, purity_defect, spectral_defect
 
 BELL = pure_state(np.array([1, 0, 0, 1]) / np.sqrt(2)).projection.with_dims((2, 2))
 
@@ -314,6 +315,56 @@ def test_is_product_pure_agrees_with_brute_force_oracle():
         assert got == want, (trial, kind)
         agree += 1
     assert agree == 1000
+
+
+def _near_product_states(rng, dims, count):
+    """Product pure states with entangling and mixing perturbations of
+    random sizes up to order one."""
+    d = int(np.prod(dims))
+    out = []
+    for _ in range(count):
+        psi = np.ones(1)
+        for k in dims:
+            psi = np.kron(psi, rng.standard_normal(k) + 1j * rng.standard_normal(k))
+        psi = psi / np.linalg.norm(psi) + 10 ** rng.uniform(-3, 0) * (
+            rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        psi /= np.linalg.norm(psi)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        mix = g @ g.conj().T
+        delta = 10 ** rng.uniform(-3, 0) * rng.random()
+        out.append((1 - delta) * np.outer(psi, psi.conj()) + delta * mix / np.trace(mix).real)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (1, 3), (2, 2, 2)])
+def test_first_not_product_pure_agrees_with_is_product_pure(dims):
+    # large tolerances make every check (image, each reduction, rebuild)
+    # the only failing one on some of these states
+    rng = np.random.default_rng(15)
+    stack = _near_product_states(rng, dims, 600)
+    for tol in (1e-8, 0.1, 0.3):
+        want = [not is_product_pure(HermitianOperator(m, dims), tol)[0] for m in stack]
+        got = [first_not_product_pure(m[None], dims, tol) == 0 for m in stack]
+        assert got == want
+        assert first_not_product_pure(stack, dims, tol) == want.index(True)
+        for start in (0, 97, 301):
+            rest = want[start:start + 40]
+            first = first_not_product_pure(stack[start:start + 40], dims, tol)
+            assert first == (rest.index(True) if True in rest else None)
+    exact = np.array([tensor_all([random_pure(k, rng).projection for k in dims]).matrix
+                      for _ in range(5)])
+    assert first_not_product_pure(exact, dims) is None
+
+
+def test_spectral_defect_matches_purity_defect():
+    rng = np.random.default_rng(16)
+    for d in (1, 2, 5):
+        mats = [random_hermitian(d, rng).matrix / d for _ in range(4)]
+        mats.append(random_pure(d, rng).projection.matrix)
+        w = np.linalg.eigh(np.array(mats))[0]
+        assert np.array_equal(spectral_defect(w),
+                              [purity_defect(HermitianOperator(m)) for m in mats])
+    assert spectral_defect(np.array([1.0])) == 0.0
 
 
 def test_random_pure_contracts():

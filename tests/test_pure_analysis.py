@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import leaky_embedding
 from preservers import (
     CONJUGATE,
     LINEAR,
@@ -21,6 +22,7 @@ from preservers import (
     superop_equal,
     trace_replacer,
 )
+from preservers.linalg import as_rng, purity_defect
 
 
 def test_trace_replacer_round_trip_exact():
@@ -153,3 +155,47 @@ def test_rank_deficient_map_gets_witness():
                      lambda a: HermitianOperator(a.trace() * np.eye(2) / 2, (2,)))
     c = classify_pure_preserver(op)
     assert c.kind == "not_preserver"
+
+
+def _mc_pure_reference(op, samples, seed, tol=1e-8):
+    """State-by-state Monte-Carlo purity check."""
+    rng = as_rng(seed)
+    for i in range(samples):
+        p = random_pure(op.in_dim, rng)
+        img = apply(op, p.projection.with_dims(op.in_dims))
+        if not is_pure(img, tol)[0]:
+            return False, i + 1, p, purity_defect(img)
+    return True, samples, None, 0.0
+
+
+# (map, failing sample of mc_verify_pure with seed 0 or None)
+PURE_SCAN_CASES = {
+    "symmetrizer_fails_at_once": (lambda: from_action(
+        (2,), (2,), lambda a: HermitianOperator((a.matrix + a.matrix.T) / 2, (2,))), 1),
+    "leak_in_a_later_block": (lambda: leaky_embedding((4,), 4, 0.8), 105),
+    "leak_many_hits_per_block": (lambda: leaky_embedding((4,), 3, 0.5), 6),
+    "conjugation_passes": (lambda: conjugation(random_isometry(4, 3, 60)), None),
+    "dim_one_input_passes": (lambda: trace_replacer(random_pure(3, 61), (1,), (3,)), None),
+    "dim_one_input_fails": (lambda: leaky_embedding((1,), 0, 0.5), 1),
+    "two_factor_input": (lambda: leaky_embedding((2, 2), 4, 0.8), 36),
+}
+
+
+@pytest.mark.parametrize("case", list(PURE_SCAN_CASES))
+def test_mc_verify_pure_matches_reference(case):
+    make, fails_at = PURE_SCAN_CASES[case]
+    op = make()
+    for seed in (0, 1, np.random.default_rng(7)):
+        want = _mc_pure_reference(
+            op, 1000, np.random.default_rng(7) if isinstance(seed, np.random.Generator) else seed)
+        got = mc_verify_pure(op, 1000, seed)
+        assert (got.passed, got.samples) == want[:2]
+        if want[2] is None:
+            assert got.witness is None
+        else:
+            assert np.array_equal(got.witness.vector, want[2].vector)
+            assert abs(got.defect - want[3]) <= 1e-12
+            assert abs(got.defect - purity_defect(
+                apply(op, got.witness.projection.with_dims(op.in_dims)))) <= 1e-12
+        if seed == 0:
+            assert got.samples == (fails_at or 1000) and got.passed == (fails_at is None)

@@ -1,9 +1,17 @@
 """Bipartite and multipartite separable-preserver classification."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import EXPECTED_GRID, legal_dims, random_multiform_setup, random_sep_form
+from conftest import (
+    EXPECTED_GRID,
+    leaky_embedding,
+    legal_dims,
+    random_multiform_setup,
+    random_sep_form,
+)
 from preservers import (
     CONJUGATE,
     LINEAR,
@@ -20,6 +28,7 @@ from preservers import (
     basis_state,
     doubling_obstruction_check,
     from_action,
+    identity_superop,
     is_product_pure,
     is_pure,
     make_superop,
@@ -43,6 +52,8 @@ from preservers.sep_analysis import (
     _probe_pattern89,
     _section_maps,
     _slice_superop,
+    find_multi_product_witness,
+    find_product_witness,
     product_span_rank,
 )
 from preservers.superop import conjugate_operator, conjugation, isometry
@@ -470,3 +481,146 @@ def test_batched_witness_scan_across_blocks():
     ref, found = _witness_reference(op, tol)
     assert found == "random 733"
     assert np.array_equal(find_impure_witness(op, tol).vector, ref.vector)
+
+
+# ---------------------------------------------------------------------------
+# product-purity scans against state-by-state references
+
+def _first_not_product_reference(op, combos, tol):
+    for combo in combos:
+        img = apply(op, tensor_all([s.projection for s in combo]).with_dims(op.in_dims))
+        if not is_product_pure(img, tol)[0]:
+            return tuple(combo)
+    return None
+
+
+def _random_combos(op, seed, tries):
+    rng = as_rng(seed)
+    for _ in range(tries):
+        yield tuple(random_pure(d, rng) for d in op.in_dims)
+
+
+def _mc_product_reference(op, samples, seed, tol=1e-8):
+    rng = as_rng(seed)
+    for i in range(samples):
+        combo = tuple(random_pure(d, rng) for d in op.in_dims)
+        if _first_not_product_reference(op, [combo], tol) is not None:
+            return False, i + 1, combo
+    return True, samples, None
+
+
+def _product_witness_reference(op, tol=1e-8, seed=0, det_cap=None, random_tries=1000):
+    family = itertools.product(*[spanning_states(d) for d in op.in_dims])
+    found = _first_not_product_reference(op, itertools.islice(family, det_cap), tol)
+    if found is None:
+        found = _first_not_product_reference(op, _random_combos(op, seed, random_tries), tol)
+    return found
+
+
+def _same_states(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return len(a) == len(b) and all(np.array_equal(x.vector, y.vector) for x, y in zip(a, b))
+
+
+def _bipartite_replacer(theta):
+    """A -> Tr(A) |psi><psi| with psi = cos(theta)|00> + sin(theta)|11>."""
+    v = np.zeros(4)
+    v[0], v[3] = np.cos(theta), np.sin(theta)
+    return trace_replacer(pure_state(v), (2, 2), (2, 2))
+
+
+# (map, failing sample of mc_verify_product with seed 0 or None)
+PRODUCT_SCAN_CASES = {
+    "noisy_fails_at_once": (lambda: _noisy_sep(0, 3, 3, 1e-3), 1),
+    # a 3e-8-noise form 6 fails at the first sample; this leak fails deep
+    "leak_in_a_later_block": (lambda: leaky_embedding((3, 3), 2, 0.7), 196),
+    "leak_many_hits_per_block": (lambda: leaky_embedding((2, 2), 3, 0.3), 14),
+    "leak_2x2": (lambda: leaky_embedding((2, 2), 2, 0.85), 220),
+    "canonical_passes": (lambda: canonical_sep(
+        random_sep_form(6, 3, 3, np.random.default_rng(50)), (3, 3)), None),
+    # pure images whose reductions are mixed
+    "bell_replacer": (lambda: _bipartite_replacer(np.pi / 4), 1),
+    # reductions pure at 1e-8 (defect 1e-10), only the rebuild fails
+    "weakly_entangled_replacer": (lambda: _bipartite_replacer(1e-5), 1),
+    "dim_one_factor": (lambda: leaky_embedding((1, 3), 1, 0.85), 25),
+}
+
+
+@pytest.mark.parametrize("case", list(PRODUCT_SCAN_CASES))
+def test_mc_verify_product_matches_reference(case):
+    make, fails_at = PRODUCT_SCAN_CASES[case]
+    op = make()
+    for seed in (0, 1, np.random.default_rng(7)):
+        want = _mc_product_reference(
+            op, 1000, np.random.default_rng(7) if isinstance(seed, np.random.Generator) else seed)
+        got = mc_verify_product(op, 1000, seed)
+        assert (got.passed, got.samples) == want[:2]
+        assert _same_states(got.witness, want[2])
+        if seed == 0:
+            assert got.samples == (fails_at or 1000) and got.passed == (fails_at is None)
+
+
+@pytest.mark.parametrize("dims, noise", [((2, 2), 0.1), ((2, 2, 2), 0.05)])
+def test_mc_verify_product_matches_reference_at_large_tol(dims, noise):
+    # at tol 0.3 the first failing sample of some seeds fails only the image
+    # purity, only one reduction, or only another reduction
+    d = int(np.prod(dims))
+    rng = np.random.default_rng(52)
+    op = make_superop(dims, dims, np.eye(d * d) + noise * rng.standard_normal((d * d, d * d)))
+    for seed in range(10):
+        want = _mc_product_reference(op, 200, seed, tol=0.3)
+        got = mc_verify_product(op, 200, seed, tol=0.3)
+        assert (got.passed, got.samples) == want[:2]
+        assert _same_states(got.witness, want[2])
+
+
+@pytest.mark.parametrize("case", list(PRODUCT_SCAN_CASES))
+def test_find_product_witness_matches_reference(case):
+    op = PRODUCT_SCAN_CASES[case][0]()
+    for seed in (0, 3):
+        assert _same_states(find_product_witness(op, 1e-8, seed),
+                            _product_witness_reference(op, seed=seed))
+
+
+def test_product_witness_cases_cover_family_random_and_none():
+    where = []
+    for make, _ in PRODUCT_SCAN_CASES.values():
+        op = make()
+        w = _product_witness_reference(op)
+        family = list(itertools.product(*[spanning_states(d) for d in op.in_dims]))
+        where.append("none" if w is None else
+                     "family" if any(_same_states(w, c) for c in family) else "random")
+    assert set(where) == {"family", "random", "none"}
+
+
+def test_product_purity_checks_each_decide_a_case():
+    # the Bell replacer fails only on reductions, the weakly entangled one
+    # only on the rebuild from the factors' top eigenvectors
+    for theta, reductions_pure in ((np.pi / 4, False), (1e-5, True)):
+        img = apply(_bipartite_replacer(theta), tensor(random_pure(2, 0).projection,
+                                                       random_pure(2, 1).projection))
+        assert is_pure(img)[0]
+        assert all(is_pure(reduce_to_factor(img, k))[0] == reductions_pure for k in (1, 2))
+        assert not is_product_pure(img)[0]
+
+
+@pytest.mark.parametrize("make, det_caps", [
+    (lambda: leaky_embedding((2, 2, 2), 1, 0.5), (10, 729)),
+    (lambda: leaky_embedding((2, 3, 2), 1, 0.4), (20, 729)),
+    (lambda: make_superop((2, 3, 2), (2, 3, 2), np.eye(144)
+                          + 1e-3 * np.random.default_rng(51).standard_normal((144, 144))), (5,)),
+    (lambda: identity_superop((2, 2, 2)), (10,)),
+])
+def test_multi_product_scans_match_reference(make, det_caps):
+    op = make()
+    for det_cap in det_caps:
+        for seed in (0, np.random.default_rng(8)):
+            want = _product_witness_reference(
+                op, det_cap=det_cap,
+                seed=np.random.default_rng(8) if isinstance(seed, np.random.Generator) else seed)
+            assert _same_states(find_multi_product_witness(op, 1e-8, seed, det_cap=det_cap), want)
+    want = _mc_product_reference(op, 1000, 2)
+    got = mc_verify_product(op, 1000, 2)
+    assert (got.passed, got.samples) == want[:2]
+    assert _same_states(got.witness, want[2])
