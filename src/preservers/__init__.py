@@ -15,7 +15,6 @@ from .linalg import (
     herm,
     is_product_pure,
     is_pure,
-    jacobi_eigh,
     partial_trace,
     partial_transpose,
     permute_factors,

@@ -24,8 +24,6 @@ EPS_CLS = 1e-8       # default classification tolerance
 SUPEROP_TOL = 1e-9   # default max-norm tolerance for superoperator equality
 PPT_TOL = 1e-10      # eigenvalue floor below which a partial transpose counts as negative
 
-JACOBI_MAX_SWEEPS = 100
-
 
 def as_rng(seed) -> np.random.Generator:
     """Accept an int seed or an existing Generator."""
@@ -123,9 +121,14 @@ def pure_state(vector) -> PureState:
     if norm < 1e-150:
         raise StructureError("cannot normalize a (numerically) zero vector")
     v = v / norm
+    return PureState(v * canonical_phase(v).conjugate())
+
+
+def canonical_phase(v: np.ndarray) -> complex:
+    """Phase of the first component of nonnegligible modulus of a unit
+    vector; dividing it out gives the canonical-phase representative."""
     idx = int(np.argmax(np.abs(v) > 1e-12))
-    phase = v[idx] / abs(v[idx])
-    return PureState(v * phase.conjugate())
+    return v[idx] / abs(v[idx])
 
 
 def basis_state(dim: int, k: int) -> PureState:
@@ -222,71 +225,13 @@ def reduce_to_factor(a: HermitianOperator, which: int) -> HermitianOperator:
 # ---------------------------------------------------------------------------
 # spectral kernel
 
-def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Cyclic Jacobi eigensolver for complex Hermitian matrices.
-
-    Each rotation annihilates one off-diagonal pivot with a unitary plane
-    rotation whose phase absorbs the pivot's argument. Returns eigenvalues in
-    descending order with orthonormal eigenvector columns. Raises
-    NumericError when the off-diagonal mass has not collapsed within the
-    sweep cap.
-    """
-    a = np.array(matrix, dtype=np.complex128)
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    converged = False
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= 1e-14 * scale:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = a[p, q]
-                r = abs(g)
-                if r <= 1e-18 * scale:
-                    continue
-                tau = (a[p, p].real - a[q, q].real) / (2.0 * r)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c * np.exp(-1j * np.angle(g))
-                col_p = a[:, p] * c + a[:, q] * s
-                col_q = -a[:, p] * np.conj(s) + a[:, q] * c
-                a[:, p], a[:, q] = col_p, col_q
-                row_p = np.conj(c) * a[p, :] + np.conj(s) * a[q, :]
-                row_q = -s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = row_p, row_q
-                vp = v[:, p] * c + v[:, q] * s
-                vq = -v[:, p] * np.conj(s) + v[:, q] * c
-                v[:, p], v[:, q] = vp, vq
-    else:
-        converged = np.linalg.norm(a - np.diag(np.diag(a))) <= 1e-10 * scale
-    if not converged and n > 1:
-        raise NumericError(f"Jacobi eigensolver did not converge in {max_sweeps} sweeps")
-    w = np.diag(a).real
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
-
-
-def eig_hermitian(a: HermitianOperator, method: str = "lapack"):
-    """Eigenvalues (descending) and orthonormal eigenvector columns.
-
-    ``method`` selects the LAPACK backend (default) or the in-package cyclic
-    Jacobi solver; both satisfy the same reconstruction contract.
-    """
-    if method == "lapack":
-        try:
-            w, v = np.linalg.eigh(a.matrix)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigendecomposition failed: {exc}") from exc
-        return w[::-1].copy(), v[:, ::-1].copy()
-    if method == "jacobi":
-        return jacobi_eigh(a.matrix)
-    raise StructureError(f"unknown eigensolver method {method!r}")
+def eig_hermitian(a: HermitianOperator):
+    """Eigenvalues (descending) and orthonormal eigenvector columns (LAPACK)."""
+    try:
+        w, v = np.linalg.eigh(a.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def trace_norm(a: HermitianOperator) -> float:

@@ -2,10 +2,13 @@
 
 A real-linear map sending every rank-1 projection to a rank-1 projection is
 either trace replacement A -> Tr(A) R or an isometric conjugation
-A -> VAV+ / V A^t V+.  The classifier extracts the parameters from the map's
-action on matrix units and cross terms, verifies the reconstruction exactly
-on the coefficient level, and otherwise produces a concrete pure state whose
-image fails purity.
+A -> VAV+ / V A^t V+.  The classifier reads R off Phi(I)/m, and V off one
+column of the rank-one Choi matrix of the map's complex-linear extension
+(of its input partial transpose under the conjugate flag), built from the
+images of one column of matrix units only.  It verifies the reconstruction
+exactly on the coefficient level, and otherwise produces a concrete pure
+state whose image fails purity.  The classification tolerance is its only
+threshold.
 """
 
 import itertools
@@ -21,10 +24,10 @@ from .linalg import (
     HermitianOperator,
     PureState,
     as_rng,
+    canonical_phase,
     first_not_pure,
     is_pure,
     pure_state,
-    purity_defect,
     spanning_states,
     spectral_defect,
 )
@@ -34,7 +37,6 @@ from .superop import (
     LINEAR,
     Isometry,
     SuperOperator,
-    apply,
     conjugation,
     superop_equal,
     trace_replacer,
@@ -109,7 +111,7 @@ def _scan(op: SuperOperator, dims, first_bad, family=(), random_tries: int = 0, 
 def find_impure_witness(op: SuperOperator, tol: float, seed: int = 0,
                         random_tries: int = 1000):
     """First pure state (deterministic family, then seeded random) whose image
-    fails purity at ``tol``; None when the scan is exhausted.
+    fails purity at ``tol``, with that image; None when the scan is exhausted.
 
     Candidates are tested in blocks that double from one state; the random
     ones are the draws of ``random_pure``, so the witness is the one a
@@ -119,100 +121,73 @@ def find_impure_witness(op: SuperOperator, tol: float, seed: int = 0,
     d = op.in_dim
     hit = _scan(op, (d,), lambda images: first_not_pure(images, tol),
                 [(p,) for p in spanning_states(d)], random_tries, seed)
-    return None if hit is None else hit[1][0]
+    return None if hit is None else (hit[1][0], hit[2])
 
 
 def _not_preserver(op: SuperOperator, tol: float, seed: int) -> PureClassification:
-    witness = find_impure_witness(op, tol, seed)
-    if witness is None:
+    hit = find_impure_witness(op, tol, seed)
+    if hit is None:
         raise ClassificationError(
             "map fails reconstruction but no impure image was found; "
             f"classification is indeterminate at tol={tol:g}"
         )
-    defect = purity_defect(apply(op, witness.projection.with_dims(op.in_dims)))
-    return PureClassification(NOT_PRESERVER, witness=witness, residual=defect)
+    witness, image = hit
+    return PureClassification(NOT_PRESERVER, witness=witness,
+                              residual=float(spectral_defect(np.linalg.eigvalsh(image))))
 
 
 def classify_pure_preserver(op: SuperOperator, tol: float = EPS_CLS,
                             seed: int = 0) -> PureClassification:
     """Decide trace replacement vs isometric conjugation vs non-preserver.
 
-    Steps: (1) image of every diagonal unit; (2) constant pure image with
-    vanishing cross-term images means trace replacement; (3) otherwise the
-    diagonal images supply isometry columns whose relative phases are fixed
-    from the symmetric cross terms and whose conjugation flag is read off the
-    antisymmetric ones; (4) every positive answer is verified coefficientwise
-    against a freshly built canonical map, and any failure falls back to an
-    explicit witness search.
+    ``tol`` is the only threshold.  (1) Trace replacement: R = Phi(I)/m must
+    be pure.  (2) Every diagonal image Phi(E_jj) must be pure, or the map
+    goes straight to the witness search.  (3) Conjugation: the Choi matrix
+    of A -> VAV+ is the rank-one vec V vec V+, and that of A -> V A^t V+ has
+    a rank-one input partial transpose, so V is one column of it.  With the
+    pivot (c, j) the largest diagonal entry of the Phi(E_jj), column i of V
+    is Phi(E_ij) e_c (linear flag) or Phi(E_ji) e_c (conjugate flag) over
+    sqrt(Phi(E_jj)[c, c]); only these m images are built.  The flag whose V
+    is closer to an isometry is kept (linear on a tie, as for m = 1), V must
+    be an isometry (||V+V - I||_F at most ``tol``) and its global phase is
+    fixed as :func:`pure_state` fixes that of its first column.  (4) Every
+    positive answer is verified coefficientwise at ``tol`` against a freshly
+    built canonical map, and any failure falls back to the witness search.
     """
     if tol <= 0:
         raise StructureError("tolerance must be positive")
     if len(op.in_dims) != 1 or len(op.out_dims) != 1:
         raise StructureError("single-factor maps only; use the bipartite classifier")
     m, n = op.in_dim, op.out_dim
-    # images of the diagonal units, then of the pairs (X_0j, Y_0j), j = 1..m-1
-    images = basis.from_coords(op.coeff[:, :3 * m - 2].T, n)
-    diag = images[:m]
+    diag = basis.from_coords(op.coeff[:, :m].T, n)
 
-    # trace-replacement candidate
-    const = all(np.max(np.abs(d - diag[0])) <= 10 * tol for d in diag[1:])
-    if const:
-        off_mass = 0.0
-        if m > 1:
-            off_mass = float(np.max(np.abs(op.coeff[:, m:])))
-        ok, r = is_pure(HermitianOperator((diag[0] + diag[0].conj().T) / 2, op.out_dims), tol)
-        if off_mass <= 10 * tol and ok:
-            candidate = trace_replacer(r, op.in_dims, op.out_dims)
-            cmp = superop_equal(op, candidate, tol)
-            if cmp.equal:
-                return PureClassification(TRACE_REPLACER, replacement=r,
-                                          residual=cmp.max_dev)
+    ok, r = is_pure(HermitianOperator(diag.sum(axis=0) / m, op.out_dims), tol)
+    if ok:
+        cmp = superop_equal(op, trace_replacer(r, op.in_dims, op.out_dims), tol)
+        if cmp.equal:
+            return PureClassification(TRACE_REPLACER, replacement=r, residual=cmp.max_dev)
 
-    # isometric-conjugation candidate
-    if m <= n:
-        cols = []
-        for k, d in enumerate(diag):
-            ok, q = is_pure(HermitianOperator((d + d.conj().T) / 2, op.out_dims), tol)
-            if not ok:
-                return _not_preserver(op, tol, seed)
-            cols.append(q.vector)
-        signs = []
-        fit_failed = False
-        for j in range(1, m):
-            x_img, y_img = images[m + 2 * j - 2], images[m + 2 * j - 1]
-            z = cols[0].conj() @ x_img @ cols[j]
-            if abs(z) < 1e-6:
-                fit_failed = True
-                break
-            cols[j] = cols[j] * (z / abs(z)).conjugate()
-            target = (np.outer(cols[0], cols[j].conj())
-                      + np.outer(cols[j], cols[0].conj())) / np.sqrt(2.0)
-            if np.max(np.abs(x_img - target)) > 100 * tol:
-                fit_failed = True
-                break
-            y_plus = 1j * (np.outer(cols[0], cols[j].conj())
-                           - np.outer(cols[j], cols[0].conj())) / np.sqrt(2.0)
-            res_plus = np.max(np.abs(y_img - y_plus))
-            res_minus = np.max(np.abs(y_img + y_plus))
-            signs.append(1 if res_plus <= res_minus else -1)
-        if not fit_failed:
-            if m == 1 or all(s == 1 for s in signs):
-                flag = LINEAR
-            elif all(s == -1 for s in signs):
-                flag = CONJUGATE
-            else:
-                return _not_preserver(op, tol, seed)
-            # the phase fit leaves one global phase on the column family,
-            # which conjugation cancels for either flag
-            v = np.column_stack(cols)
-            if np.linalg.norm(v.conj().T @ v - np.eye(m)) <= 1e-6:
-                candidate = conjugation(Isometry(v, flag), op.in_dims, op.out_dims)
-                cmp = superop_equal(op, candidate, tol)
-                if cmp.equal:
-                    iso = Isometry(v, flag)
-                    return PureClassification(CONJUGATION, isometry=iso,
-                                              residual=cmp.max_dev)
-
+    if m > n or first_not_pure(diag, tol) is not None:
+        return _not_preserver(op, tol, seed)
+    j, c = np.unravel_index(np.argmax(np.diagonal(diag, axis1=1, axis2=2).real), (m, n))
+    # E_ij = (X + 1j * s * Y) / sqrt(2) with s = sign(i - j) for the pair
+    # elements X, Y of {i, j}, and E_ji takes -s; v[0] is the linear flag's
+    # V, v[1] the conjugate flag's
+    other = np.delete(np.arange(m), j)
+    col = basis.pair_index(m, np.minimum(other, j), np.maximum(other, j))
+    xy = basis.from_coords(op.coeff[:, np.concatenate([col, col + 1])].T, n)[:, :, c]
+    s = np.array([[1], [-1]]) * np.sign(other - j)
+    v = np.empty((2, n, m), dtype=np.complex128)
+    v[:, :, j] = diag[j, :, c]
+    v[:, :, other] = np.swapaxes(xy[:m - 1] + 1j * s[:, :, None] * xy[m - 1:], 1, 2) / basis.SQRT2
+    v /= np.sqrt(diag[j, c, c].real)
+    defect = np.linalg.norm(np.swapaxes(v.conj(), 1, 2) @ v - np.eye(m), axis=(1, 2))
+    k = int(defect[1] < defect[0])
+    if defect[k] <= tol:
+        iso = Isometry(v[k] * canonical_phase(v[k, :, 0]).conjugate(), (LINEAR, CONJUGATE)[k])
+        cmp = superop_equal(op, conjugation(iso, op.in_dims, op.out_dims), tol)
+        if cmp.equal:
+            return PureClassification(CONJUGATION, isometry=iso, residual=cmp.max_dev)
     return _not_preserver(op, tol, seed)
 
 

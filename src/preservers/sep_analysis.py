@@ -407,19 +407,6 @@ def doubling_obstruction_check(m: int = 2) -> bool:
     return bool(equality and gap > 0.5)
 
 
-def product_span_rank(m: int, n: int) -> int:
-    """Rank of the span of product pure states inside the Hermitian space;
-    equals (m*n)**2, which is why coefficientwise verification is total."""
-    from . import basis as hb
-
-    rows = [
-        hb.coords(tensor(p.projection, q.projection).matrix)
-        for p in spanning_states(m)
-        for q in spanning_states(n)
-    ]
-    return int(np.linalg.matrix_rank(np.array(rows)))
-
-
 # ---------------------------------------------------------------------------
 # multipartite
 

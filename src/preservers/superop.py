@@ -21,6 +21,7 @@ from . import basis
 from .errors import ContractError, StructureError
 from .linalg import (
     EPS_ISOMETRY,
+    SUPEROP_TOL,
     HermitianOperator,
     PureState,
     as_rng,
@@ -134,11 +135,9 @@ class SuperopComparison:
     witness_in: int   # basis index of the input element with the largest deviation
     witness_out: int  # basis index of the output coordinate deviating most
 
-    def witness_label(self, d_in: int) -> str:
-        return basis.basis_label(d_in, self.witness_in)
 
-
-def superop_equal(a: SuperOperator, b: SuperOperator, tol: float = 1e-9) -> SuperopComparison:
+def superop_equal(a: SuperOperator, b: SuperOperator,
+                 tol: float = SUPEROP_TOL) -> SuperopComparison:
     """Max-norm comparison of coefficient matrices (same basis, same dims)."""
     if a.in_dims != b.in_dims or a.out_dims != b.out_dims:
         raise StructureError("cannot compare maps with different factor dimensions")

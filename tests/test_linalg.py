@@ -13,14 +13,12 @@ from conftest import (
 )
 from preservers import (
     HermitianOperator,
-    NumericError,
     StructureError,
     basis_state,
     eig_hermitian,
     herm,
     is_product_pure,
     is_pure,
-    jacobi_eigh,
     partial_trace,
     partial_transpose,
     permute_factors,
@@ -182,48 +180,30 @@ def test_permute_factors_composition_law():
     assert np.allclose(lhs.matrix, rhs.matrix)
 
 
-@pytest.mark.parametrize("method", ["lapack", "jacobi"])
-def test_eig_simple_cases(method):
-    w, v = eig_hermitian(herm(np.eye(2)), method)
+def test_eig_simple_cases():
+    w, v = eig_hermitian(herm(np.eye(2)))
     assert np.allclose(w, [1, 1])
-    w, v = eig_hermitian(herm(np.diag([3.0, -1.0])), method)
+    w, v = eig_hermitian(herm(np.diag([3.0, -1.0])))
     assert np.allclose(w, [3, -1])
     assert np.allclose(np.abs(v), np.eye(2))
     pauli_x = herm(np.array([[0, 1], [1, 0]], dtype=complex))
-    w, v = eig_hermitian(pauli_x, method)
+    w, v = eig_hermitian(pauli_x)
     # closed form: eigenvalues +-1 for trace 0, det -1
     tr, det = 0.0, -1.0
     disc = np.sqrt(tr * tr / 4 - det)
     assert np.allclose(w, [tr / 2 + disc, tr / 2 - disc])
 
 
-@pytest.mark.parametrize("method", ["lapack", "jacobi"])
-def test_eig_reconstruction_random(method):
+def test_eig_reconstruction_random():
     rng = np.random.default_rng(7)
     for dim in (2, 3, 5, 8, 12):
         a = random_hermitian(dim, rng)
-        w, v = eig_hermitian(a, method)
+        w, v = eig_hermitian(a)
         assert np.all(np.diff(w) <= 1e-12)
         recon = (v * w) @ v.conj().T
         rel = np.linalg.norm(recon - a.matrix) / np.linalg.norm(a.matrix)
-        assert rel <= 1e-10, (method, dim, rel)
+        assert rel <= 1e-10, (dim, rel)
         assert np.allclose(v.conj().T @ v, np.eye(dim), atol=1e-10)
-
-
-def test_jacobi_agrees_with_lapack():
-    rng = np.random.default_rng(8)
-    for _ in range(30):
-        dim = int(rng.integers(2, 10))
-        a = random_hermitian(dim, rng)
-        w1, _ = eig_hermitian(a, "lapack")
-        w2, _ = eig_hermitian(a, "jacobi")
-        assert np.allclose(w1, w2, atol=1e-10)
-
-
-def test_jacobi_nonconvergence_raises():
-    a = random_hermitian(5, 1)
-    with pytest.raises(NumericError):
-        jacobi_eigh(a.matrix, max_sweeps=0)
 
 
 def test_trace_norm_values():

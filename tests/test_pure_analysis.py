@@ -15,8 +15,10 @@ from preservers import (
     from_action,
     identity_superop,
     is_pure,
+    isometry,
     make_superop,
     mc_verify_pure,
+    pure_state,
     random_isometry,
     random_pure,
     superop_equal,
@@ -84,6 +86,56 @@ def test_dim_one_input_classifies_as_trace_replacer():
                        iso.matrix @ iso.matrix.conj().T, atol=1e-10)
 
 
+def _structured_isometries(m, n, rng):
+    """Phased permutation columns, and isometries whose first rows vanish:
+    the extraction pivot sits off (0, 0) and the first nonzero entry of the
+    first column below row 0."""
+    phases = np.exp(2j * np.pi * rng.random(m))
+    yield np.eye(n)[:, rng.permutation(n)[:m]] * phases
+    for zero_rows in range(1, n - m + 1):
+        v = np.zeros((n, m), dtype=complex)
+        v[zero_rows:] = random_isometry(n - zero_rows, m, rng).matrix
+        yield v
+
+
+@pytest.mark.parametrize("flag", [LINEAR, CONJUGATE])
+def test_structured_isometries_recovered_up_to_phase(flag):
+    rng = np.random.default_rng(6)
+    for n in range(1, 6):
+        for m in range(1, n + 1):
+            for v in _structured_isometries(m, n, rng):
+                op = conjugation(isometry(v, flag))
+                c = classify_pure_preserver(op)
+                if m == 1:
+                    assert c.kind == "trace_replacer", (m, n)
+                    assert np.allclose(c.replacement.projection.matrix,
+                                       v @ v.conj().T, atol=1e-10)
+                    continue
+                assert c.kind == "conjugation", (m, n, flag)
+                assert c.isometry.flag == flag
+                got = c.isometry.matrix
+                phase = np.vdot(v, got) / abs(np.vdot(v, got))
+                assert np.max(np.abs(got - phase * v)) <= 1e-10, (m, n, flag)
+                # canonical phase: the first column is its own pure_state representative
+                assert np.allclose(pure_state(got[:, 0]).vector, got[:, 0], rtol=0, atol=1e-12)
+
+
+def test_small_noise_keeps_positive_verdicts():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(1, n + 1))
+        flag = str(rng.choice([LINEAR, CONJUGATE]))
+        if rng.random() < 0.25:
+            base, want = trace_replacer(random_pure(n, rng), (m,), (n,)), ("trace_replacer", None)
+        else:
+            base = conjugation(random_isometry(n, m, rng, flag))
+            want = ("trace_replacer", None) if m == 1 else ("conjugation", flag)
+        noisy = make_superop((m,), (n,), base.coeff + 1e-10 * rng.standard_normal(base.coeff.shape))
+        c = classify_pure_preserver(noisy)
+        assert (c.kind, c.isometry and c.isometry.flag) == want, (m, n)
+
+
 def test_soundness_positive_classifications_pass_mc():
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -122,6 +174,16 @@ def test_mixed_cross_term_signs_rejected():
     op = make_superop((3,), (3,), coeff)
     c = classify_pure_preserver(op)
     assert c.kind == "not_preserver"
+
+
+def test_non_isometric_conjugation_rejected():
+    # unit but non-orthogonal columns: every diagonal image is pure and
+    # A -> WAW+ rebuilds the map exactly, but W is no isometry
+    w = np.array([[1.0, 1.0], [0.0, 1.0]]) / np.array([1.0, np.sqrt(2.0)])
+    op = from_action((2,), (2,), lambda a: HermitianOperator(w @ a.matrix @ w.conj().T, (2,)))
+    c = classify_pure_preserver(op)
+    assert c.kind == "not_preserver"
+    assert not is_pure(apply(op, c.witness.projection.with_dims((2,))))[0]
 
 
 def test_mc_verify_pure_contracts():

@@ -54,7 +54,6 @@ from preservers.sep_analysis import (
     _slice_superop,
     find_multi_product_witness,
     find_product_witness,
-    product_span_rank,
 )
 from preservers.superop import conjugate_operator, conjugation, isometry
 from preservers import basis
@@ -162,10 +161,6 @@ def test_doubling_obstruction():
     gap = np.linalg.norm(np.kron(p[0], p[0]) + np.kron(p[1], p[1])
                          - np.kron(p[2], p[2]) - np.kron(p[3], p[3]))
     assert abs(gap - np.sqrt(2.0)) < 1e-12
-
-
-def test_product_span_is_full():
-    assert product_span_rank(2, 2) == 16
 
 
 def test_check_both_directions_cases():
@@ -464,7 +459,10 @@ def test_batched_witness_scan_on_boundary_slices(seed, dims, fixed_slot, which, 
     if ref is None:
         assert got is None
     else:
-        assert np.array_equal(got.vector, ref.vector)
+        witness, image = got
+        assert np.array_equal(witness.vector, ref.vector)
+        assert np.allclose(image, apply(sl, ref.projection.with_dims(sl.in_dims)).matrix,
+                           rtol=0, atol=1e-14)
 
 
 def test_batched_witness_scan_across_blocks():
@@ -480,7 +478,10 @@ def test_batched_witness_scan_across_blocks():
     op = make_superop((8,), (9,), coeff)
     ref, found = _witness_reference(op, tol)
     assert found == "random 733"
-    assert np.array_equal(find_impure_witness(op, tol).vector, ref.vector)
+    witness, image = find_impure_witness(op, tol)
+    assert np.array_equal(witness.vector, ref.vector)
+    assert np.allclose(image, apply(op, ref.projection.with_dims(op.in_dims)).matrix,
+                       rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

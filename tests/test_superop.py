@@ -263,7 +263,7 @@ def test_superop_equal_witness():
     transpose = conjugation(isometry(np.eye(2), CONJUGATE))
     cmp = superop_equal(ident, transpose, 1e-9)
     assert not cmp.equal
-    assert cmp.witness_label(2) == "Y01"
+    assert (cmp.witness_in, cmp.witness_out) == (3, 3)  # Y01 -> -Y01
     assert abs(cmp.max_dev - 2.0) < 1e-12
     assert superop_equal(ident, ident).equal
     with pytest.raises(StructureError):
