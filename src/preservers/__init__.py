@@ -59,6 +59,7 @@ from .superop import (
     CONJUGATE,
     LINEAR,
     Isometry,
+    SEP_SOURCES,
     MultiForm,
     SepForm,
     SuperOperator,

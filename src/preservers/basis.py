@@ -21,10 +21,6 @@ def _triu(d: int):
     return iu, ju
 
 
-def basis_size(d: int) -> int:
-    return d * d
-
-
 def basis_elements(d: int, start: int, stop: int) -> np.ndarray:
     """Stack of the basis matrices of dimension d with indices start..stop-1."""
     idx = np.arange(start, stop)

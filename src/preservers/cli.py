@@ -27,8 +27,11 @@ from .sep_analysis import (
 from .superop import (
     CONJUGATE,
     LINEAR,
+    SEP_SOURCES,
     MultiForm,
     SepForm,
+    _sep_form,
+    _sep_sources,
     canonical_multi,
     canonical_sep,
     conjugation,
@@ -65,29 +68,16 @@ def _parse_flags(text, count: int, rng) -> list[str]:
 
 
 def _random_sep_form(tag: int, m: int, n: int, rng, flags) -> SepForm:
-    if tag == 1:
-        return SepForm(1, r1=random_pure(m, rng), r2=random_pure(n, rng))
-    if tag == 2:
-        return SepForm(2, u1=random_isometry(m, m, rng, flags[0]), r2=random_pure(n, rng))
-    if tag == 3:
-        return SepForm(3, r1=random_pure(m, rng), u2=random_isometry(n, n, rng, flags[0]))
-    if tag == 4:
-        if m < n:
-            raise StructureError(f"form 4 requires dims m >= n, got {m},{n}")
-        return SepForm(4, u1=random_isometry(m, n, rng, flags[0]), r2=random_pure(n, rng))
-    if tag == 5:
-        if m > n:
-            raise StructureError(f"form 5 requires dims m <= n, got {m},{n}")
-        return SepForm(5, r1=random_pure(m, rng), u2=random_isometry(n, m, rng, flags[0]))
-    if tag == 6:
-        return SepForm(6, u1=random_isometry(m, m, rng, flags[0]),
-                       u2=random_isometry(n, n, rng, flags[1]))
-    if tag == 7:
-        if m != n:
-            raise StructureError(f"form 7 requires equal factor dimensions, got {m},{n}")
-        return SepForm(7, u1=random_isometry(m, n, rng, flags[0]),
-                       u2=random_isometry(n, m, rng, flags[1]))
-    raise StructureError(f"unknown form tag {tag}")
+    """Random parameters drawn slot by slot; the k-th isometry takes flags[k]."""
+    dims = (m, n)
+    sources = SEP_SOURCES[tag]
+    if any(src is not None and dims[src] > dims[j] for j, src in enumerate(sources)):
+        law = {4: "dims m >= n", 5: "dims m <= n", 7: "equal factor dimensions"}[tag]
+        raise StructureError(f"form {tag} requires {law}, got {m},{n}")
+    flag = iter(flags)
+    return _sep_form(tag, [random_pure(d, rng) if src is None
+                           else random_isometry(d, dims[src], rng, next(flag))
+                           for d, src in zip(dims, sources)])
 
 
 def cmd_make(args) -> int:
@@ -125,13 +115,7 @@ def cmd_make(args) -> int:
     else:
         if args.form is None:
             raise StructureError("make needs one of --form, --pure or --multi")
-        if args.form in (8, 9):
-            raise StructureError(
-                f"form {args.form} has no constructor: whether such maps exist "
-                "is an open question; only pattern detection is supported"
-            )
-        if not 1 <= args.form <= 7:
-            raise StructureError(f"--form must be 1..7, got {args.form}")
+        _sep_sources(args.form)
         if len(dims) != 2:
             raise StructureError("bipartite forms expect --dims m,n")
         flags = _parse_flags(args.flags, 2, rng)

@@ -47,9 +47,11 @@ from .pure_analysis import (
     classify_pure_preserver,
 )
 from .superop import (
+    SEP_SOURCES,
     MultiForm,
     SepForm,
     SuperOperator,
+    _sep_form,
     apply,
     canonical_multi,
     canonical_sep,
@@ -142,16 +144,6 @@ def _case_letter(c1: PureClassification, c2: PureClassification, primes: bool):
 
 
 @dataclass(frozen=True)
-class SliceProfile:
-    row: str
-    col: str
-    row_phi1: PureClassification
-    row_phi2: PureClassification
-    col_phi1: PureClassification
-    col_phi2: PureClassification
-
-
-@dataclass(frozen=True)
 class PatternSample:
     p: PureState
     q: PureState
@@ -219,22 +211,13 @@ def _sep_not_preserver(op: SuperOperator, tol: float, seed: int,
     return SepClassification(NOT_PRESERVER, witness=pair, grid=grid)
 
 
-def _extract_form(tag: int, prof: SliceProfile) -> SepForm:
-    if tag == 1:
-        return SepForm(1, r1=prof.row_phi1.replacement, r2=prof.row_phi2.replacement)
-    if tag == 2:
-        return SepForm(2, u1=prof.row_phi1.isometry, r2=prof.row_phi2.replacement)
-    if tag == 3:
-        return SepForm(3, r1=prof.row_phi1.replacement, u2=prof.col_phi2.isometry)
-    if tag == 4:
-        return SepForm(4, u1=prof.col_phi1.isometry, r2=prof.row_phi2.replacement)
-    if tag == 5:
-        return SepForm(5, r1=prof.row_phi1.replacement, u2=prof.row_phi2.isometry)
-    if tag == 6:
-        return SepForm(6, u1=prof.row_phi1.isometry, u2=prof.col_phi2.isometry)
-    if tag == 7:
-        return SepForm(7, u1=prof.col_phi1.isometry, u2=prof.row_phi2.isometry)
-    raise StructureError(f"no constructive extraction for tag {tag}")
+def _extract_form(tag: int, slices) -> SepForm:
+    """Parameters of form ``tag`` read off the slice classifications, where
+    slices[k][j] varies input k and keeps output j: slot j carried from input
+    k is the isometry of slices[k][j], a replaced slot j takes its state from
+    the row slice slices[0][j]."""
+    return _sep_form(tag, [slices[0][j].replacement if src is None else slices[src][j].isometry
+                           for j, src in enumerate(SEP_SOURCES[tag])])
 
 
 def _pattern_sample(op: SuperOperator, tag: int, fixed: PureState,
@@ -327,18 +310,17 @@ def classify_sep_preserver(op: SuperOperator, tol: float = EPS_CLS,
     q0 = basis_state(n, 0)
     p0 = basis_state(m, 0)
 
-    row_phi1, row_phi2 = _classify_slices(op, q0, 2, tol, seed)
-    row = _case_letter(row_phi1, row_phi2, primes=False)
+    rows = _classify_slices(op, q0, 2, tol, seed)
+    row = _case_letter(*rows, primes=False)
     if row is None:
         return _sep_not_preserver(op, tol, seed)
 
-    col_phi1, col_phi2 = _classify_slices(op, p0, 1, tol, seed)
-    col = _case_letter(col_phi1, col_phi2, primes=True)
+    cols = _classify_slices(op, p0, 1, tol, seed)
+    col = _case_letter(*cols, primes=True)
     if col is None:
         return _sep_not_preserver(op, tol, seed)
 
     grid = (row, col)
-    prof = SliceProfile(row, col, row_phi1, row_phi2, col_phi1, col_phi2)
 
     # slice behavior must not depend on the anchor (constancy cross-check)
     extra_q = [q for q in (basis_state(n, 1) if n > 1 else None,
@@ -356,14 +338,14 @@ def classify_sep_preserver(op: SuperOperator, tol: float = EPS_CLS,
 
     tag = GRID_TO_TAG[grid]
     if tag in (8, 9):
-        fixed = prof.row_phi1.replacement if tag == 9 else prof.row_phi2.replacement
+        fixed = rows[0 if tag == 9 else 1].replacement
         data = _probe_pattern89(op, tag, fixed, tol, seed)
         if data is None:
             return _sep_not_preserver(op, tol, seed, grid)
         return SepClassification(PATTERN89, grid=grid, pattern=data,
                                  residual=data.max_dev)
 
-    form = _extract_form(tag, prof)
+    form = _extract_form(tag, (rows, cols))
     candidate = canonical_sep(form, (m, n))
     if candidate.out_dims != op.out_dims:
         return _sep_not_preserver(op, tol, seed, grid)

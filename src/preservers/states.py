@@ -26,7 +26,7 @@ from .linalg import (
     tensor_all,
 )
 from .sep_analysis import FORM, SepClassification
-from .superop import CONJUGATE, Isometry
+from .superop import CONJUGATE, Isometry, _sep_slots
 
 
 @dataclass(frozen=True)
@@ -142,29 +142,13 @@ def filter_apply(classification: SepClassification, state: SeparableState) -> Se
             "filtering requires a constructive form 1-7 classification, "
             f"got {classification.kind!r}"
         )
-    form = classification.form
-    tag = form.tag
-
-    def map_term(factors):
-        p, q = factors
-        if tag == 1:
-            return (form.r1, form.r2)
-        if tag == 2:
-            return (_map_factor(form.u1, p), form.r2)
-        if tag == 3:
-            return (form.r1, _map_factor(form.u2, q))
-        if tag == 4:
-            return (_map_factor(form.u1, q), form.r2)
-        if tag == 5:
-            return (form.r1, _map_factor(form.u2, p))
-        if tag == 6:
-            return (_map_factor(form.u1, p), _map_factor(form.u2, q))
-        if tag == 7:
-            return (_map_factor(form.u1, q), _map_factor(form.u2, p))
-        raise ContractError(f"form {tag} is not filterable")
-
     if len(state.dims) != 2:
         raise StructureError("bipartite filters expect two-factor states")
+    slots = _sep_slots(classification.form)
+
+    def map_term(factors):
+        return tuple(p if src is None else _map_factor(p, factors[src]) for src, p in slots)
+
     return separable_state(state.weights, [map_term(t) for t in state.terms])
 
 

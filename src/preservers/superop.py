@@ -280,17 +280,21 @@ def conjugation(u: Isometry, in_dims=None, out_dims=None) -> SuperOperator:
 # ---------------------------------------------------------------------------
 # canonical bipartite forms
 
+# Output slot j of form t carries input factor SEP_SOURCES[t][j] (0-based)
+# through u_{j+1}; where the entry is None, slot j writes the pure state r_{j+1}.
+SEP_SOURCES = {1: (None, None), 2: (0, None), 3: (None, 1), 4: (1, None),
+               5: (None, 0), 6: (0, 1), 7: (1, 0)}
+
+
 @dataclass(frozen=True)
 class SepForm:
     """Parameter bundle for the seven constructive bipartite canonical forms.
 
-    tag 1: constant product replacement (r1, r2)
-    tag 2: first-factor conjugation u1 with second factor replaced by r2
-    tag 3: second-factor conjugation u2 with first factor replaced by r1
-    tag 4: second factor carried to the first slot by u1, second slot r2
-    tag 5: first factor carried to the second slot by u2, first slot r1
-    tag 6: factorwise conjugation (u1, u2)
-    tag 7: swap followed by factorwise conjugation (u1, u2)
+    ``SEP_SOURCES`` defines the tags: output slot j of form t carries input
+    factor SEP_SOURCES[t][j] through the isometry u_j, or writes the pure
+    state r_j where that entry is None.  Tag 1 replaces both slots, tags 2/3
+    conjugate one factor in place, tags 4/5 carry one factor to the other
+    slot, tag 6 conjugates factorwise and tag 7 swaps first.
 
     Tags 8/9 name the replace-one-side patterns whose existence is an open
     question; they carry no constructor and are only ever reported from
@@ -309,44 +313,52 @@ def _require(cond: bool, msg: str):
         raise StructureError(msg)
 
 
-def canonical_sep(form: SepForm, dims) -> SuperOperator:
-    """Build the superoperator of a tag 1-7 canonical form on input dims (m, n)."""
-    m, n = _dims_tuple(dims)
-    t = form.tag
-    if t in (8, 9):
+def _sep_sources(tag) -> tuple:
+    """The ``SEP_SOURCES`` row of a constructive form tag; tags 8/9 and
+    unknown tags are refused."""
+    if tag in SEP_SOURCES:
+        return SEP_SOURCES[tag]
+    if tag in (8, 9):
         raise StructureError(
-            f"form {t} has no constructor: whether such maps exist is an open "
+            f"form {tag} has no constructor: whether such maps exist is an open "
             "question; only pattern detection is supported"
         )
-    if t == 1:
-        _require(form.r1 is not None and form.r2 is not None, "form 1 needs r1 and r2")
-        slots = (_replacement(form.r1), _replacement(form.r2))
-    elif t in (2, 4):
-        _require(form.u1 is not None and form.r2 is not None, f"form {t} needs u1 and r2")
-        src = 0 if t == 2 else 1
-        kept = (m, n)[src]
-        _require(form.u1.d_in == kept,
-                 f"form {t} isometry input must be {kept}, got {form.u1.d_in}")
-        slots = ((src, form.u1), _replacement(form.r2))
-    elif t in (3, 5):
-        _require(form.u2 is not None and form.r1 is not None, f"form {t} needs r1 and u2")
-        src = 1 if t == 3 else 0
-        kept = (m, n)[src]
-        _require(form.u2.d_in == kept,
-                 f"form {t} isometry input must be {kept}, got {form.u2.d_in}")
-        slots = (_replacement(form.r1), (src, form.u2))
-    elif t in (6, 7):
-        _require(form.u1 is not None and form.u2 is not None, f"form {t} needs u1 and u2")
-        u1, u2 = form.u1, form.u2
-        want = (m, n) if t == 6 else (n, m)
-        _require(
-            (u1.d_in, u2.d_in) == want,
-            f"form {t} isometry inputs must be {want}, got {(u1.d_in, u2.d_in)}",
-        )
-        slots = ((0, u1), (1, u2)) if t == 6 else ((1, u1), (0, u2))
-    else:
-        raise StructureError(f"unknown form tag {form.tag}")
-    return _product_map((m, n), slots)
+    raise StructureError(f"unknown form tag {tag}; the constructive forms are 1..7")
+
+
+def _sep_slots(form: SepForm) -> list:
+    """(source, parameter) per output slot: (k, u_j) where slot j carries
+    input factor k, (None, r_j) where it writes r_j."""
+    slots = []
+    for j, src in enumerate(_sep_sources(form.tag)):
+        name, param = (("r", (form.r1, form.r2)[j]) if src is None
+                       else ("u", (form.u1, form.u2)[j]))
+        _require(param is not None, f"form {form.tag} needs {name}{j + 1}")
+        slots.append((src, param))
+    return slots
+
+
+def _sep_form(tag: int, params) -> SepForm:
+    """The form ``tag`` whose slot j holds params[j]: u_j where the slot
+    carries an input factor, r_j where it writes a state."""
+    fields = {("r" if src is None else "u") + str(j + 1): p
+              for j, (src, p) in enumerate(zip(SEP_SOURCES[tag], params))}
+    return SepForm(tag, **fields)
+
+
+def canonical_sep(form: SepForm, dims) -> SuperOperator:
+    """Build the superoperator of a tag 1-7 canonical form on input dims (m, n)."""
+    dims = _dims_tuple(dims)
+    _require(len(dims) == 2, f"bipartite forms need dims (m, n), got {dims}")
+    slots = []
+    for j, (src, p) in enumerate(_sep_slots(form)):
+        if src is None:
+            slots.append(_replacement(p))
+            continue
+        _require(p.d_in == dims[src],
+                 f"form {form.tag} u{j + 1} input must be {dims[src]}, got {p.d_in}")
+        slots.append((src, p))
+    return _product_map(dims, slots)
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +405,15 @@ def inverse_isometry(u: Isometry) -> Isometry:
 
 
 def inverse_sep_form(form: SepForm) -> SepForm:
-    """Inverse of a tag 6/7 form with square isometries, again tag 6/7."""
-    if form.tag in (6, 7):
-        _require(form.u1 is not None and form.u2 is not None, "form lacks isometries")
-        _require(form.u1.is_square and form.u2.is_square, "inverse needs unitaries")
-    if form.tag == 6:
-        return SepForm(6, u1=inverse_isometry(form.u1), u2=inverse_isometry(form.u2))
-    if form.tag == 7:
-        return SepForm(7, u1=inverse_isometry(form.u2), u2=inverse_isometry(form.u1))
-    raise ContractError(f"form {form.tag} is not invertible on product pure states")
+    """Inverse of a tag 6/7 form with square isometries, again tag 6/7: the
+    input factor that slot j carries through u_j comes back through its
+    inverse."""
+    if form.tag not in (6, 7):
+        raise ContractError(f"form {form.tag} is not invertible on product pure states")
+    inverse = [None, None]
+    for src, u in _sep_slots(form):
+        inverse[src] = inverse_isometry(u)
+    return _sep_form(form.tag, inverse)
 
 
 # ---------------------------------------------------------------------------

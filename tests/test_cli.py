@@ -51,6 +51,22 @@ def test_make_form8_refused(capsys, monkeypatch):
     assert "open question" in err
 
 
+def test_make_flags_go_to_isometries_in_order(capsys, monkeypatch):
+    """The k-th isometry of a form takes the k-th flag, whatever its slot."""
+    cases = [("3", "2,2", "conjugate,linear", {"U2": "conjugate"}),
+             ("5", "2,3", "conjugate,linear", {"U2": "conjugate"}),
+             ("7", "2,2", "linear,conjugate", {"U1": "linear", "U2": "conjugate"})]
+    for form, dims, flags, expected in cases:
+        code, out, err = run_cli(capsys, "make", "--form", form, "--dims", dims,
+                                 "--flags", flags, "--seed", "4")
+        assert code == 0, err
+        code, rep_out, _ = run_cli(capsys, "classify", "-", stdin=out, monkeypatch=monkeypatch)
+        rep = json.loads(rep_out)
+        assert code == 0 and rep["form"] == int(form)
+        got = {k: v["flag"] for k, v in rep["params"].items() if k.startswith("U")}
+        assert got == expected, (form, flags, got)
+
+
 def test_make_constraint_violations(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "make", "--form", "7", "--dims", "2,3")
     assert code == 2 and "equal factor dimensions" in err

@@ -48,6 +48,7 @@ from preservers import (
 from preservers.linalg import as_rng, spanning_states
 from preservers.pure_analysis import find_impure_witness
 from preservers.sep_analysis import (
+    GRID_TO_TAG,
     _pattern_sample,
     _probe_pattern89,
     _section_maps,
@@ -55,7 +56,7 @@ from preservers.sep_analysis import (
     find_multi_product_witness,
     find_product_witness,
 )
-from preservers.superop import conjugate_operator, conjugation, isometry
+from preservers.superop import SEP_SOURCES, conjugate_operator, conjugation, isometry
 from preservers import basis
 
 
@@ -625,3 +626,16 @@ def test_multi_product_scans_match_reference(make, det_caps):
     got = mc_verify_product(op, 1000, 2)
     assert (got.passed, got.samples) == want[:2]
     assert _same_states(got.witness, want[2])
+
+
+def test_slot_table_matches_grid():
+    """The grid cell of each form follows from its slot sources: the row
+    letter is a if no slot carries input 1, c if slot 1 does and b if slot 2
+    does; the column letter follows the same rule for input 2."""
+    letters = {None: "a", 0: "c", 1: "b"}
+    for tag, sources in SEP_SOURCES.items():
+        carrier = [sources.index(k) if k in sources else None for k in (0, 1)]
+        grid = (letters[carrier[0]], letters[carrier[1]] + "′")
+        assert GRID_TO_TAG[grid] == tag
+        assert grid == EXPECTED_GRID[tag]
+    assert sorted(SEP_SOURCES) == sorted(EXPECTED_GRID)

@@ -202,6 +202,19 @@ def test_canonical_sep_refuses_patterns_and_bad_dims():
     with pytest.raises(StructureError):
         canonical_sep(SepForm(2, u1=random_isometry(3, 3, rng),
                               r2=random_pure(2, rng)), (2, 2))
+    # missing parameters
+    with pytest.raises(StructureError):
+        canonical_sep(SepForm(3, r1=random_pure(2, rng)), (2, 2))
+    with pytest.raises(StructureError):
+        canonical_sep(SepForm(1, r1=random_pure(2, rng)), (2, 2))
+    # unknown tags
+    for tag in (0, 10):
+        with pytest.raises(StructureError):
+            canonical_sep(SepForm(tag, r1=random_pure(2, rng), r2=random_pure(2, rng)), (2, 2))
+    # form 4 carries the second factor: u1 must take n = 2, not m = 3
+    with pytest.raises(StructureError):
+        canonical_sep(SepForm(4, u1=random_isometry(3, 3, rng),
+                              r2=random_pure(2, rng)), (3, 2))
 
 
 def test_canonical_sep_outputs_product_pure():
