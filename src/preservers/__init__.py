@@ -20,7 +20,6 @@ from .linalg import (
     permute_factors,
     pure_state,
     random_hermitian,
-    random_product_pure,
     random_pure,
     reduce_to_factor,
     swap_theta,

@@ -290,9 +290,9 @@ def _first_true(bad: np.ndarray, limit: int) -> int:
 
 
 def first_not_pure(images: np.ndarray, tol: float = PURITY_TOL):
-    """Index of the first matrix of the stack ``images`` (t, D, D) that
-    :func:`is_pure` rejects at ``tol``, or None: one stacked ``eigh``."""
-    first = _first_true(spectral_defect(np.linalg.eigh(images)[0]) > tol, len(images))
+    """Index of the first matrix of the stack ``images`` (t, D, D) whose
+    purity defect exceeds ``tol``, or None: one stacked ``eigvalsh``."""
+    first = _first_true(spectral_defect(np.linalg.eigvalsh(images)) > tol, len(images))
     return first if first < len(images) else None
 
 
@@ -352,14 +352,6 @@ def random_hermitian(dim: int, seed=0, dims=None) -> HermitianOperator:
     rng = as_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return HermitianOperator((g + g.conj().T) / 2.0, _check_dims(dims, dim))
-
-
-def random_product_pure(dims, seed=0):
-    """A product pure state on the given factors; returns (operator, factors)."""
-    rng = as_rng(seed)
-    factors = [random_pure(d, rng) for d in dims]
-    op = tensor_all([f.projection for f in factors])
-    return op, factors
 
 
 def spanning_states(dim: int) -> list[PureState]:

@@ -35,6 +35,7 @@ from preservers import (
     mc_verify_product,
     partial_transpose,
     pure_state,
+    random_hermitian,
     random_isometry,
     random_pure,
     reduce_to_factor,
@@ -57,7 +58,7 @@ from preservers.sep_analysis import (
     find_product_witness,
 )
 from preservers.superop import SEP_SOURCES, conjugate_operator, conjugation, isometry
-from preservers import basis
+from preservers import basis, sep_analysis
 
 
 def test_slice_phi_identity_form1_swap():
@@ -233,6 +234,59 @@ def test_perturbed_canonical_maps_get_witnesses():
         assert c.kind == "not_preserver", tag
         p, q = c.witness
         assert not is_product_pure(apply(op, tensor(p.projection, q.projection)), 1e-8)[0]
+
+
+def test_rebuild_check_rejects_maps_hidden_from_the_anchor_slices():
+    """Canonical form + eps * (A (x) B -> <1|A|1><1|B|1> X): every slice at the
+    basis_state(., 0) anchors is the canonical form's, so only the
+    coefficient comparison against the rebuilt form can reject the map."""
+    rng = np.random.default_rng(21)
+    cases = 0
+    for tag in (2, 5, 6, 7):
+        for m, n in ((2, 2), (2, 3), (3, 3)):
+            if not legal_dims(tag, m, n):
+                continue
+            dims = (m, n)
+            base = canonical_sep(random_sep_form(tag, m, n, rng), dims)
+            x = random_hermitian(m * n, rng).matrix
+            corner = n + 1  # the index of |1>|1>
+            bump = from_action(dims, dims,
+                               lambda a: HermitianOperator(a.matrix[corner, corner].real * x, dims))
+            op = make_superop(dims, dims, base.coeff + 1e-3 * bump.coeff)
+            anchors = (basis_state(m, 0), basis_state(n, 0))
+            for k in (0, 1):
+                for s, t in zip(_section_maps(op, anchors, k), _section_maps(base, anchors, k)):
+                    assert np.allclose(s.coeff, t.coeff, rtol=0, atol=1e-14)
+            c = classify_sep_preserver(op)
+            assert c.kind == "not_preserver", (tag, dims)
+            assert c.grid == EXPECTED_GRID[tag]
+            p, q = c.witness
+            assert not is_product_pure(apply(op, tensor(p.projection, q.projection)), 1e-8)[0]
+            cases += 1
+    assert cases == 11
+
+
+def test_positive_classifies_one_anchor_per_side(monkeypatch):
+    """An exact bipartite positive classifies the two slice maps at one
+    anchor per side and nothing more: 4 single-factor classifications."""
+    calls = []
+    inner = sep_analysis.classify_pure_preserver
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(sep_analysis, "classify_pure_preserver", counted)
+    rng = np.random.default_rng(22)
+    for tag in range(1, 8):
+        for m, n in itertools.product((2, 3), repeat=2):
+            if not legal_dims(tag, m, n):
+                continue
+            op = canonical_sep(random_sep_form(tag, m, n, rng), (m, n))
+            calls.clear()
+            c = classify_sep_preserver(op)
+            assert c.kind == "form" and c.form.tag == tag, (tag, m, n)
+            assert len(calls) == 4, (tag, m, n, len(calls))
 
 
 def test_sep_classifier_argument_errors():
