@@ -115,10 +115,10 @@ def cmd_make(args) -> int:
     else:
         if args.form is None:
             raise StructureError("make needs one of --form, --pure or --multi")
-        _sep_sources(args.form)
+        sources = _sep_sources(args.form)
         if len(dims) != 2:
             raise StructureError("bipartite forms expect --dims m,n")
-        flags = _parse_flags(args.flags, 2, rng)
+        flags = _parse_flags(args.flags, sum(src is not None for src in sources), rng)
         form = _random_sep_form(args.form, dims[0], dims[1], rng, flags)
         op = canonical_sep(form, dims)
     sys.stdout.write(serialize.dumps(serialize.superop_to_json(op)))
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_make.add_argument("--multi", action="store_true", help="multipartite form")
     p_make.add_argument("--pi", help="factor permutation for --multi, e.g. 2,3,1")
     p_make.add_argument("--dims", required=True, help="factor dimensions, e.g. 2,3")
-    p_make.add_argument("--flags", help="conjugation flags, e.g. linear,conjugate")
+    p_make.add_argument("--flags", help="conjugation flags, one per isometry, e.g. linear,conjugate")
     p_make.add_argument("--seed", type=int, default=0)
     p_make.set_defaults(func=cmd_make)
 

@@ -6,18 +6,21 @@ canonical form, transposes included, with real arithmetic.  Every real-linear
 map on Hermitian matrices has a unique complex-linear extension to all
 matrices, so the Choi export (:func:`to_choi`) is faithful too.
 
-The constructors build coefficient matrices from stacked evaluations: a
-vectorized action runs on blocks of basis elements at once, and maps that
-only replace the trace need no evaluation at all.
+The canonical constructors evaluate nothing: their maps send each matrix
+unit to a matrix unit or to 0 before the isometries act, so every
+coefficient is gathered from products of two isometry entries, a block of
+output entries at a time.  Maps that only replace the trace are an outer
+product of two coordinate vectors.
 """
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from . import basis
+from .basis import SQRT2
 from .errors import ContractError, StructureError
 from .linalg import (
     EPS_ISOMETRY,
@@ -103,23 +106,11 @@ def from_action(in_dims, out_dims, action) -> SuperOperator:
     return SuperOperator(in_dims, out_dims, coeff)
 
 
-# Stacked evaluations take their inputs in blocks of about this many complex
-# entries (at least din basis elements of dimension din when building a map),
-# which bounds their working set.
+# Stacked and gathered evaluations work in blocks of about this many complex
+# entries, which bounds their working set: the witness scans stack input
+# states, and the coefficient gather writes blocks of output entries (at
+# least D_out of them), each as wide as the input basis.
 BLOCK_ENTRIES = 8192
-
-
-def _stacked_coeff(din: int, dout: int, action) -> np.ndarray:
-    """Coefficient matrix of a real-linear ``action`` that maps a stack of
-    din x din matrices to the stack of their dout x dout images; it is
-    evaluated on blocks of basis elements."""
-    n = din * din
-    step = max(din, BLOCK_ENTRIES // n)
-    coeff = np.empty((dout * dout, n), dtype=np.float64)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        coeff[:, start:stop] = basis.coords(action(basis.basis_elements(din, start, stop))).T
-    return coeff
 
 
 def compose(outer: SuperOperator, inner: SuperOperator) -> SuperOperator:
@@ -215,6 +206,69 @@ def random_isometry(d_out: int, d_in: int, seed=0, flag: str = LINEAR) -> Isomet
 # ---------------------------------------------------------------------------
 # elementary constructors
 
+# Weights of a matrix unit in an input basis element, by type: a diagonal
+# unit, either unit of a symmetric element, the two units of an
+# antisymmetric one, and 0 (type _VANISHES) for a unit whose carried image
+# vanishes.
+_UNIT_WEIGHTS = np.array([1.0, 1 / SQRT2, 1j / SQRT2, -1j / SQRT2, 0.0])
+_VANISHES = 4
+
+
+@lru_cache(maxsize=None)
+def _gather_plan(in_dims, carried):
+    """Index plan of the coefficient gather of A -> W X(A) W+ (see
+    :func:`_product_coeff`).
+
+    Input basis element k is a weighted sum of the units E_rs and E_sr
+    (E_kk alone on the diagonal), and X(E_rs) is the unit E_cd of the
+    carried factors, or 0 where a traced factor has r_f != s_f; X(E_sr) is
+    then E_dc.  The image of unit E_cd under W has the entries
+    W[a, c] conj(W[b, d]).  For both units of every element the plan holds
+    the column c of W and the column t * e + d of the stack of the e-column
+    blocks ``_UNIT_WEIGHTS[t] * conj(W)``, which supplies the unit's weight
+    (type t) times conj(W[b, d]).
+    """
+    din = math.prod(in_dims)
+    iu, ju = basis._triu(din)
+    diag = np.arange(din)
+    r = np.concatenate([diag, np.repeat(iu, 2)])
+    s = np.concatenate([diag, np.repeat(ju, 2)])
+    t1 = np.concatenate([np.zeros(din, int), np.tile([1, 2], len(iu))])
+    t2 = np.concatenate([np.full(din, _VANISHES), np.tile([1, 3], len(iu))])
+    rf, sf = np.unravel_index(r, in_dims), np.unravel_index(s, in_dims)
+    used = {src for src, _ in carried}
+    alive = np.all([rf[f] == sf[f] for f in range(len(in_dims)) if f not in used], axis=0)
+    carried_dims = [in_dims[src] for src, _ in carried]
+    c = np.ravel_multi_index([sf[src] if flag == CONJUGATE else rf[src]
+                              for src, flag in carried], carried_dims)
+    d = np.ravel_multi_index([rf[src] if flag == CONJUGATE else sf[src]
+                              for src, flag in carried], carried_dims)
+    e = math.prod(carried_dims)
+    plan = (c, np.where(alive, t1, _VANISHES) * e + d, d, np.where(alive, t2, _VANISHES) * e + c)
+    for x in plan:
+        x.setflags(write=False)
+    return plan
+
+
+def _kron(a, b) -> np.ndarray:
+    """``np.kron`` of two matrices, without its per-call overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
+def _gather(w, v, a, b, plan) -> np.ndarray:
+    """Entries (a[i], b[i]) of the images of all input basis elements, one
+    row per entry: W[a, c] times the weighted conj(W[b, d]), summed over
+    the element's two units."""
+    c1, g1, c2, g2 = plan
+    wa, vb = w[a], v[b]
+    z = np.take(wa, c1, axis=1)
+    z *= np.take(vb, g1, axis=1)
+    y = np.take(wa, c2, axis=1)
+    y *= np.take(vb, g2, axis=1)
+    z += y
+    return z
+
+
 def _product_coeff(in_dims, slots) -> np.ndarray:
     """Coefficient matrix of A -> W X W+ with W the Kronecker product of the
     slot isometries.
@@ -225,28 +279,33 @@ def _product_coeff(in_dims, slots) -> np.ndarray:
     X is A with every factor no slot carries traced out and the carried
     factors in slot order.  With no carried factor the map only replaces the
     trace, and its coefficient matrix is an outer product.
+
+    Otherwise X maps matrix units to matrix units or 0, so every coefficient
+    is the real or imaginary part of a sum of two products W[a, c] conj(W[b, d])
+    (:func:`_gather_plan`).  They are gathered for the diagonal output
+    entries a = b, then for blocks of the entries a < b, and written
+    straight into the coordinate rows.
     """
-    w = reduce(np.kron, [iso.matrix for _, iso in slots])
-    carried = [(src, iso.flag) for src, iso in slots if src is not None]
+    w = reduce(_kron, [iso.matrix for _, iso in slots])
+    carried = tuple((src, iso.flag) for src, iso in slots if src is not None)
     din = math.prod(in_dims)
     if not carried:
         return np.outer(basis.coords(w @ w.conj().T), basis.coords(np.eye(din)))
-    n = len(in_dims)
-    used = {src for src, _ in carried}
-    rows = list(range(1, n + 1))
-    cols = [n + 1 + f if f in used else 1 + f for f in range(n)]
-    out_rows = [cols[s] if flag == CONJUGATE else rows[s] for s, flag in carried]
-    out_cols = [rows[s] if flag == CONJUGATE else cols[s] for s, flag in carried]
-    e = w.shape[1]
-    w_h = w.conj().T
-    shape = in_dims * 2
-
-    def action(x):
-        y = np.einsum(x.reshape((len(x),) + shape), [0] + rows + cols,
-                      [0] + out_rows + out_cols)
-        return w @ y.reshape(len(x), e, e) @ w_h
-
-    return _stacked_coeff(din, w.shape[0], action)
+    plan = _gather_plan(in_dims, carried)
+    dout = w.shape[0]
+    v = (_UNIT_WEIGHTS[:, None] * w.conj()[:, None, :]).reshape(dout, -1)
+    coeff = np.empty((dout * dout, din * din))
+    diag = np.arange(dout)
+    coeff[:dout] = _gather(w, v, diag, diag, plan).real
+    iu, ju = basis._triu(dout)
+    step = max(dout, BLOCK_ENTRIES // (din * din))
+    for start in range(0, len(iu), step):
+        stop = min(start + step, len(iu))
+        z = _gather(w, v, iu[start:stop], ju[start:stop], plan)
+        rows = coeff[dout + 2 * start:dout + 2 * stop].reshape(stop - start, 2, -1)
+        np.multiply(z.view(np.float64).reshape(stop - start, -1, 2).transpose(0, 2, 1),
+                    SQRT2, out=rows)
+    return coeff
 
 
 def _replacement(r: PureState):

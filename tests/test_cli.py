@@ -53,8 +53,8 @@ def test_make_form8_refused(capsys, monkeypatch):
 
 def test_make_flags_go_to_isometries_in_order(capsys, monkeypatch):
     """The k-th isometry of a form takes the k-th flag, whatever its slot."""
-    cases = [("3", "2,2", "conjugate,linear", {"U2": "conjugate"}),
-             ("5", "2,3", "conjugate,linear", {"U2": "conjugate"}),
+    cases = [("3", "2,2", "conjugate", {"U2": "conjugate"}),
+             ("5", "2,3", "conjugate", {"U2": "conjugate"}),
              ("7", "2,2", "linear,conjugate", {"U1": "linear", "U2": "conjugate"})]
     for form, dims, flags, expected in cases:
         code, out, err = run_cli(capsys, "make", "--form", form, "--dims", dims,
@@ -65,6 +65,20 @@ def test_make_flags_go_to_isometries_in_order(capsys, monkeypatch):
         assert code == 0 and rep["form"] == int(form)
         got = {k: v["flag"] for k, v in rep["params"].items() if k.startswith("U")}
         assert got == expected, (form, flags, got)
+
+
+def test_make_flags_count_follows_form(capsys, monkeypatch):
+    """A bipartite form takes one flag per isometry: none for form 1, one
+    for forms 2-5, two for forms 6-7."""
+    code, _, err = run_cli(capsys, "make", "--form", "3", "--dims", "2,2",
+                           "--flags", "conjugate")
+    assert code == 0, err
+    code, _, err = run_cli(capsys, "make", "--form", "1", "--dims", "2,2",
+                           "--flags", "conjugate,conjugate")
+    assert code == 2 and "--flags expects 0" in err
+    code, _, err = run_cli(capsys, "make", "--form", "6", "--dims", "2,2",
+                           "--flags", "conjugate")
+    assert code == 2 and "--flags expects 2" in err
 
 
 def test_make_constraint_violations(capsys, monkeypatch):

@@ -1,5 +1,8 @@
 """Superoperator representation, canonical constructors and affine extension."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,7 +46,7 @@ from preservers import (
 )
 from preservers import basis_state
 from preservers.basis import basis_element, basis_label, coords, from_coords
-from preservers.superop import conjugate_operator
+from preservers.superop import BLOCK_ENTRIES, conjugate_operator
 
 
 def test_basis_orthonormality_and_labels():
@@ -405,7 +408,7 @@ def test_to_choi_of_transpose_is_swap():
 
 
 # ---------------------------------------------------------------------------
-# blocked constructors against column-by-column references
+# gather-built constructors against column-by-column references
 
 def _herm(x, dims=None):
     return HermitianOperator(x, dims)
@@ -508,3 +511,53 @@ def test_conjugation_and_trace_replacer_match_column_reference():
         op = trace_replacer(r, in_dims, out_dims)
         ref = from_action(in_dims, out_dims, lambda a: _herm(a.trace() * r.projection.matrix))
         assert np.max(np.abs(op.coeff - ref.coeff)) <= 1e-14
+
+
+def _row_blocks(op) -> int:
+    """Blocks of output entries that the coefficient gather of ``op`` works
+    through: the diagonal, then the entries a < b in blocks."""
+    dout = op.out_dim
+    step = max(dout, BLOCK_ENTRIES // op.in_dim ** 2)
+    return 1 + -(-(dout * (dout - 1) // 2) // step)
+
+
+def test_canonical_multi_matches_column_reference_across_row_blocks():
+    rng = np.random.default_rng(34)
+    dims, perm = (3, 3, 3), (2, 3, 1)
+    for flags in itertools.product((LINEAR, CONJUGATE), repeat=3):
+        isos = tuple(random_isometry(3, 3, rng, f) for f in flags)
+        op = canonical_multi(MultiForm(perm, isos), dims)
+        assert _row_blocks(op) == 14
+        ref = from_action(dims, dims, lambda a: _kron_conj(permute_factors(a, perm), isos))
+        assert np.max(np.abs(op.coeff - ref.coeff)) <= 1e-14, flags
+
+
+def test_canonical_sep_matches_column_reference_across_row_blocks():
+    rng = np.random.default_rng(35)
+    seen = set()
+    for m, n in [(4, 4), (2, 4), (4, 2)]:
+        for form in _sep_forms(m, n, rng):
+            if form.tag == 1:
+                continue
+            op = canonical_sep(form, (m, n))
+            if (m, n) == (4, 4):
+                assert _row_blocks(op) > 2, form.tag
+            ref = from_action((m, n), op.out_dims, _sep_action(form))
+            assert np.max(np.abs(op.coeff - ref.coeff)) <= 1e-14, (form.tag, m, n)
+            seen.add(form.tag)
+    assert seen == set(range(2, 8))
+
+
+def test_canonical_sep_working_set_is_blocked():
+    """Form 6 on (6,6) is built next to its 13.4 MB coefficient matrix with
+    blocks of the gather, not whole-matrix complex temporaries."""
+    rng = np.random.default_rng(36)
+    form = SepForm(6, u1=random_isometry(6, 6, rng, LINEAR),
+                   u2=random_isometry(6, 6, rng, CONJUGATE))
+    tracemalloc.start()
+    try:
+        op = canonical_sep(form, (6, 6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * op.coeff.nbytes
