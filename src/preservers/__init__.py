@@ -35,7 +35,6 @@ from .pure_analysis import (
 )
 from .sep_analysis import (
     MultiClassification,
-    Pattern89Data,
     SepClassification,
     check_both_directions,
     classify_multi_preserver,

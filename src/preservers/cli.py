@@ -4,7 +4,8 @@ Monte-Carlo verification.
 Exit codes are a stable contract: 0 for a positive result, 1 for a
 demonstrated non-preserver (or failed verification), 2 for malformed input or
 violated construction constraints, 3 for indeterminate classifications
-(sampled patterns and insufficient richness).
+(insufficient richness, or a classifier that could neither verify a form
+nor find a witness).
 """
 
 import argparse
@@ -19,7 +20,6 @@ from .sep_analysis import (
     FORM,
     INSUFFICIENT,
     MULTI_FORM,
-    PATTERN89,
     classify_sep_preserver,
     classify_multi_preserver,
     mc_verify_product,
@@ -150,11 +150,7 @@ def cmd_classify(args) -> int:
     if len(op.in_dims) == 2:
         c = classify_sep_preserver(op, args.tol, args.seed)
         sys.stdout.write(serialize.dumps(serialize.sep_report(c)))
-        if c.kind == FORM:
-            return EXIT_OK
-        if c.kind == PATTERN89:
-            return EXIT_INDETERMINATE
-        return EXIT_NEGATIVE
+        return EXIT_OK if c.kind == FORM else EXIT_NEGATIVE
     c = classify_multi_preserver(op, args.tol, args.seed)
     sys.stdout.write(serialize.dumps(serialize.multi_report(c)))
     if c.kind == MULTI_FORM:

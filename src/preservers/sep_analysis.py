@@ -4,10 +4,11 @@ Bipartite maps are decided through their slice maps: freezing one factor of
 the input product and partial-tracing one factor of the output yields
 single-factor maps that are themselves pure-state preservers, and the pair of
 slice behaviors (trace replacement vs conjugation, per row and per column)
-lands in a 3x3 grid whose admissible cells select one of nine canonical
-forms.  Seven of the forms are constructive and are verified by exact
-reconstruction; the remaining two patterns are only ever reported together
-with the sampled data that exhibits them, never as verified constructions.
+lands in a 3x3 grid.  Seven cells select the seven canonical forms, each
+verified by exact reconstruction.  The cells (b,b') and (c,c'), where both
+inputs feed one output slot, hold no preserver when the input and output dims
+agree (see :func:`doubling_obstruction_check`): a map there, like every other
+failure, gets a product pure state whose image is not product pure.
 
 Multipartite maps are decided by discovering the factor permutation from
 which input slot moves which output slot, extracting one isometric
@@ -26,6 +27,7 @@ from .linalg import (
     EPS_CLS,
     HermitianOperator,
     PureState,
+    _kron,
     as_rng,
     basis_state,
     first_not_product_pure,
@@ -55,7 +57,6 @@ from .superop import (
     apply,
     canonical_multi,
     canonical_sep,
-    conjugate_operator,
     superop_equal,
 )
 
@@ -70,12 +71,9 @@ GRID_TO_TAG = {
     (ROW_C, COL_A): 2,
     (ROW_B, COL_C): 7,
     (ROW_C, COL_B): 6,
-    (ROW_B, COL_B): 9,
-    (ROW_C, COL_C): 8,
 }
 
 FORM = "form"
-PATTERN89 = "pattern89"
 INSUFFICIENT = "insufficient_richness"
 MULTI_FORM = "multi_form"
 
@@ -101,8 +99,8 @@ def _section_maps(op: SuperOperator, states, k: int) -> list[SuperOperator]:
     """
     d = op.in_dims[k]
     units = basis.basis_elements(d, 0, d * d)
-    inputs = reduce(np.kron, [units if i == k else s.projection.matrix[None]
-                              for i, s in enumerate(states)])
+    inputs = reduce(_kron, [units if i == k else s.projection.matrix
+                            for i, s in enumerate(states)])
     images = basis.from_coords(basis.coords(inputs) @ op.coeff.T, op.out_dim)
     n = len(op.out_dims)
     images = images.reshape((d * d,) + op.out_dims * 2)
@@ -113,12 +111,6 @@ def _section_maps(op: SuperOperator, states, k: int) -> list[SuperOperator]:
         reduced = np.einsum(images, [0] + rows + cols, [0, j + 1, n + 1])
         maps.append(SuperOperator((d,), (dj,), np.ascontiguousarray(basis.coords(reduced).T)))
     return maps
-
-
-def _slice_superop(op: SuperOperator, fixed: PureState, fixed_slot: int,
-                   which: int) -> SuperOperator:
-    """Coordinatize A -> phi_which(A, Q) (fixed_slot=2) or B -> phi_which(P, B)."""
-    return _section_maps(op, (fixed, fixed), 2 - fixed_slot)[which - 1]
 
 
 def _classify_slices(op: SuperOperator, fixed: PureState, fixed_slot: int,
@@ -144,36 +136,16 @@ def _case_letter(c1: PureClassification, c2: PureClassification, primes: bool):
 
 
 @dataclass(frozen=True)
-class PatternSample:
-    p: PureState
-    q: PureState
-    moving: PureState
-
-
-@dataclass(frozen=True)
-class Pattern89Data:
-    tag: int
-    fixed: PureState
-    samples: tuple[PatternSample, ...]
-    max_dev: float
-
-
-@dataclass(frozen=True)
 class SepClassification:
-    kind: str  # "form" | "pattern89" | "not_preserver"
+    kind: str  # "form" | "not_preserver"
     form: SepForm | None = None
     grid: tuple[str, str] | None = None
     residual: float = 0.0
     witness: tuple[PureState, PureState] | None = None
-    pattern: Pattern89Data | None = None
 
     @property
     def tag(self):
-        if self.form is not None:
-            return self.form.tag
-        if self.pattern is not None:
-            return self.pattern.tag
-        return None
+        return None if self.form is None else self.form.tag
 
     @property
     def positive(self) -> bool:
@@ -220,83 +192,15 @@ def _extract_form(tag: int, slices) -> SepForm:
                            for j, src in enumerate(SEP_SOURCES[tag])])
 
 
-def _pattern_sample(op: SuperOperator, tag: int, fixed: PureState,
-                    p: PureState, q: PureState, tol: float, prediction=None):
-    """Check one sampled product input against a replace-one-side pattern.
-
-    The image must be product pure, its fixed slot must match ``fixed``, and
-    the moving slot must match ``prediction`` when one is supplied.  Returns
-    (sample, deviation) or (None, deviation of the first failed check).
-    """
-    moving_slot = 2 if tag == 9 else 1
-    fixed_slot = 1 if tag == 9 else 2
-    img = apply(op, tensor(p.projection, q.projection))
-    ok, factors = is_product_pure(img, tol)
-    if not ok:
-        return None, np.inf
-    dev = float(np.max(np.abs(
-        factors[fixed_slot - 1].projection.matrix - fixed.projection.matrix)))
-    if dev > 100 * tol:
-        return None, dev
-    moving = factors[moving_slot - 1]
-    if prediction is not None:
-        pdev = float(np.max(np.abs(moving.projection.matrix - prediction)))
-        if pdev > 100 * tol:
-            return None, pdev
-        dev = max(dev, pdev)
-    return PatternSample(p, q, moving), dev
-
-
-def _probe_pattern89(op: SuperOperator, tag: int, fixed: PureState, tol: float,
-                     seed: int, anchors: int = 3, per_anchor: int = 10,
-                     extra_random: int = 140):
-    """Sampled evidence for the replace-one-side patterns.
-
-    For tag 9 the first output factor must equal ``fixed`` on every sampled
-    product input while the second factor moves; anchored slice maps in both
-    directions must classify as conjugations and predict the recorded moving
-    factors.  Returns the recorded family or None when any check fails.
-    """
-    m, n = op.in_dims
-    moving_slot = 2 if tag == 9 else 1
-    rng = as_rng(seed)
-    samples = []
-    max_dev = 0.0
-    for fixed_slot, anchor_dim, free_dim in ((1, m, n), (2, n, m)):
-        for _ in range(anchors):
-            anchor = random_pure(anchor_dim, rng)
-            sl = _slice_superop(op, anchor, fixed_slot, moving_slot)
-            cls = classify_pure_preserver(sl, tol, seed)
-            if cls.kind != CONJUGATION:
-                return None
-            for _ in range(per_anchor):
-                other = random_pure(free_dim, rng)
-                pred = conjugate_operator(cls.isometry, other.projection.matrix)
-                p, q = (anchor, other) if fixed_slot == 1 else (other, anchor)
-                sample, dev = _pattern_sample(op, tag, fixed, p, q, tol, pred)
-                if sample is None:
-                    return None
-                samples.append(sample)
-                max_dev = max(max_dev, dev)
-    for _ in range(extra_random):
-        sample, dev = _pattern_sample(op, tag, fixed,
-                                      random_pure(m, rng), random_pure(n, rng), tol)
-        if sample is None:
-            return None
-        samples.append(sample)
-        max_dev = max(max_dev, dev)
-    return Pattern89Data(tag, fixed, tuple(samples), max_dev)
-
-
 def classify_sep_preserver(op: SuperOperator, tol: float = EPS_CLS,
                            seed: int = 0) -> SepClassification:
-    """Decide which of the nine bipartite canonical forms a map has.
+    """Decide which of the seven bipartite canonical forms a map has.
 
     The slice classifications at one anchor per side propose the grid cell
-    and the parameters; for tags 1-7 the coefficient comparison at ``tol``
-    against the rebuilt canonical map decides.  Cells (b,b') and (c,c')
-    are reported as sampled patterns; every other failure produces a product
-    pure state whose image violates product purity.
+    and the parameters; the coefficient comparison at ``tol`` against the
+    rebuilt canonical map decides.  Every failure, the empty cells (b,b')
+    and (c,c') included, produces a product pure state whose image violates
+    product purity.
     """
     if tol <= 0:
         raise StructureError("tolerance must be positive")
@@ -319,16 +223,9 @@ def classify_sep_preserver(op: SuperOperator, tol: float = EPS_CLS,
         return _sep_not_preserver(op, tol, seed)
 
     grid = (row, col)
-    tag = GRID_TO_TAG[grid]
-    if tag in (8, 9):
-        fixed = rows[0 if tag == 9 else 1].replacement
-        data = _probe_pattern89(op, tag, fixed, tol, seed)
-        if data is None:
-            return _sep_not_preserver(op, tol, seed, grid)
-        return SepClassification(PATTERN89, grid=grid, pattern=data,
-                                 residual=data.max_dev)
-
-    form = _extract_form(tag, (rows, cols))
+    if grid not in GRID_TO_TAG:
+        return _sep_not_preserver(op, tol, seed, grid)
+    form = _extract_form(GRID_TO_TAG[grid], (rows, cols))
     candidate = canonical_sep(form, (m, n))
     if candidate.out_dims != op.out_dims:
         return _sep_not_preserver(op, tol, seed, grid)
@@ -354,6 +251,29 @@ def doubling_obstruction_check(m: int = 2) -> bool:
     padded to dimension m) stay equal, yet their factor-squared sums differ
     by a Frobenius gap exceeding 0.5, so no map can conjugate both slices
     simultaneously.
+
+    The joint-carry cells are empty too.  In cell (c,c') the slices of both
+    inputs conjugate into output slot 1 and slot 2 is constant; (b,b') is the
+    mirror image.  By the paper's structure theorem each output slot of a
+    preserver writes a fixed pure state or carries the input factors that
+    feed it through one isometry, each factor linearly or conjugate-linearly.
+    So slot 1 would send x (x) y to W (x' (x) y'), with W: C^{mn} -> C^m and
+    x', y' the vectors or their conjugates, and ||W (x' (x) y')|| = ||x|| ||y||.
+    Polarizing in x at fixed y (a sesquilinear form over C is fixed by its
+    values on the diagonal) gives (I (x) y'+) W+W (I (x) y') = ||y||^2 I_m,
+    and polarizing each entry in y gives W+W = I_{mn}.  By the dimension law
+    m >= mn, so n = 1; but a dimension-1 factor's slices are trace
+    replacers, so the column letter is a', not c'.  For (b,b') likewise m = 1.
+
+    For qubits this follows without the theorem.  With Bloch vectors a, b of
+    the inputs, slot 1 has c = k + M a + N b + sum_i a_i L_i b (real 3x3 M, N,
+    L_i).  A slice is a trace replacer under an affine condition on its
+    anchor, so when one anchor per side conjugates, a dense set does, and by
+    continuity every slice is c = O a (or O b) with O orthogonal and no
+    shift.  Hence k = 0, N = 0, M = 0, and K(a) = sum_i a_i L_i is orthogonal
+    for every unit a; polarizing K(a)^T K(a) = |a|^2 I gives
+    L_i^T L_j + L_j^T L_i = 2 delta_ij I.  Then K = L_3^T L_1 is orthogonal
+    and antisymmetric, so K^2 = -I and det(K)^2 = det(-I_3) = -1: impossible.
     """
     if m < 2:
         raise StructureError("needs dimension at least 2")

@@ -32,6 +32,15 @@ def _need(obj, key, path):
     return obj[key]
 
 
+def _need_dims(obj, key, path) -> list:
+    """The factor dims ``obj[key]``: a nonempty list of positive integers
+    (JSON booleans are not integers here)."""
+    dims = _need(obj, key, path)
+    if not isinstance(dims, list) or not dims or not all(type(d) is int and d >= 1 for d in dims):
+        raise StructureError(f"{path}.{key}: expected a nonempty list of positive integers")
+    return dims
+
+
 def _as_float_rows(value, path):
     try:
         arr = np.array(value, dtype=np.float64)
@@ -60,9 +69,7 @@ def matrix_to_json(op: HermitianOperator) -> dict:
 
 
 def matrix_from_json(obj, path: str = "$") -> HermitianOperator:
-    dims = _need(obj, "dims", path)
-    if not isinstance(dims, list) or not all(isinstance(d, int) and d >= 1 for d in dims):
-        raise StructureError(f"{path}.dims: expected a list of positive integers")
+    dims = _need_dims(obj, "dims", path)
     mat = _complex_matrix(obj, path)
     d = math.prod(dims)
     if mat.shape != (d, d):
@@ -86,11 +93,8 @@ def superop_from_json(obj, path: str = "$") -> SuperOperator:
     tag = _need(obj, "basis", path)
     if tag != basis.BASIS_TAG:
         raise StructureError(f"{path}.basis: unknown basis tag {tag!r}, expected {basis.BASIS_TAG!r}")
-    in_dims = _need(obj, "in_dims", path)
-    out_dims = _need(obj, "out_dims", path)
-    for name, dims in (("in_dims", in_dims), ("out_dims", out_dims)):
-        if not isinstance(dims, list) or not all(isinstance(d, int) and d >= 1 for d in dims):
-            raise StructureError(f"{path}.{name}: expected a list of positive integers")
+    in_dims = _need_dims(obj, "in_dims", path)
+    out_dims = _need_dims(obj, "out_dims", path)
     coeff = _as_float_rows(_need(obj, "coeff", path), f"{path}.coeff")
     try:
         return make_superop(in_dims, out_dims, coeff)
@@ -125,7 +129,7 @@ def state_to_json(state) -> dict:
 def state_from_json(obj, path: str = "$"):
     from .states import separable_state
 
-    dims = _need(obj, "dims", path)
+    dims = _need_dims(obj, "dims", path)
     terms_obj = _need(obj, "terms", path)
     if not isinstance(terms_obj, list) or not terms_obj:
         raise StructureError(f"{path}.terms: expected a nonempty list")
@@ -202,12 +206,6 @@ def sep_report(c: SepClassification) -> dict:
     if c.kind == FORM:
         form_field = c.form.tag
         params = _sep_params(c.form)
-    elif c.kind == "pattern89":
-        form_field = c.pattern.tag
-        params = {
-            "R": _pure_to_json(c.pattern.fixed),
-            "samples": len(c.pattern.samples),
-        }
     else:
         form_field = "none"
         params = {}

@@ -27,6 +27,7 @@ from .linalg import (
     SUPEROP_TOL,
     HermitianOperator,
     PureState,
+    _kron,
     as_rng,
     spanning_states,
 )
@@ -250,11 +251,6 @@ def _gather_plan(in_dims, carried):
     return plan
 
 
-def _kron(a, b) -> np.ndarray:
-    """``np.kron`` of two matrices, without its per-call overhead."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
-
-
 def _gather(w, v, a, b, plan) -> np.ndarray:
     """Entries (a[i], b[i]) of the images of all input basis elements, one
     row per entry: W[a, c] times the weighted conj(W[b, d]), summed over
@@ -347,17 +343,16 @@ SEP_SOURCES = {1: (None, None), 2: (0, None), 3: (None, 1), 4: (1, None),
 
 @dataclass(frozen=True)
 class SepForm:
-    """Parameter bundle for the seven constructive bipartite canonical forms.
+    """Parameter bundle for the seven bipartite canonical forms.
 
     ``SEP_SOURCES`` defines the tags: output slot j of form t carries input
     factor SEP_SOURCES[t][j] through the isometry u_j, or writes the pure
     state r_j where that entry is None.  Tag 1 replaces both slots, tags 2/3
     conjugate one factor in place, tags 4/5 carry one factor to the other
-    slot, tag 6 conjugates factorwise and tag 7 swaps first.
-
-    Tags 8/9 name the replace-one-side patterns whose existence is an open
-    question; they carry no constructor and are only ever reported from
-    sampled classification data.
+    slot, tag 6 conjugates factorwise and tag 7 swaps first.  No form feeds
+    both input factors into one slot: that needs an isometry from C^{mn}
+    into one factor's space, which equal input and output dims rule out
+    (see ``sep_analysis.doubling_obstruction_check``).
     """
 
     tag: int
@@ -373,15 +368,9 @@ def _require(cond: bool, msg: str):
 
 
 def _sep_sources(tag) -> tuple:
-    """The ``SEP_SOURCES`` row of a constructive form tag; tags 8/9 and
-    unknown tags are refused."""
+    """The ``SEP_SOURCES`` row of a form tag; other tags are refused."""
     if tag in SEP_SOURCES:
         return SEP_SOURCES[tag]
-    if tag in (8, 9):
-        raise StructureError(
-            f"form {tag} has no constructor: whether such maps exist is an open "
-            "question; only pattern detection is supported"
-        )
     raise StructureError(f"unknown form tag {tag}; the constructive forms are 1..7")
 
 

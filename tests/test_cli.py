@@ -48,7 +48,7 @@ def test_make_classify_round_trip_all_forms(capsys, monkeypatch, tmp_path):
 def test_make_form8_refused(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "make", "--form", "8", "--dims", "2,2")
     assert code == 2
-    assert "open question" in err
+    assert "1..7" in err
 
 
 def test_make_flags_go_to_isometries_in_order(capsys, monkeypatch):
@@ -125,6 +125,17 @@ def test_classify_malformed_json(capsys, monkeypatch):
     assert code == 2 and "$.basis" in err
     code, _, err = run_cli(capsys, "classify", "/nonexistent/path.json")
     assert code == 2 and "cannot read" in err
+
+
+def test_classify_rejects_boolean_dims(capsys, monkeypatch):
+    """JSON true is not the factor dimension 1: a (2,2) map whose dims read
+    [true, 4] is malformed input, not a (1,4) map to classify."""
+    code, out, _ = run_cli(capsys, "make", "--form", "6", "--dims", "2,2", "--seed", "1")
+    obj = json.loads(out)
+    obj["in_dims"] = obj["out_dims"] = [True, 4]
+    code, rep_out, err = run_cli(capsys, "classify", "-", stdin=json.dumps(obj),
+                                 monkeypatch=monkeypatch)
+    assert code == 2 and rep_out == "" and "$.in_dims" in err
 
 
 def test_classify_pure_maps(capsys, monkeypatch):

@@ -30,7 +30,7 @@ from preservers import (
     tensor_all,
     trace_norm,
 )
-from preservers.linalg import first_not_product_pure, purity_defect, spectral_defect
+from preservers.linalg import _kron, first_not_product_pure, purity_defect, spectral_defect
 
 BELL = pure_state(np.array([1, 0, 0, 1]) / np.sqrt(2)).projection.with_dims((2, 2))
 
@@ -64,6 +64,19 @@ def test_tensor_matrix_units_match_index_formula():
     assert np.array_equal(out.matrix, expected)
     # the double loop puts the single 1 at row 0*2+1, column 0*2+1
     assert expected[1, 1] == 1 and np.sum(np.abs(expected)) == 1
+
+
+def test_kron_is_bitwise_numpy_kron_on_matrices_and_stacks():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    b = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    assert np.array_equal(_kron(a, b), np.kron(a, b))
+    assert np.array_equal(_kron(a.real, b), np.kron(a.real, b))
+    # a stack against a matrix, on either side, is np.kron with a leading
+    # axis of length 1 on the matrix
+    stack = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+    assert np.array_equal(_kron(stack, b), np.kron(stack, b[None]))
+    assert np.array_equal(_kron(b, stack), np.kron(b[None], stack))
 
 
 def test_tensor_trace_multiplicative():

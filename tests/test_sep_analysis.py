@@ -50,14 +50,11 @@ from preservers.linalg import as_rng, spanning_states
 from preservers.pure_analysis import find_impure_witness
 from preservers.sep_analysis import (
     GRID_TO_TAG,
-    _pattern_sample,
-    _probe_pattern89,
     _section_maps,
-    _slice_superop,
     find_multi_product_witness,
     find_product_witness,
 )
-from preservers.superop import SEP_SOURCES, conjugate_operator, conjugation, isometry
+from preservers.superop import SEP_SOURCES, conjugation, isometry, random_unitary
 from preservers import basis, sep_analysis
 
 
@@ -133,7 +130,7 @@ def test_trace_to_entangled_is_not_preserver():
 def test_claim_constancy_across_anchors():
     rng = np.random.default_rng(2)
     # slice letters must be identical for arbitrary anchor states
-    from preservers.sep_analysis import _case_letter, _slice_superop
+    from preservers.sep_analysis import _case_letter
     from preservers import classify_pure_preserver
 
     for tag in (2, 5, 6):
@@ -142,8 +139,7 @@ def test_claim_constancy_across_anchors():
         letters = set()
         for _ in range(5):
             q = random_pure(n, rng)
-            c1 = classify_pure_preserver(_slice_superop(op, q, 2, 1))
-            c2 = classify_pure_preserver(_slice_superop(op, q, 2, 2))
+            c1, c2 = (classify_pure_preserver(s) for s in _section_maps(op, (q, q), 0))
             letters.add(_case_letter(c1, c2, primes=False))
         assert len(letters) == 1
         assert letters.pop() == EXPECTED_GRID[tag][0]
@@ -180,29 +176,6 @@ def test_check_both_directions_cases():
     assert not check_both_directions(rect)
 
 
-def test_pattern89_probe_on_real_maps():
-    rng = np.random.default_rng(4)
-    r1 = random_pure(2, rng)
-    u2 = random_isometry(2, 2, rng)
-    f3 = canonical_sep(SepForm(3, r1=r1, u2=u2), (2, 2))
-    # the sampled family checker validates images and predictions
-    p, q = random_pure(2, rng), random_pure(2, rng)
-    pred = conjugate_operator(u2, q.projection.matrix)
-    sample, dev = _pattern_sample(f3, 9, r1, p, q, 1e-8, pred)
-    assert sample is not None and dev <= 1e-9
-    assert np.allclose(sample.moving.projection.matrix, pred, atol=1e-9)
-    bad, _ = _pattern_sample(f3, 9, r1, p, q, 1e-8, np.eye(2) / 2)
-    assert bad is None
-    # wrong fixed factor is rejected
-    other = random_pure(2, rng)
-    bad2, _ = _pattern_sample(f3, 9, other, p, q, 1e-8)
-    assert bad2 is None or np.allclose(other.projection.matrix,
-                                       r1.projection.matrix, atol=1e-6)
-    # the full probe requires conjugation slices in both directions, which a
-    # constructive form cannot provide
-    assert _probe_pattern89(f3, 9, r1, 1e-8, 0) is None
-
-
 def test_fake_pattern9_map_rejected_with_witness():
     rng = np.random.default_rng(5)
     r1 = random_pure(2, rng)
@@ -219,9 +192,56 @@ def test_fake_pattern9_map_rejected_with_witness():
 
     op = from_action((2, 2), (2, 2), fake)
     c = classify_sep_preserver(op)
-    assert c.kind == "not_preserver"
+    assert c.kind == "not_preserver" and c.grid == ("b", "b′")
     p, q = c.witness
     assert not is_product_pure(apply(op, tensor(p.projection, q.projection)))[0]
+
+
+def _joint_carry(rng, m, n, slot):
+    """A (x) B -> V (A (x) B) V+ in output slot ``slot``, the other slot
+    writing a random pure state.  V maps C^{mn} into the slot's space so that
+    x -> V (x (x) e_0) and y -> V (e_0 (x) y) are isometries agreeing on
+    e_0 (x) e_0; its other columns are random."""
+    d = (m, n)[slot - 1]
+    u = random_unitary(d, rng)
+    turn = np.eye(d, dtype=complex)
+    turn[1:, 1:] = random_unitary(d - 1, rng)
+    v = rng.standard_normal((d, m * n)) + 1j * rng.standard_normal((d, m * n))
+    v[:, ::n] = u[:, :m]
+    v[:, :n] = (u @ turn)[:, :n]
+    r = random_pure((n, m)[slot - 1], rng).projection.matrix
+
+    def action(a):
+        carried = v @ a.matrix @ v.conj().T
+        return HermitianOperator(np.kron(carried, r) if slot == 1 else np.kron(r, carried), (m, n))
+
+    return from_action((m, n), (m, n), action)
+
+
+def test_joint_carry_attempts_are_rejected_in_their_cells():
+    """Both inputs fed into one slot through a map V that is isometric on
+    each anchored slice: the slices select cell (c,c') or (b,b'), which hold
+    no preserver, and the scan certifies a witness."""
+    for slot, cell, dims in ((1, ("c", "c′"), ((2, 2), (3, 2), (3, 3))),
+                             (2, ("b", "b′"), ((2, 2), (2, 3), (3, 3)))):
+        for m, n in dims:
+            for seed in range(3):
+                op = _joint_carry(np.random.default_rng(seed), m, n, slot)
+                c = classify_sep_preserver(op)
+                assert c.grid == cell and c.kind == "not_preserver", (slot, m, n, seed)
+                p, q = c.witness
+                assert not is_product_pure(apply(op, tensor(p.projection, q.projection)))[0]
+
+
+def test_dimension_one_factor_never_reaches_the_joint_carry_cells():
+    rng = np.random.default_rng(24)
+    for m, n in ((1, 2), (2, 1), (1, 3), (3, 1)):
+        for tag in range(1, 8):
+            if not legal_dims(tag, m, n):
+                continue
+            c = classify_sep_preserver(canonical_sep(random_sep_form(tag, m, n, rng), (m, n)))
+            assert c.kind == "form", (tag, m, n)
+            assert c.grid not in (("b", "b′"), ("c", "c′")), (tag, m, n, c.grid)
 
 
 def test_perturbed_canonical_maps_get_witnesses():
@@ -458,11 +478,11 @@ def test_slice_superop_matches_slice_phi_reference():
             out_d = (m, n)[which - 1]
             ref = from_action((m,), (out_d,),
                               lambda a: slice_phi(op, a, q.projection, which))
-            got = _slice_superop(op, q, 2, which)
+            got = _section_maps(op, (p, q), 0)[which - 1]
             assert np.max(np.abs(got.coeff - ref.coeff)) <= 1e-14
             ref = from_action((n,), (out_d,),
                               lambda b: slice_phi(op, p.projection, b, which))
-            got = _slice_superop(op, p, 1, which)
+            got = _section_maps(op, (p, q), 1)[which - 1]
             assert np.max(np.abs(got.coeff - ref.coeff)) <= 1e-14
 
 
@@ -506,8 +526,8 @@ def test_batched_witness_scan_on_boundary_slices(seed, dims, fixed_slot, which, 
     # slices of canonical forms with 3e-9 coefficient noise, as in the
     # classifier's boundary cases
     op = _noisy_sep(seed, *dims, 3e-9)
-    anchor = basis_state(dims[fixed_slot - 1], 0)
-    sl = _slice_superop(op, anchor, fixed_slot, which)
+    anchors = tuple(basis_state(d, 0) for d in dims)
+    sl = _section_maps(op, anchors, 2 - fixed_slot)[which - 1]
     ref, found = _witness_reference(sl, 1e-8, seed=3)
     assert found == where
     got = find_impure_witness(sl, 1e-8, seed=3)

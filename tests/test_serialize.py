@@ -83,6 +83,24 @@ def test_state_validation_paths():
             {"p": 1.0, "factors": [[[1, 0], [0, 0], [0, 0]], [[1, 0], [0, 0]]]}]})
 
 
+def test_boolean_scalar_and_empty_dims_are_rejected():
+    eye = {"re": np.eye(4).tolist(), "im": np.zeros((4, 4)).tolist()}
+    with pytest.raises(StructureError, match=r"\$\.dims"):
+        matrix_from_json({"dims": [True, 4], **eye})
+    with pytest.raises(StructureError, match=r"\$\.dims"):
+        matrix_from_json({"dims": [], "re": [[1]], "im": [[0]]})
+    obj = superop_to_json(trace_replacer(random_pure(4, 2), (2, 2), (2, 2)))
+    for key in ("in_dims", "out_dims"):
+        with pytest.raises(StructureError, match=rf"\$\.{key}"):
+            superop_from_json({**obj, key: [True, 4]})
+    term = {"p": 1.0, "factors": [[[1, 0], [0, 0]]]}
+    for dims in (2, [True], [2.0]):
+        with pytest.raises(StructureError, match=r"\$\.dims"):
+            state_from_json({"dims": dims, "terms": [term]})
+    with pytest.raises(StructureError, match=r"\$\.dims"):
+        state_from_json({"dims": [], "terms": [{"p": 1.0, "factors": []}]})
+
+
 def test_isometry_round_trip():
     iso = random_isometry(3, 2, 5, "conjugate")
     back = isometry_from_json(json.loads(json.dumps(isometry_to_json(iso))))
