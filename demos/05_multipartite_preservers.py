@@ -1,5 +1,7 @@
 """Classifying multipartite preservers: factor permutations with per-slot
-isometric conjugations, discovered by moving one input factor at a time.
+isometric conjugations, read off the kinds of the section maps (one input
+factor varied, one output factor kept).  An output slot fed by no input
+factor is indeterminate.
 
 Run:  python demos/05_multipartite_preservers.py
 """

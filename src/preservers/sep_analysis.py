@@ -10,9 +10,11 @@ inputs feed one output slot, hold no preserver when the input and output dims
 agree (see :func:`doubling_obstruction_check`): a map there, like every other
 failure, gets a product pure state whose image is not product pure.
 
-Multipartite maps are decided by discovering the factor permutation from
-which input slot moves which output slot, extracting one isometric
-conjugation per slot, and verifying the rebuilt map coefficientwise.
+Multipartite maps are decided by the same section maps: varying one input
+factor and keeping one output factor gives a trace replacer or a
+conjugation, and the conjugations read off the factor permutation and its
+per-slot isometries; the rebuilt map is verified coefficientwise.  An output
+slot that no input factor feeds is indeterminate.
 """
 
 import itertools
@@ -28,13 +30,10 @@ from .linalg import (
     HermitianOperator,
     PureState,
     _kron,
-    as_rng,
     basis_state,
     first_not_product_pure,
     is_product_pure,
     partial_trace,
-    pure_state,
-    random_pure,
     spanning_states,
     tensor,
     tensor_all,
@@ -113,11 +112,10 @@ def _section_maps(op: SuperOperator, states, k: int) -> list[SuperOperator]:
     return maps
 
 
-def _classify_slices(op: SuperOperator, fixed: PureState, fixed_slot: int,
-                     tol: float, seed: int):
-    """Classifications of both slice maps (which = 1, 2) at one anchor."""
-    return [classify_pure_preserver(s, tol, seed)
-            for s in _section_maps(op, (fixed, fixed), 2 - fixed_slot)]
+def _classify_slices(op: SuperOperator, anchors, k: int, tol: float, seed: int):
+    """Classifications of the section maps that vary input k (0-based) with
+    the other inputs at ``anchors``, one for every output factor."""
+    return [classify_pure_preserver(s, tol, seed) for s in _section_maps(op, anchors, k)]
 
 
 def _case_letter(c1: PureClassification, c2: PureClassification, primes: bool):
@@ -209,15 +207,14 @@ def classify_sep_preserver(op: SuperOperator, tol: float = EPS_CLS,
             "bipartite classification needs matching two-factor input/output dims"
         )
     m, n = op.in_dims
-    q0 = basis_state(n, 0)
-    p0 = basis_state(m, 0)
+    anchors = (basis_state(m, 0), basis_state(n, 0))
 
-    rows = _classify_slices(op, q0, 2, tol, seed)
+    rows = _classify_slices(op, anchors, 0, tol, seed)
     row = _case_letter(*rows, primes=False)
     if row is None:
         return _sep_not_preserver(op, tol, seed)
 
-    cols = _classify_slices(op, p0, 1, tol, seed)
+    cols = _classify_slices(op, anchors, 1, tol, seed)
     col = _case_letter(*cols, primes=True)
     if col is None:
         return _sep_not_preserver(op, tol, seed)
@@ -308,12 +305,6 @@ class MultiClassification:
         return self.kind == MULTI_FORM
 
 
-def _product_factors(op: SuperOperator, states, tol: float):
-    img = apply(op, tensor_all([s.projection for s in states]).with_dims(op.in_dims))
-    ok, factors = is_product_pure(img, tol)
-    return factors if ok else None
-
-
 def find_multi_product_witness(op: SuperOperator, tol: float, seed: int = 0,
                                det_cap: int = 729, random_tries: int = 1000):
     """First product pure state whose image is not product pure: the first
@@ -344,12 +335,16 @@ def _multi_not_preserver(op: SuperOperator, tol: float, seed: int) -> MultiClass
 def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
                              seed: int = 0) -> MultiClassification:
     """Classify an n-factor map as a factor permutation with per-slot
-    isometric conjugations, when its image is rich enough to determine one.
+    isometric conjugations, when its section maps determine one.
 
-    Steps: a richness probe (two product inputs whose image factors are
-    linearly independent in every slot), permutation discovery by varying one
-    input slot at a time, per-slot single-factor classification, and exact
-    verification of the rebuilt map.
+    The images of the ``basis_state(d, 0)`` anchors and of the uniform
+    states must be product pure, or that input is the witness.  Then, at the
+    uniform states, every section map (input k varied, output slot j kept)
+    is a trace replacer or a conjugation, and each conjugation says that
+    input k feeds slot j.  A slot fed by no input is indeterminate: it
+    writes one state for all these inputs.  The feeds must form a
+    permutation, one input per slot, and the rebuilt map is verified at
+    ``tol``; every other failure gets a witness.
     """
     if tol <= 0:
         raise StructureError("tolerance must be positive")
@@ -363,87 +358,37 @@ def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
         return MultiClassification(
             INSUFFICIENT, detail="a dimension-1 factor admits no independent image pair"
         )
-
-    rng = as_rng(seed)
-    probe_pairs = [
-        (tuple(basis_state(d, 0) for d in dims), tuple(uniform_state(d) for d in dims)),
-        (tuple(basis_state(d, 0) for d in dims), tuple(basis_state(d, 1) for d in dims)),
-    ]
-    for _ in range(3):
-        probe_pairs.append((
-            tuple(random_pure(d, rng) for d in dims),
-            tuple(random_pure(d, rng) for d in dims),
-        ))
-    rich = False
-    for first, second in probe_pairs:
-        f1 = _product_factors(op, first, tol)
-        if f1 is None:
-            return MultiClassification(NOT_PRESERVER, witness=first)
-        f2 = _product_factors(op, second, tol)
-        if f2 is None:
-            return MultiClassification(NOT_PRESERVER, witness=second)
-        if all(
-            np.linalg.norm(a.projection.matrix - b.projection.matrix) > 1e-6
-            for a, b in zip(f1, f2)
-        ):
-            rich = True
-            break
-    if not rich:
-        return MultiClassification(
-            INSUFFICIENT,
-            detail="no probed input pair produced slot-wise independent image factors",
-        )
-
+    anchors = tuple(basis_state(d, 0) for d in dims)
     base = tuple(uniform_state(d) for d in dims)
-    base_factors = _product_factors(op, base, tol)
-    if base_factors is None:
-        return MultiClassification(NOT_PRESERVER, witness=base)
+    for probe in (anchors, base):
+        img = apply(op, tensor_all([s.projection for s in probe]).with_dims(dims))
+        if not is_product_pure(img, tol)[0]:
+            return MultiClassification(NOT_PRESERVER, witness=probe)
 
-    def variations(d: int):
-        v = np.zeros(d, dtype=np.complex128)
-        v[0], v[1] = 1.0, 1.0j
-        return [basis_state(d, 0), basis_state(d, 1), pure_state(v)]
-
-    slot_of_input = {}
+    # feeds[j]: (input factor, isometry) of every conjugating section map
+    # into output slot j.  Unfed slots are judged before collisions: a
+    # joint carry of two inputs into one slot leaves another slot unfed.
+    feeds = [[] for _ in range(n)]
     for k in range(n):
-        moved = set()
-        for var in variations(dims[k]):
-            states = list(base)
-            states[k] = var
-            factors = _product_factors(op, tuple(states), tol)
-            if factors is None:
-                return MultiClassification(NOT_PRESERVER, witness=tuple(states))
-            for j in range(n):
-                if np.linalg.norm(
-                    factors[j].projection.matrix - base_factors[j].projection.matrix
-                ) > 1e-6:
-                    moved.add(j)
-        if len(moved) == 0:
-            return MultiClassification(
-                INSUFFICIENT,
-                detail=f"varying input factor {k + 1} moves no output slot",
-            )
-        if len(moved) > 1:
+        try:
+            sections = _classify_slices(op, base, k, tol, seed)
+        except ClassificationError:  # no impure section image: the map's scan decides
+            sections = None
+        if sections is None or any(c.kind == NOT_PRESERVER for c in sections):
             return _multi_not_preserver(op, tol, seed)
-        slot_of_input[k] = moved.pop()
-    if sorted(slot_of_input.values()) != list(range(n)):
+        for j, cls in enumerate(sections):
+            if cls.kind == CONJUGATION:
+                feeds[j].append((k + 1, cls.isometry))
+    if [] in feeds:
+        return MultiClassification(INSUFFICIENT, detail=(
+            f"output slot {feeds.index([]) + 1} is fed by no input factor: "
+            "varying any one input leaves it fixed"))
+    # perm[j-1] = input factor carried by output slot j
+    perm = tuple(fed[0][0] for fed in feeds)
+    if any(len(fed) > 1 for fed in feeds) or sorted(perm) != list(range(1, n + 1)):
         return _multi_not_preserver(op, tol, seed)
 
-    # perm[j-1] = input factor carried by output slot j
-    perm = tuple(
-        next(k for k, j in slot_of_input.items() if j == slot) + 1
-        for slot in range(n)
-    )
-
-    isometries = []
-    for slot in range(n):
-        sub = _section_maps(op, base, perm[slot] - 1)[slot]
-        cls = classify_pure_preserver(sub, tol, seed)
-        if cls.kind != CONJUGATION:
-            return _multi_not_preserver(op, tol, seed)
-        isometries.append(cls.isometry)
-
-    form = MultiForm(perm, tuple(isometries))
+    form = MultiForm(perm, tuple(fed[0][1] for fed in feeds))
     candidate = canonical_multi(form, dims)
     cmp = superop_equal(op, candidate, tol)
     if not cmp.equal:

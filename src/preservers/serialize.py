@@ -136,7 +136,10 @@ def state_from_json(obj, path: str = "$"):
     weights, terms = [], []
     for i, term in enumerate(terms_obj):
         tp = f"{path}.terms[{i}]"
-        weights.append(_need(term, "p", tp))
+        p = _need(term, "p", tp)
+        if type(p) not in (int, float) or not math.isfinite(p):
+            raise StructureError(f"{tp}.p: expected a finite number")
+        weights.append(p)
         factors = _need(term, "factors", tp)
         if not isinstance(factors, list) or len(factors) != len(dims):
             raise StructureError(f"{tp}.factors: expected {len(dims)} factor vectors")

@@ -52,8 +52,8 @@ def separable_state(weights, terms) -> SeparableState:
     terms = tuple(tuple(t) for t in terms)
     if len(weights) != len(terms) or not weights:
         raise StructureError("need one factor list per weight")
-    if any(w <= 0 for w in weights):
-        raise StructureError("weights must be positive")
+    if not all(0 < w < math.inf for w in weights):  # NaN fails every comparison
+        raise StructureError("weights must be positive and finite")
     if abs(sum(weights) - 1.0) > 1e-12:
         raise StructureError(f"weights sum to {sum(weights)!r}, not 1")
     dims = tuple(f.dim for f in terms[0])

@@ -1,6 +1,7 @@
 """Bipartite and multipartite separable-preserver classification."""
 
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from preservers import (
     tensor,
     tensor_all,
     trace_replacer,
+    uniform_state,
 )
 from preservers.linalg import as_rng, spanning_states
 from preservers.pure_analysis import find_impure_witness
@@ -364,6 +366,21 @@ def test_multi_agrees_with_sep_on_forms_6_7():
     assert c.kind == "multi_form" and c.form.perm == (2, 1)
 
 
+def _constants_then_carry(dims, traced, w, consts):
+    """The map whose first output slots write the pure states ``consts`` and
+    whose last slots carry the inputs other than ``traced`` through the
+    unitary w; input ``traced`` is traced out."""
+    n = len(dims)
+
+    def action(a):
+        kept = np.trace(a.matrix.reshape(dims * 2), axis1=traced, axis2=traced + n)
+        block = w @ kept.reshape(w.shape) @ w.conj().T
+        return HermitianOperator(reduce(np.kron, [r.projection.matrix for r in consts] + [block]),
+                                 dims)
+
+    return from_action(dims, dims, action)
+
+
 def test_multi_insufficient_richness_for_constant_maps():
     rng = np.random.default_rng(11)
     factors = [random_pure(2, rng) for _ in range(3)]
@@ -374,6 +391,19 @@ def test_multi_insufficient_richness_for_constant_maps():
     assert c.kind == "insufficient_richness"
     assert c.detail
 
+    # preservers with a constant slot 1: inputs 1 (x) 2 jointly carried into
+    # slot 3 of (2,2,4), and inputs 2, 3 carried into slots 2, 3 of (2,3,3);
+    # neither the joint carry nor the traced input is a doubling
+    joint = _constants_then_carry((2, 2, 4), 2, random_unitary(4, rng),
+                                  [random_pure(2, rng), random_pure(2, rng)])
+    w = np.kron(random_unitary(3, rng), random_unitary(3, rng))
+    pair = _constants_then_carry((2, 3, 3), 0, w, [random_pure(2, rng)])
+    for op in (joint, pair):
+        assert mc_verify_product(op, 200, 0).passed
+        c = classify_multi_preserver(op)
+        assert c.kind == "insufficient_richness"
+        assert "output slot 1 " in c.detail
+
 
 def test_multi_entangled_target_is_not_preserver():
     rng = np.random.default_rng(12)
@@ -383,6 +413,28 @@ def test_multi_entangled_target_is_not_preserver():
     img = apply(op, tensor(tensor(c.witness[0].projection, c.witness[1].projection),
                            c.witness[2].projection))
     assert not is_product_pure(img)[0]
+
+
+def test_multi_noisy_product_replacers_get_a_verdict():
+    """Product replacers with 3e-9 coefficient noise sit at the tolerance.
+    Where a section map fails with no impure image of its own, the witness
+    scan of the whole map decides instead of raising, and a map is
+    indeterminate only if the uniform states' image is product pure."""
+    for dims in ((2, 2), (2, 3)):
+        uniform = tensor(uniform_state(dims[0]).projection, uniform_state(dims[1]).projection)
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            target = pure_state(np.kron(random_pure(dims[0], rng).vector,
+                                        random_pure(dims[1], rng).vector))
+            flat = trace_replacer(target, dims, dims)
+            op = make_superop(dims, dims, flat.coeff + 3e-9 * rng.standard_normal(flat.coeff.shape))
+            c = classify_multi_preserver(op)
+            if c.kind == "not_preserver":
+                img = apply(op, tensor(c.witness[0].projection, c.witness[1].projection))
+                assert not is_product_pure(img)[0], (dims, seed)
+            else:
+                assert c.kind == "insufficient_richness", (dims, seed)
+                assert is_product_pure(apply(op, uniform))[0], (dims, seed)
 
 
 def test_multi_dim_one_factor_insufficient():

@@ -7,10 +7,12 @@ import pytest
 
 from preservers import (
     StructureError,
+    basis_state,
     random_hermitian,
     random_isometry,
     random_pure,
     sample_separable,
+    separable_state,
     superop_equal,
     trace_replacer,
 )
@@ -81,6 +83,15 @@ def test_state_validation_paths():
     with pytest.raises(StructureError, match=r"factors\[0\]"):
         state_from_json({"dims": [2, 2], "terms": [
             {"p": 1.0, "factors": [[[1, 0], [0, 0], [0, 0]], [[1, 0], [0, 0]]]}]})
+    factors = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    for p in (float("nan"), float("inf"), True, "x", None):
+        with pytest.raises(StructureError, match=r"\$\.terms\[1\]\.p"):
+            state_from_json({"dims": [2, 2], "terms": [{"p": 0.5, "factors": factors},
+                                                      {"p": p, "factors": factors}]})
+    term = (basis_state(2, 0), basis_state(2, 1))
+    for weights in ([float("nan")], [0.5, float("nan")], [float("inf")]):
+        with pytest.raises(StructureError, match="positive and finite"):
+            separable_state(weights, [term] * len(weights))
 
 
 def test_boolean_scalar_and_empty_dims_are_rejected():
