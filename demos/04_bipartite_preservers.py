@@ -1,9 +1,10 @@
 """Classifying bipartite separable-pure-state preservers.
 
 Freezing one input factor and partial-tracing one output factor produces
-single-factor slice maps; the pair of slice behaviors selects a cell in a
-3x3 grid, the cell names the canonical form, and the parameters are read off
-the slices and verified by exact reconstruction.
+single-factor slice maps; each slice that conjugates says which input feeds
+which output slot.  Those feeds name the canonical form and label its cell
+in a 3x3 grid, and the parameters are read off the slices and verified by
+exact reconstruction.
 
 Run:  python demos/04_bipartite_preservers.py
 """

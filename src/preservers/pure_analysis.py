@@ -60,6 +60,15 @@ class PureClassification:
         return self.kind in (TRACE_REPLACER, CONJUGATION)
 
 
+def _check_numbers(tol: float, samples: int = 1):
+    """Refuse a tolerance outside 0 < tol < inf (NaN included) and a sample
+    count below one."""
+    if not 0 < tol < np.inf:
+        raise StructureError("tolerance must be positive and finite")
+    if samples < 1:
+        raise StructureError("sample count must be at least 1")
+
+
 def _scan(op: SuperOperator, dims, first_bad, family=(), random_tries: int = 0, seed=0):
     """First input, a tuple of pure states on the factors ``dims`` of the
     input space, whose image ``first_bad`` rejects: the tuples of ``family``
@@ -154,8 +163,7 @@ def classify_pure_preserver(op: SuperOperator, tol: float = EPS_CLS,
     positive answer is verified coefficientwise at ``tol`` against a freshly
     built canonical map, and any failure falls back to the witness search.
     """
-    if tol <= 0:
-        raise StructureError("tolerance must be positive")
+    _check_numbers(tol)
     if len(op.in_dims) != 1 or len(op.out_dims) != 1:
         raise StructureError("single-factor maps only; use the bipartite classifier")
     m, n = op.in_dim, op.out_dim
@@ -208,6 +216,7 @@ def mc_verify_pure(op: SuperOperator, samples: int = 500, seed: int = 0,
     double from one state, so the result is that of a state-by-state loop; a
     Generator passed as ``seed`` advances by whole blocks.
     """
+    _check_numbers(tol, samples)
     hit = _scan(op, (op.in_dim,), lambda images: first_not_pure(images, tol),
                 random_tries=samples, seed=seed)
     if hit is None:

@@ -1,20 +1,23 @@
 """Classification of separable-pure-state preservers.
 
-Bipartite maps are decided through their slice maps: freezing one factor of
-the input product and partial-tracing one factor of the output yields
-single-factor maps that are themselves pure-state preservers, and the pair of
-slice behaviors (trace replacement vs conjugation, per row and per column)
-lands in a 3x3 grid.  Seven cells select the seven canonical forms, each
-verified by exact reconstruction.  The cells (b,b') and (c,c'), where both
-inputs feed one output slot, hold no preserver when the input and output dims
-agree (see :func:`doubling_obstruction_check`): a map there, like every other
-failure, gets a product pure state whose image is not product pure.
+Both classifiers read the slot wiring off section maps: varying one input
+factor at fixed pure anchors and keeping one output factor gives a
+single-factor map that is a trace replacer or a conjugation, and each
+conjugation says that the input feeds that output slot (:func:`_read_feeds`).
+An input feeding two slots is the doubling obstruction, and like every other
+failure it gets a product pure state whose image is not product pure.
 
-Multipartite maps are decided by the same section maps: varying one input
-factor and keeping one output factor gives a trace replacer or a
-conjugation, and the conjugations read off the factor permutation and its
-per-slot isometries; the rebuilt map is verified coefficientwise.  An output
-slot that no input factor feeds is indeterminate.
+A bipartite map's feeds name its form through the inverse of ``SEP_SOURCES``,
+and its parameters are the feeding isometries and the replaced slots' states;
+the rebuilt form is verified coefficientwise.  The grid cell is a label of
+the feeds: input 1's letter is a, c or b as it feeds no slot, slot 1 or
+slot 2, and input 2's takes a prime.  The cells (b,b') and (c,c'), where both
+inputs feed one slot, hold no preserver when the input and output dims agree
+(see :func:`doubling_obstruction_check`) and go to the witness scan.
+
+A multipartite map's feeds are a factor permutation with per-slot isometries
+once every slot is fed, and the rebuilt map is verified coefficientwise.  An
+output slot that no input factor feeds is indeterminate.
 """
 
 import itertools
@@ -42,8 +45,7 @@ from .linalg import (
 from .pure_analysis import (
     CONJUGATION,
     NOT_PRESERVER,
-    TRACE_REPLACER,
-    PureClassification,
+    _check_numbers,
     _scan,
     classify_pure_preserver,
 )
@@ -59,18 +61,8 @@ from .superop import (
     superop_equal,
 )
 
-ROW_A, ROW_B, ROW_C = "a", "b", "c"
-COL_A, COL_B, COL_C = "a′", "b′", "c′"
-
-GRID_TO_TAG = {
-    (ROW_A, COL_A): 1,
-    (ROW_A, COL_B): 3,
-    (ROW_A, COL_C): 4,
-    (ROW_B, COL_A): 5,
-    (ROW_C, COL_A): 2,
-    (ROW_B, COL_C): 7,
-    (ROW_C, COL_B): 6,
-}
+# the form tag of each row of slot sources
+_SEP_TAGS = {sources: tag for tag, sources in SEP_SOURCES.items()}
 
 FORM = "form"
 INSUFFICIENT = "insufficient_richness"
@@ -112,25 +104,34 @@ def _section_maps(op: SuperOperator, states, k: int) -> list[SuperOperator]:
     return maps
 
 
-def _classify_slices(op: SuperOperator, anchors, k: int, tol: float, seed: int):
-    """Classifications of the section maps that vary input k (0-based) with
-    the other inputs at ``anchors``, one for every output factor."""
-    return [classify_pure_preserver(s, tol, seed) for s in _section_maps(op, anchors, k)]
+def _read_feeds(op: SuperOperator, anchors, tol: float, seed: int):
+    """The slot wiring of ``op`` read off its section maps at ``anchors``.
+
+    Input by input, the section maps varying input k (0-based) are
+    classified into sections[k][j], one for every output slot j, and each
+    conjugation among them appends (k, isometry) to feeds[j].  Returns
+    (sections, feeds), or None as soon as an input has a section that is no
+    preserver or feeds two slots (the doubling obstruction, see
+    :func:`doubling_obstruction_check`).
+    """
+    sections, feeds = [], [[] for _ in op.out_dims]
+    for k in range(len(op.in_dims)):
+        row = [classify_pure_preserver(s, tol, seed) for s in _section_maps(op, anchors, k)]
+        fed = [j for j, c in enumerate(row) if c.kind == CONJUGATION]
+        if len(fed) > 1 or any(c.kind == NOT_PRESERVER for c in row):
+            return None
+        for j in fed:
+            feeds[j].append((k, row[j].isometry))
+        sections.append(row)
+    return sections, feeds
 
 
-def _case_letter(c1: PureClassification, c2: PureClassification, primes: bool):
-    """Map the pair of slice classifications to a grid letter, or None."""
-    kinds = (c1.kind, c2.kind)
-    if NOT_PRESERVER in kinds:
-        return None
-    table = {
-        (TRACE_REPLACER, TRACE_REPLACER): COL_A if primes else ROW_A,
-        (TRACE_REPLACER, CONJUGATION): COL_B if primes else ROW_B,
-        (CONJUGATION, TRACE_REPLACER): COL_C if primes else ROW_C,
-    }
-    # simultaneous conjugation in both slices is excluded by the tensor-square
-    # obstruction (see doubling_obstruction_check); treat it as no letter
-    return table.get(kinds)
+def _grid(feeds) -> tuple[str, str]:
+    """The grid cell of bipartite feeds: an input's letter is a if it feeds
+    no slot, c if it feeds slot 1 and b if it feeds slot 2, and input 2's
+    letter takes a prime."""
+    slot = {k: j for j, fed in enumerate(feeds) for k, _ in fed}
+    return tuple("acb"[slot.get(k, -1) + 1] + "′" * k for k in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -155,78 +156,68 @@ def _first_not_product(op: SuperOperator, tol: float):
 
 
 def find_product_witness(op: SuperOperator, tol: float, seed: int = 0,
-                         random_tries: int = 1000):
-    """First product pure state whose image is not product pure: the
-    spanning family pairs in order, then seeded random pairs.
+                         det_cap: int | None = None, random_tries: int = 1000):
+    """First product pure state whose image is not product pure: the first
+    ``det_cap`` (all, if None) products of the spanning families in
+    lexicographic order, then seeded random products.
 
-    Candidates are tested in blocks that double from one pair; the random
+    Candidates are tested in blocks that double from one product; the random
     ones are the draws of ``random_pure``, so the witness is the one a
-    pair-by-pair scan finds.  A Generator passed as ``seed`` advances by
+    state-by-state scan finds.  A Generator passed as ``seed`` advances by
     whole blocks.
     """
-    m, n = op.in_dims
-    family = list(itertools.product(spanning_states(m), spanning_states(n)))
+    families = [spanning_states(d) for d in op.in_dims]
+    family = list(itertools.islice(itertools.product(*families), det_cap))
     hit = _scan(op, op.in_dims, _first_not_product(op, tol), family, random_tries, seed)
     return None if hit is None else hit[1]
 
 
-def _sep_not_preserver(op: SuperOperator, tol: float, seed: int,
-                       grid=None) -> SepClassification:
-    pair = find_product_witness(op, tol, seed)
-    if pair is None:
+def _product_witness(op: SuperOperator, tol: float, seed: int, det_cap: int | None = None):
+    """The witness of :func:`find_product_witness`; raises if there is none."""
+    found = find_product_witness(op, tol, seed, det_cap)
+    if found is None:
         raise ClassificationError(
             "map failed form verification but no product-pure violation was "
             f"found; classification is indeterminate at tol={tol:g}"
         )
-    return SepClassification(NOT_PRESERVER, witness=pair, grid=grid)
+    return found
 
 
-def _extract_form(tag: int, slices) -> SepForm:
-    """Parameters of form ``tag`` read off the slice classifications, where
-    slices[k][j] varies input k and keeps output j: slot j carried from input
-    k is the isometry of slices[k][j], a replaced slot j takes its state from
-    the row slice slices[0][j]."""
-    return _sep_form(tag, [slices[0][j].replacement if src is None else slices[src][j].isometry
-                           for j, src in enumerate(SEP_SOURCES[tag])])
+def _sep_not_preserver(op: SuperOperator, tol: float, seed: int,
+                       grid=None) -> SepClassification:
+    return SepClassification(NOT_PRESERVER, witness=_product_witness(op, tol, seed), grid=grid)
 
 
 def classify_sep_preserver(op: SuperOperator, tol: float = EPS_CLS,
                            seed: int = 0) -> SepClassification:
     """Decide which of the seven bipartite canonical forms a map has.
 
-    The slice classifications at one anchor per side propose the grid cell
-    and the parameters; the coefficient comparison at ``tol`` against the
-    rebuilt canonical map decides.  Every failure, the empty cells (b,b')
-    and (c,c') included, produces a product pure state whose image violates
-    product purity.
+    The feeds read at the ``basis_state(., 0)`` anchors (:func:`_read_feeds`)
+    propose the form: the slot sources name the tag through the inverse of
+    ``SEP_SOURCES``, a carried slot takes its feed's isometry and a replaced
+    slot j the state of the section map that varies input 1 and keeps slot j.
+    The grid cell is a label of the feeds.  The coefficient comparison at
+    ``tol`` against the rebuilt canonical map decides.  Every failure, the
+    empty cells (b,b') and (c,c') of a slot fed twice included, produces a
+    product pure state whose image violates product purity.
     """
-    if tol <= 0:
-        raise StructureError("tolerance must be positive")
+    _check_numbers(tol)
     if len(op.in_dims) != 2 or op.in_dims != op.out_dims:
         raise StructureError(
             "bipartite classification needs matching two-factor input/output dims"
         )
     m, n = op.in_dims
-    anchors = (basis_state(m, 0), basis_state(n, 0))
-
-    rows = _classify_slices(op, anchors, 0, tol, seed)
-    row = _case_letter(*rows, primes=False)
-    if row is None:
+    read = _read_feeds(op, (basis_state(m, 0), basis_state(n, 0)), tol, seed)
+    if read is None:
         return _sep_not_preserver(op, tol, seed)
-
-    cols = _classify_slices(op, anchors, 1, tol, seed)
-    col = _case_letter(*cols, primes=True)
-    if col is None:
-        return _sep_not_preserver(op, tol, seed)
-
-    grid = (row, col)
-    if grid not in GRID_TO_TAG:
+    sections, feeds = read
+    grid = _grid(feeds)
+    if any(len(fed) > 1 for fed in feeds):
         return _sep_not_preserver(op, tol, seed, grid)
-    form = _extract_form(GRID_TO_TAG[grid], (rows, cols))
-    candidate = canonical_sep(form, (m, n))
-    if candidate.out_dims != op.out_dims:
-        return _sep_not_preserver(op, tol, seed, grid)
-    cmp = superop_equal(op, candidate, tol)
+    tag = _SEP_TAGS[tuple(fed[0][0] if fed else None for fed in feeds)]
+    form = _sep_form(tag, [fed[0][1] if fed else sections[0][j].replacement
+                           for j, fed in enumerate(feeds)])
+    cmp = superop_equal(op, canonical_sep(form, (m, n)), tol)
     if not cmp.equal:
         return _sep_not_preserver(op, tol, seed, grid)
     return SepClassification(FORM, form=form, grid=grid, residual=cmp.max_dev)
@@ -234,9 +225,9 @@ def classify_sep_preserver(op: SuperOperator, tol: float = EPS_CLS,
 
 def check_both_directions(c: SepClassification) -> bool:
     """Whether a classified map preserves product pure states in both
-    directions: exactly the constructive tags 6/7 with square (hence unitary)
-    isometries."""
-    if c.kind != FORM or c.form.tag not in (6, 7):
+    directions: exactly the forms whose every slot carries an input factor,
+    with square (hence unitary) isometries."""
+    if c.kind != FORM or None in SEP_SOURCES.get(c.form.tag, (None,)):
         return False
     return c.form.u1.is_square and c.form.u2.is_square
 
@@ -305,31 +296,8 @@ class MultiClassification:
         return self.kind == MULTI_FORM
 
 
-def find_multi_product_witness(op: SuperOperator, tol: float, seed: int = 0,
-                               det_cap: int = 729, random_tries: int = 1000):
-    """First product pure state whose image is not product pure: the first
-    ``det_cap`` products of the spanning families in lexicographic order,
-    then seeded random products.
-
-    Candidates are tested in blocks that double from one product; the random
-    ones are the draws of ``random_pure``, so the witness is the one a
-    state-by-state scan finds.  A Generator passed as ``seed`` advances by
-    whole blocks.
-    """
-    families = [spanning_states(d) for d in op.in_dims]
-    family = list(itertools.islice(itertools.product(*families), det_cap))
-    hit = _scan(op, op.in_dims, _first_not_product(op, tol), family, random_tries, seed)
-    return None if hit is None else hit[1]
-
-
 def _multi_not_preserver(op: SuperOperator, tol: float, seed: int) -> MultiClassification:
-    combo = find_multi_product_witness(op, tol, seed)
-    if combo is None:
-        raise ClassificationError(
-            "map failed multipartite verification but no product-pure "
-            f"violation was found; indeterminate at tol={tol:g}"
-        )
-    return MultiClassification(NOT_PRESERVER, witness=combo)
+    return MultiClassification(NOT_PRESERVER, witness=_product_witness(op, tol, seed, 729))
 
 
 def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
@@ -338,16 +306,14 @@ def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
     isometric conjugations, when its section maps determine one.
 
     The images of the ``basis_state(d, 0)`` anchors and of the uniform
-    states must be product pure, or that input is the witness.  Then, at the
-    uniform states, every section map (input k varied, output slot j kept)
-    is a trace replacer or a conjugation, and each conjugation says that
-    input k feeds slot j.  A slot fed by no input is indeterminate: it
-    writes one state for all these inputs.  The feeds must form a
-    permutation, one input per slot, and the rebuilt map is verified at
-    ``tol``; every other failure gets a witness.
+    states must be product pure, or that input is the witness.  Then the
+    feeds are read at the uniform states (:func:`_read_feeds`).  A slot fed
+    by no input is indeterminate: it writes one state for all these inputs.
+    Otherwise every slot has one feed, as no input feeds two, so the feeds
+    are a permutation; the rebuilt map is verified at ``tol``.  Every other
+    failure gets a witness.
     """
-    if tol <= 0:
-        raise StructureError("tolerance must be positive")
+    _check_numbers(tol)
     n = len(op.in_dims)
     if n < 2:
         raise StructureError("multipartite classification needs at least two factors")
@@ -365,30 +331,19 @@ def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
         if not is_product_pure(img, tol)[0]:
             return MultiClassification(NOT_PRESERVER, witness=probe)
 
-    # feeds[j]: (input factor, isometry) of every conjugating section map
-    # into output slot j.  Unfed slots are judged before collisions: a
-    # joint carry of two inputs into one slot leaves another slot unfed.
-    feeds = [[] for _ in range(n)]
-    for k in range(n):
-        try:
-            sections = _classify_slices(op, base, k, tol, seed)
-        except ClassificationError:  # no impure section image: the map's scan decides
-            sections = None
-        if sections is None or any(c.kind == NOT_PRESERVER for c in sections):
-            return _multi_not_preserver(op, tol, seed)
-        for j, cls in enumerate(sections):
-            if cls.kind == CONJUGATION:
-                feeds[j].append((k + 1, cls.isometry))
+    try:
+        read = _read_feeds(op, base, tol, seed)
+    except ClassificationError:  # no impure section image: the map's scan decides
+        read = None
+    if read is None:
+        return _multi_not_preserver(op, tol, seed)
+    feeds = read[1]
+    # a slot fed twice, as by a joint carry of two inputs, leaves another unfed
     if [] in feeds:
         return MultiClassification(INSUFFICIENT, detail=(
             f"output slot {feeds.index([]) + 1} is fed by no input factor: "
             "varying any one input leaves it fixed"))
-    # perm[j-1] = input factor carried by output slot j
-    perm = tuple(fed[0][0] for fed in feeds)
-    if any(len(fed) > 1 for fed in feeds) or sorted(perm) != list(range(1, n + 1)):
-        return _multi_not_preserver(op, tol, seed)
-
-    form = MultiForm(perm, tuple(fed[0][1] for fed in feeds))
+    form = MultiForm(tuple(fed[0][0] + 1 for fed in feeds), tuple(fed[0][1] for fed in feeds))
     candidate = canonical_multi(form, dims)
     cmp = superop_equal(op, candidate, tol)
     if not cmp.equal:
@@ -412,6 +367,7 @@ def mc_verify_product(op: SuperOperator, samples: int = 500, seed: int = 0,
     sample-by-sample loop; a Generator passed as ``seed`` advances by whole
     blocks.
     """
+    _check_numbers(tol, samples)
     hit = _scan(op, op.in_dims, _first_not_product(op, tol), random_tries=samples, seed=seed)
     if hit is None:
         return MCProductResult(True, samples)

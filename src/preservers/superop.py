@@ -453,10 +453,10 @@ def inverse_isometry(u: Isometry) -> Isometry:
 
 
 def inverse_sep_form(form: SepForm) -> SepForm:
-    """Inverse of a tag 6/7 form with square isometries, again tag 6/7: the
-    input factor that slot j carries through u_j comes back through its
-    inverse."""
-    if form.tag not in (6, 7):
+    """Inverse of a form whose every slot carries an input factor (tag 6/7),
+    with square isometries, again such a form: the input factor that slot j
+    carries through u_j comes back through its inverse."""
+    if None in SEP_SOURCES.get(form.tag, (None,)):
         raise ContractError(f"form {form.tag} is not invertible on product pure states")
     inverse = [None, None]
     for src, u in _sep_slots(form):

@@ -188,6 +188,34 @@ def test_verify_pass_fail_and_witness(capsys, monkeypatch):
     assert rep["passed"] is False and rep["witness"] is not None
 
 
+def test_tolerance_and_samples_must_be_valid_numbers(capsys, monkeypatch):
+    """A tolerance outside 0 < tol < inf, NaN included, and a sample count
+    below one are malformed input (exit 2, no report) for every classifier
+    and verifier, where NaN and inf used to pass a noisy map."""
+    from preservers import identity_superop, make_superop
+
+    rng = np.random.default_rng(3)
+    noisy6 = make_superop((2, 2), (2, 2), identity_superop((2, 2)).coeff
+                          + 1e-3 * rng.standard_normal((16, 16)))
+    maps = [dumps(superop_to_json(op)) for op in
+            (noisy6, identity_superop((2, 2)), identity_superop((2,)), identity_superop((2, 2, 2)))]
+    code, out, _ = run_cli(capsys, "verify", "-", stdin=maps[0], monkeypatch=monkeypatch)
+    assert code == 1 and json.loads(out)["passed"] is False
+    for text in maps:
+        for tol in ("nan", "inf", "-inf", "-1", "0"):
+            for cmd in ("classify", "verify"):
+                code, out, err = run_cli(capsys, cmd, "-", f"--tol={tol}",
+                                         stdin=text, monkeypatch=monkeypatch)
+                assert (code, out) == (2, ""), (cmd, tol, code, out)
+                assert "tolerance" in err
+    for text in maps[:3:2]:
+        for samples in ("-5", "0"):
+            code, out, err = run_cli(capsys, "verify", "-", f"--samples={samples}",
+                                     stdin=text, monkeypatch=monkeypatch)
+            assert (code, out) == (2, ""), (samples, code, out)
+            assert "sample" in err
+
+
 def test_verify_seed_byte_stability(capsys, monkeypatch):
     code, made, _ = run_cli(capsys, "make", "--form", "2", "--dims", "3,2", "--seed", "4")
     outs = []

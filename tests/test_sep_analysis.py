@@ -51,9 +51,10 @@ from preservers import (
 from preservers.linalg import as_rng, spanning_states
 from preservers.pure_analysis import find_impure_witness
 from preservers.sep_analysis import (
-    GRID_TO_TAG,
+    _SEP_TAGS,
+    _grid,
+    _read_feeds,
     _section_maps,
-    find_multi_product_witness,
     find_product_witness,
 )
 from preservers.superop import SEP_SOURCES, conjugation, isometry, random_unitary
@@ -131,20 +132,16 @@ def test_trace_to_entangled_is_not_preserver():
 
 def test_claim_constancy_across_anchors():
     rng = np.random.default_rng(2)
-    # slice letters must be identical for arbitrary anchor states
-    from preservers.sep_analysis import _case_letter
-    from preservers import classify_pure_preserver
-
+    # the feeds, hence the grid cell, must be identical for arbitrary anchor states
     for tag in (2, 5, 6):
         m, n = (2, 3) if tag != 2 else (3, 2)
         op = canonical_sep(random_sep_form(tag, m, n, rng), (m, n))
-        letters = set()
+        grids = set()
         for _ in range(5):
-            q = random_pure(n, rng)
-            c1, c2 = (classify_pure_preserver(s) for s in _section_maps(op, (q, q), 0))
-            letters.add(_case_letter(c1, c2, primes=False))
-        assert len(letters) == 1
-        assert letters.pop() == EXPECTED_GRID[tag][0]
+            _, feeds = _read_feeds(op, (random_pure(m, rng), random_pure(n, rng)), 1e-8, 0)
+            grids.add(_grid(feeds))
+        assert len(grids) == 1
+        assert grids.pop() == EXPECTED_GRID[tag]
 
 
 def test_doubling_obstruction():
@@ -403,6 +400,48 @@ def test_multi_insufficient_richness_for_constant_maps():
         c = classify_multi_preserver(op)
         assert c.kind == "insufficient_richness"
         assert "output slot 1 " in c.detail
+
+
+def _doubling_on_input_1(rng):
+    """A (x) B (x) C -> Tr(B) Tr(C) G(A) (x) r on (2,2,2), with G linear, both
+    marginals of G(A) equal to A, and G(p) = p (x) p at the basis_state(2, 0)
+    and uniform projections (solved by least squares), so the images of the
+    classifier's anchor products are product pure."""
+    units = basis.basis_elements(4, 0, 16).reshape(16, 2, 2, 2, 2)
+    marginals = np.vstack([basis.coords(np.einsum(spec, units)).T
+                           for spec in ("kajbj->kab", "kjajb->kab")])
+    anchors = [s.projection.matrix for s in (basis_state(2, 0), uniform_state(2))]
+    x = np.column_stack([basis.coords(p) for p in anchors])
+    y = np.column_stack([basis.coords(np.kron(p, p)) for p in anchors])
+    # vec(M C) = (I (x) M) vec C and vec(C X) = (X^T (x) I) vec C, column-major
+    lhs = np.vstack([np.kron(np.eye(4), marginals), np.kron(x.T, np.eye(16))])
+    rhs = np.concatenate([np.vstack([np.eye(4)] * 2).ravel("F"), y.ravel("F")])
+    g = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+    assert np.max(np.abs(lhs @ g - rhs)) <= 1e-12
+    g = g.reshape((16, 4), order="F")
+    r = random_pure(2, rng).projection.matrix
+
+    def action(a):
+        kept = np.einsum("ajbj->ab", a.matrix.reshape(2, 4, 2, 4))
+        return HermitianOperator(np.kron(basis.from_coords(g @ basis.coords(kept), 4), r),
+                                 (2, 2, 2))
+
+    return from_action((2, 2, 2), (2, 2, 2), action)
+
+
+def test_multi_input_feeding_two_slots_is_rejected():
+    """Input 1 of this map feeds slots 1 and 2 at the uniform anchors while
+    slot 3 is unfed: the doubling obstruction decides before the unfed slot,
+    and the witness scan certifies a product pure state with an entangled
+    image."""
+    for seed in range(3):
+        op = _doubling_on_input_1(np.random.default_rng(seed))
+        assert _read_feeds(op, (uniform_state(2),) * 3, 1e-8, 0) is None
+        c = classify_multi_preserver(op)
+        assert c.kind == "not_preserver", (seed, c.kind)
+        assert not is_product_pure(apply(op, tensor_all(
+            [s.projection for s in c.witness]).with_dims((2, 2, 2))))[0]
+        assert not mc_verify_product(op, 200, 0).passed
 
 
 def test_multi_entangled_target_is_not_preserver():
@@ -747,7 +786,7 @@ def test_multi_product_scans_match_reference(make, det_caps):
             want = _product_witness_reference(
                 op, det_cap=det_cap,
                 seed=np.random.default_rng(8) if isinstance(seed, np.random.Generator) else seed)
-            assert _same_states(find_multi_product_witness(op, 1e-8, seed, det_cap=det_cap), want)
+            assert _same_states(find_product_witness(op, 1e-8, seed, det_cap=det_cap), want)
     want = _mc_product_reference(op, 1000, 2)
     got = mc_verify_product(op, 1000, 2)
     assert (got.passed, got.samples) == want[:2]
@@ -755,13 +794,19 @@ def test_multi_product_scans_match_reference(make, det_caps):
 
 
 def test_slot_table_matches_grid():
-    """The grid cell of each form follows from its slot sources: the row
-    letter is a if no slot carries input 1, c if slot 1 does and b if slot 2
-    does; the column letter follows the same rule for input 2."""
+    """Each form's slot sources, as feeds, name the form through the
+    inverted table and label its grid cell: an input's letter is a if no
+    slot carries it, c if slot 1 does and b if slot 2 does, primed for
+    input 2.  Both inputs fed into one slot label cell (c,c') or (b,b')."""
+    u = isometry(np.eye(2))
     letters = {None: "a", 0: "c", 1: "b"}
     for tag, sources in SEP_SOURCES.items():
+        assert _SEP_TAGS[sources] == tag
+        feeds = [[] if src is None else [(src, u)] for src in sources]
         carrier = [sources.index(k) if k in sources else None for k in (0, 1)]
         grid = (letters[carrier[0]], letters[carrier[1]] + "′")
-        assert GRID_TO_TAG[grid] == tag
-        assert grid == EXPECTED_GRID[tag]
+        assert _grid(feeds) == grid == EXPECTED_GRID[tag]
     assert sorted(SEP_SOURCES) == sorted(EXPECTED_GRID)
+    assert len(_SEP_TAGS) == len(SEP_SOURCES)
+    assert _grid([[(0, u), (1, u)], []]) == ("c", "c′")
+    assert _grid([[], [(0, u), (1, u)]]) == ("b", "b′")
