@@ -25,11 +25,28 @@ SUPEROP_TOL = 1e-9   # default max-norm tolerance for superoperator equality
 PPT_TOL = 1e-10      # eigenvalue floor below which a partial transpose counts as negative
 
 
-def as_rng(seed) -> np.random.Generator:
-    """Accept an int seed or an existing Generator."""
+def _check_seed(seed):
+    """Refuse a seed that is neither a Generator nor a nonnegative integer."""
     if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+        return
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise StructureError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
+def _check_numbers(tol: float, samples: int = 1, seed=0):
+    """Refuse a tolerance outside 0 < tol < inf (NaN included), a sample
+    count below one and a seed that :func:`as_rng` refuses."""
+    if not 0 < tol < np.inf:
+        raise StructureError("tolerance must be positive and finite")
+    if samples < 1:
+        raise StructureError("sample count must be at least 1")
+    _check_seed(seed)
+
+
+def as_rng(seed) -> np.random.Generator:
+    """Accept a nonnegative int seed or an existing Generator."""
+    _check_seed(seed)
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -296,29 +313,74 @@ def _first_true(bad: np.ndarray, limit: int) -> int:
     return int(hits[0]) if hits.size else limit
 
 
+# Slack of the purity certificate per unit of dimension and of norm: it covers
+# LAPACK's eigenvalue error and the rounding of the bound itself.
+_CERT_SLACK = 64 * np.finfo(np.float64).eps
+# Stacks of one image or of fewer entries go straight to the solver: their
+# eigensolve costs less than the certificate's fixed overhead.
+_CERT_MIN_ENTRIES = 128
+
+
+def _not_pure(images: np.ndarray, tol: float, eigenvalues) -> np.ndarray:
+    """Mask of the Hermitian stack ``images`` (t, D, D) whose purity defect,
+    read off the ascending spectra ``eigenvalues(stack)``, exceeds ``tol``.
+
+    Most images of a large stack are cleared without an eigensolve.  With c
+    the largest diagonal entry of A and v = A[:, c] / sqrt(A[c, c]), Weyl's
+    inequality bounds the defect of A by ||A - vv+||_2 + |v+v - 1|, and so
+    by the same with the Frobenius norm.  An image whose bound plus a slack
+    for LAPACK's error is at most ``tol`` is pure for the solver too.  The
+    others, and a NaN bound (a top diagonal <= 0), go to the solver, so the
+    mask is the solver's.  A single image, or a stack of fewer than
+    ``_CERT_MIN_ENTRIES`` entries, goes straight to the solver.
+    """
+    t, d = images.shape[:2]
+    if t == 1 or t * d * d < _CERT_MIN_ENTRIES:
+        return spectral_defect(eigenvalues(images)) > tol
+    rows = np.arange(t)
+    diag = np.diagonal(images, axis1=1, axis2=2).real
+    c = diag.argmax(axis=1)
+    top = diag[rows, c]
+    with np.errstate(invalid="ignore"):
+        v = images[rows, :, c] / np.sqrt(np.where(top > 0, top, np.nan))[:, None]
+    e = (images - v[:, :, None] * v[:, None, :].conj()).reshape(t, -1).view(np.float64)
+    nv = np.einsum("ti,ti->t", v.view(np.float64), v.view(np.float64))
+    r = np.sqrt(np.einsum("ti,ti->t", e, e))
+    bound = r + np.abs(nv - 1.0) + _CERT_SLACK * d * (1.0 + nv + r)
+    todo = np.flatnonzero(~(bound <= tol))
+    bad = np.zeros(t, dtype=bool)
+    if todo.size:
+        bad[todo] = spectral_defect(eigenvalues(images[todo])) > tol
+    return bad
+
+
 def first_not_pure(images: np.ndarray, tol: float = PURITY_TOL):
-    """Index of the first matrix of the stack ``images`` (t, D, D) whose
-    purity defect exceeds ``tol``, or None: one stacked ``eigvalsh``."""
-    first = _first_true(spectral_defect(np.linalg.eigvalsh(images)) > tol, len(images))
+    """Index of the first matrix of the Hermitian stack ``images`` (t, D, D)
+    whose purity defect exceeds ``tol``, or None.  The verdicts are those of
+    a stacked ``eigvalsh``, which runs only on the images that the Weyl
+    certificate of :func:`_not_pure` cannot clear."""
+    first = _first_true(_not_pure(images, tol, np.linalg.eigvalsh), len(images))
     return first if first < len(images) else None
 
 
 def first_not_product_pure(images: np.ndarray, dims, tol: float = PURITY_TOL):
-    """Index of the first matrix of the stack ``images`` (t, D, D) on the
-    factors ``dims`` that :func:`is_product_pure` rejects at ``tol``, or None.
+    """Index of the first matrix of the Hermitian stack ``images`` (t, D, D)
+    on the factors ``dims`` that :func:`is_product_pure` rejects at ``tol``,
+    or None.
 
     The checks and thresholds are those of :func:`is_product_pure`: the
-    image is pure and every single-factor reduction is pure (one stacked
-    ``eigh`` each), and the tensor product of the reductions' top
-    eigenvectors rebuilds the image within max(tol, 1e-10).  Each check only
-    looks at the images before the first failure found so far, so a failing
-    first image costs one eigendecomposition.
+    image is pure (the certificate of :func:`_not_pure`, then a stacked
+    ``eigh`` of the images it cannot clear), every single-factor reduction
+    is pure (one stacked ``eigh`` each), and the tensor product of the
+    reductions' top eigenvectors rebuilds the image within max(tol, 1e-10).
+    Each check only looks at the images before the first failure found so
+    far, so a failing first image costs one eigendecomposition.
     """
     dims = tuple(dims)
     n = len(dims)
     # eigh rather than eigvalsh, as in is_pure, so the eigenvalues and hence
     # the verdicts are those of the single-image tests
-    limit = _first_true(spectral_defect(np.linalg.eigh(images)[0]) > tol, len(images))
+    limit = _first_true(_not_pure(images, tol, lambda a: np.linalg.eigh(a)[0]), len(images))
     t = images.reshape((len(images),) + dims * 2)
     rows = list(range(1, n + 1))
     psi = np.ones((limit, 1), dtype=np.complex128)

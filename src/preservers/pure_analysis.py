@@ -23,6 +23,7 @@ from .linalg import (
     EPS_CLS,
     HermitianOperator,
     PureState,
+    _check_numbers,
     as_rng,
     canonical_phase,
     first_not_pure,
@@ -60,15 +61,6 @@ class PureClassification:
         return self.kind in (TRACE_REPLACER, CONJUGATION)
 
 
-def _check_numbers(tol: float, samples: int = 1):
-    """Refuse a tolerance outside 0 < tol < inf (NaN included) and a sample
-    count below one."""
-    if not 0 < tol < np.inf:
-        raise StructureError("tolerance must be positive and finite")
-    if samples < 1:
-        raise StructureError("sample count must be at least 1")
-
-
 def _scan(op: SuperOperator, dims, first_bad, family=(), random_tries: int = 0, seed=0):
     """First input, a tuple of pure states on the factors ``dims`` of the
     input space, whose image ``first_bad`` rejects: the tuples of ``family``
@@ -78,7 +70,9 @@ def _scan(op: SuperOperator, dims, first_bad, family=(), random_tries: int = 0, 
     ``first_bad`` gets a stack of images and returns the index of the first
     rejected one, or None.  Inputs are tested in blocks that double from one
     input up to ``BLOCK_ENTRIES // D**2`` inputs, so an early failure costs
-    one small block; a block's images come from one coefficient product.
+    one small block: the purity kernels eigensolve a block of one image (or
+    of few entries) directly and clear the images of larger blocks by a
+    certificate first.  A block's images come from one coefficient product.
     Each block of draws is one ``standard_normal((t, 2 * sum(dims)))``, the
     stream of ``t`` rounds of ``random_pure`` calls (real then imaginary
     part, factor by factor), so the result is that of a state-by-state scan;
@@ -163,7 +157,7 @@ def classify_pure_preserver(op: SuperOperator, tol: float = EPS_CLS,
     positive answer is verified coefficientwise at ``tol`` against a freshly
     built canonical map, and any failure falls back to the witness search.
     """
-    _check_numbers(tol)
+    _check_numbers(tol, seed=seed)
     if len(op.in_dims) != 1 or len(op.out_dims) != 1:
         raise StructureError("single-factor maps only; use the bipartite classifier")
     m, n = op.in_dim, op.out_dim
@@ -216,7 +210,7 @@ def mc_verify_pure(op: SuperOperator, samples: int = 500, seed: int = 0,
     double from one state, so the result is that of a state-by-state loop; a
     Generator passed as ``seed`` advances by whole blocks.
     """
-    _check_numbers(tol, samples)
+    _check_numbers(tol, samples, seed)
     hit = _scan(op, (op.in_dim,), lambda images: first_not_pure(images, tol),
                 random_tries=samples, seed=seed)
     if hit is None:

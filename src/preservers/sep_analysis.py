@@ -32,6 +32,7 @@ from .linalg import (
     EPS_CLS,
     HermitianOperator,
     PureState,
+    _check_numbers,
     _kron,
     basis_state,
     first_not_product_pure,
@@ -45,7 +46,6 @@ from .linalg import (
 from .pure_analysis import (
     CONJUGATION,
     NOT_PRESERVER,
-    _check_numbers,
     _scan,
     classify_pure_preserver,
 )
@@ -201,7 +201,7 @@ def classify_sep_preserver(op: SuperOperator, tol: float = EPS_CLS,
     empty cells (b,b') and (c,c') of a slot fed twice included, produces a
     product pure state whose image violates product purity.
     """
-    _check_numbers(tol)
+    _check_numbers(tol, seed=seed)
     if len(op.in_dims) != 2 or op.in_dims != op.out_dims:
         raise StructureError(
             "bipartite classification needs matching two-factor input/output dims"
@@ -313,7 +313,7 @@ def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
     are a permutation; the rebuilt map is verified at ``tol``.  Every other
     failure gets a witness.
     """
-    _check_numbers(tol)
+    _check_numbers(tol, seed=seed)
     n = len(op.in_dims)
     if n < 2:
         raise StructureError("multipartite classification needs at least two factors")
@@ -367,7 +367,7 @@ def mc_verify_product(op: SuperOperator, samples: int = 500, seed: int = 0,
     sample-by-sample loop; a Generator passed as ``seed`` advances by whole
     blocks.
     """
-    _check_numbers(tol, samples)
+    _check_numbers(tol, samples, seed)
     hit = _scan(op, op.in_dims, _first_not_product(op, tol), random_tries=samples, seed=seed)
     if hit is None:
         return MCProductResult(True, samples)

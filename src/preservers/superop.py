@@ -27,6 +27,7 @@ from .linalg import (
     SUPEROP_TOL,
     HermitianOperator,
     PureState,
+    _check_numbers,
     _kron,
     as_rng,
     spanning_states,
@@ -472,8 +473,10 @@ def affine_to_linear(state_action, dim: int, tol: float = 1e-8, seed: int = 7) -
 
     The extension is solved from the action on a spanning family of pure
     states and then cross-checked on 20 random states; a deviation above
-    ``tol`` means the callable was not affine and raises ContractError.
+    ``tol`` means the callable was not affine and raises ContractError, so
+    ``tol`` must satisfy 0 < tol < inf.
     """
+    _check_numbers(tol, seed=seed)
     states = spanning_states(dim)
     cols_in = np.column_stack([basis.coords(s.projection.matrix) for s in states])
     outs = []

@@ -216,6 +216,17 @@ def test_tolerance_and_samples_must_be_valid_numbers(capsys, monkeypatch):
             assert "sample" in err
 
 
+def test_negative_seed_is_malformed_input(capsys, monkeypatch):
+    """A negative seed is malformed input (exit 2, an error line, no
+    output) for make, classify and verify, even where no draw would read it."""
+    code, made, _ = run_cli(capsys, "make", "--form", "6", "--dims", "2,2", "--seed", "1")
+    assert code == 0
+    for cmd in (("make", "--form", "6", "--dims", "2,2"), ("classify", "-"), ("verify", "-")):
+        code, out, err = run_cli(capsys, *cmd, "--seed=-1", stdin=made, monkeypatch=monkeypatch)
+        assert (code, out) == (2, ""), (cmd, code, out)
+        assert err.startswith("error:") and "seed" in err, (cmd, err)
+
+
 def test_verify_seed_byte_stability(capsys, monkeypatch):
     code, made, _ = run_cli(capsys, "make", "--form", "2", "--dims", "3,2", "--seed", "4")
     outs = []

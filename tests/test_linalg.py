@@ -13,24 +13,38 @@ from conftest import (
 )
 from preservers import (
     HermitianOperator,
+    SepForm,
     StructureError,
     basis_state,
+    canonical_sep,
+    conjugation,
     eig_hermitian,
     herm,
     is_product_pure,
     is_pure,
+    mc_verify_product,
+    mc_verify_pure,
     partial_trace,
     partial_transpose,
     permute_factors,
     pure_state,
     random_hermitian,
+    random_isometry,
     random_pure,
     swap_theta,
     tensor,
     tensor_all,
     trace_norm,
 )
-from preservers.linalg import _kron, first_not_product_pure, purity_defect, spectral_defect
+from preservers.linalg import (
+    _kron,
+    _not_pure,
+    as_rng,
+    first_not_product_pure,
+    first_not_pure,
+    purity_defect,
+    spectral_defect,
+)
 
 BELL = pure_state(np.array([1, 0, 0, 1]) / np.sqrt(2)).projection.with_dims((2, 2))
 
@@ -347,6 +361,123 @@ def test_first_not_product_pure_agrees_with_is_product_pure(dims):
     exact = np.array([tensor_all([random_pure(k, rng).projection for k in dims]).matrix
                       for _ in range(5)])
     assert first_not_product_pure(exact, dims) is None
+
+
+# factor dims of the product tests, one entry per total dimension 1..9
+_FACTORS = {1: (1,), 2: (2,), 3: (1, 3), 4: (2, 2), 5: (5,), 6: (2, 3), 7: (7,),
+            8: (2, 2, 2), 9: (3, 3)}
+
+
+def _rank_one_plus_noise(rng, dims, tol, count):
+    """Hermitian s uu+ + eps N with u a product unit vector, |s - 1| up to
+    1.5 tol and ||N||_F = 1, eps from 1e-3 tol to 1.6 tol: true purity
+    defects on both sides of ``tol``, some images cleared by the Weyl
+    certificate and some not."""
+    d = int(np.prod(dims))
+    out = []
+    for _ in range(count):
+        u = np.ones(1)
+        for k in dims:
+            u = np.kron(u, rng.standard_normal(k) + 1j * rng.standard_normal(k))
+        u /= np.linalg.norm(u)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        noise = (g + g.conj().T) / np.linalg.norm(g + g.conj().T)
+        s = 1 + tol * rng.uniform(-1.5, 1.5)
+        out.append(s * np.outer(u, u.conj()) + tol * 10 ** rng.uniform(-3, 0.2) * noise)
+    return np.array(out)
+
+
+def _first(mask):
+    return mask.index(True) if True in mask else None
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_purity_certificate_keeps_the_solver_verdicts(d):
+    """The certificate only skips eigensolves: the masks, first rejected
+    indices and single-image verdicts of both kernels are those of the
+    spectrum alone, and it clears some images but not all."""
+    dims = _FACTORS[d]
+    rng = np.random.default_rng(30 + d)
+    for tol in (1e-8, 0.1, 0.3):
+        stack = _rank_one_plus_noise(rng, dims, tol, 160)
+        want = list(spectral_defect(np.linalg.eigvalsh(stack)) > tol)
+        solved = []
+        got = _not_pure(stack, tol, lambda a: solved.append(len(a)) or np.linalg.eigvalsh(a))
+        assert list(got) == want
+        assert 0 < solved[0] < len(stack)
+        assert [first_not_pure(m[None], tol) == 0 for m in stack] == want
+        for start in (0, 7, 90):
+            assert first_not_pure(stack[start:], tol) == _first(want[start:])
+        want = [not is_product_pure(HermitianOperator(m, dims), tol)[0] for m in stack]
+        assert [first_not_product_pure(m[None], dims, tol) == 0 for m in stack] == want
+        for start in (0, 7, 90):
+            assert first_not_product_pure(stack[start:], dims, tol) == _first(want[start:])
+
+
+def test_purity_certificate_leaves_room_for_solver_error():
+    """At a tolerance just below the solver's own defect of an image, the
+    image is rejected: the certificate's bound exceeds the computed defect
+    by its slack, even where the two agree to rounding.  (The product
+    kernel's solver is eigh, whose last bits may differ from eigvalsh's.)
+    The stacks are large enough for the certificate to run."""
+    rng = np.random.default_rng(40)
+    for d in (1, 2, 3, 9):
+        for _ in range(100):
+            v = random_pure(d, rng).vector * np.sqrt(1 + rng.uniform(-1e-7, 1e-7))
+            stack = np.array([np.outer(v, v.conj())] * 128)
+            tol = np.nextafter(spectral_defect(np.linalg.eigvalsh(stack[0])), 0)
+            assert first_not_pure(stack, tol) == 0
+            tol = np.nextafter(spectral_defect(np.linalg.eigh(stack[0])[0]), 0)
+            assert first_not_product_pure(stack, (d,), tol) == 0
+
+
+def test_purity_certificate_falls_back_on_degenerate_images():
+    """A zero image and one with a negative top diagonal give a NaN bound,
+    and a diagonal image whose top column is a unit vector a large one: all
+    go to the solver, which rejects them.  Fifteen pure images before
+    them make the stack large enough for the certificate to run."""
+    pure = np.outer([1, 0, 0], [1, 0, 0]).astype(complex)
+    for bad in (np.zeros((3, 3)), -np.diag([1.0, 2.0, 3.0]),
+                np.diag([1.0, 0.5, 0.0]), np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])):
+        stack = np.array([pure] * 15 + [bad], dtype=complex)
+        for tol in (1e-8, 0.1, 0.3):
+            solved = []
+            got = _not_pure(stack, tol, lambda a: solved.append(a) or np.linalg.eigvalsh(a))
+            assert list(got) == [False] * 15 + [True]
+            assert len(solved) == 1 and np.array_equal(solved[0], stack[15:])
+            assert first_not_pure(stack, tol) == 15
+            assert first_not_product_pure(stack, (3,), tol) == 15
+
+
+def test_exact_forms_make_no_stacked_image_eigensolve(monkeypatch):
+    """Monte-Carlo verification of exact forms eigensolves its one-image
+    probe and the small reductions only; every larger stack of images is
+    cleared by the certificate."""
+    rng = np.random.default_rng(41)
+    shapes = []
+
+    def counting(solve):
+        return lambda a, *args, **kw: shapes.append(a.shape) or solve(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    op = canonical_sep(SepForm(6, u1=random_isometry(3, 3, rng), u2=random_isometry(3, 3, rng)),
+                       (3, 3))
+    assert mc_verify_product(op, 1000, 3).passed
+    assert (1, 9, 9) in shapes and len(shapes) > 2
+    assert not [s for s in shapes if s[1:] == (9, 9) and s[0] > 1]
+    shapes.clear()
+    assert mc_verify_pure(conjugation(random_isometry(9, 4, rng)), 1000, 3).passed
+    assert shapes and not [s for s in shapes if s[0] > 1]
+
+
+def test_as_rng_refuses_bad_seeds():
+    assert as_rng(0).integers(10) == np.random.default_rng(0).integers(10)
+    gen = np.random.default_rng(1)
+    assert as_rng(gen) is gen
+    for seed in (-1, 1.5, "3", None, True):
+        with pytest.raises(StructureError, match="seed"):
+            as_rng(seed)
 
 
 def test_spectral_defect_matches_purity_defect():

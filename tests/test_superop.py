@@ -362,6 +362,20 @@ def test_affine_to_linear_rejects_nonaffine():
         affine_to_linear(squared, 2)
 
 
+def test_affine_to_linear_refuses_invalid_tolerance():
+    """A tolerance outside 0 < tol < inf would let the cross-check pass a
+    non-affine action (NaN and inf) or fail an affine one (0), so it is
+    malformed input, as for the classifiers."""
+    def squared(rho):
+        out = rho @ rho
+        return out / np.trace(out).real
+
+    for action in (squared, lambda rho: rho):
+        for tol in (float("nan"), float("inf"), 0.0, -1e-8):
+            with pytest.raises(StructureError, match="tolerance"):
+                affine_to_linear(action, 2, tol=tol)
+
+
 def test_affine_to_linear_trace_norm_contraction():
     rng = np.random.default_rng(16)
     # a positive trace-preserving but not completely positive affine action
