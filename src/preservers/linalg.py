@@ -127,9 +127,6 @@ class PureState:
     def projection(self) -> HermitianOperator:
         return _wrap(np.outer(self.vector, self.vector.conj()), None)
 
-    def projection_on(self, dims) -> HermitianOperator:
-        return self.projection.with_dims(dims)
-
 
 def pure_state(vector) -> PureState:
     """Normalize a nonzero complex vector and fix its canonical phase."""

@@ -2,22 +2,24 @@
 
 Both classifiers read the slot wiring off section maps: varying one input
 factor at fixed pure anchors and keeping one output factor gives a
-single-factor map that is a trace replacer or a conjugation, and each
-conjugation says that the input feeds that output slot (:func:`_read_feeds`).
-An input feeding two slots is the doubling obstruction, and like every other
-failure it gets a product pure state whose image is not product pure.
+single-factor map, whose unverified proposal (:func:`_read_feeds`) is a
+trace replacer, or a conjugation that says the input feeds that slot.
+Section maps only propose; the one check is the coefficient comparison at
+``tol`` of the whole map against the map rebuilt from the wiring.  No
+proposal, an input feeding two slots (the doubling obstruction) or a failed
+comparison gets a product pure state whose image is not product pure.
 
 A bipartite map's feeds name its form through the inverse of ``SEP_SOURCES``,
-and its parameters are the feeding isometries and the replaced slots' states;
-the rebuilt form is verified coefficientwise.  The grid cell is a label of
-the feeds: input 1's letter is a, c or b as it feeds no slot, slot 1 or
-slot 2, and input 2's takes a prime.  The cells (b,b') and (c,c'), where both
-inputs feed one slot, hold no preserver when the input and output dims agree
-(see :func:`doubling_obstruction_check`) and go to the witness scan.
+and its parameters are the feeding isometries and the replaced slots' states.
+The grid cell is a label of the feeds: input 1's letter is a, c or b as it
+feeds no slot, slot 1 or slot 2, and input 2's takes a prime.  The cells
+(b,b') and (c,c'), where both inputs feed one slot, hold no preserver when
+the input and output dims agree (see :func:`doubling_obstruction_check`), so
+the form rebuilt from the first feed fails the comparison.
 
 A multipartite map's feeds are a factor permutation with per-slot isometries
-once every slot is fed, and the rebuilt map is verified coefficientwise.  An
-output slot that no input factor feeds is indeterminate.
+once every slot is fed.  An output slot that no input factor feeds is
+indeterminate.
 """
 
 import itertools
@@ -43,12 +45,7 @@ from .linalg import (
     tensor_all,
     uniform_state,
 )
-from .pure_analysis import (
-    CONJUGATION,
-    NOT_PRESERVER,
-    _scan,
-    classify_pure_preserver,
-)
+from .pure_analysis import CONJUGATION, NOT_PRESERVER, _propose_pure, _scan
 from .superop import (
     SEP_SOURCES,
     MultiForm,
@@ -104,21 +101,21 @@ def _section_maps(op: SuperOperator, states, k: int) -> list[SuperOperator]:
     return maps
 
 
-def _read_feeds(op: SuperOperator, anchors, tol: float, seed: int):
+def _read_feeds(op: SuperOperator, anchors, tol: float):
     """The slot wiring of ``op`` read off its section maps at ``anchors``.
 
-    Input by input, the section maps varying input k (0-based) are
-    classified into sections[k][j], one for every output slot j, and each
-    conjugation among them appends (k, isometry) to feeds[j].  Returns
-    (sections, feeds), or None as soon as an input has a section that is no
-    preserver or feeds two slots (the doubling obstruction, see
-    :func:`doubling_obstruction_check`).
+    Input by input, the section maps varying input k (0-based) get their
+    unverified proposals (:func:`_propose_pure`) in sections[k][j], one for
+    every output slot j, and each conjugation among them appends
+    (k, isometry) to feeds[j].  Returns (sections, feeds), or None as soon
+    as an input has a section with no proposal or feeds two slots (the
+    doubling obstruction, see :func:`doubling_obstruction_check`).
     """
     sections, feeds = [], [[] for _ in op.out_dims]
     for k in range(len(op.in_dims)):
-        row = [classify_pure_preserver(s, tol, seed) for s in _section_maps(op, anchors, k)]
-        fed = [j for j, c in enumerate(row) if c.kind == CONJUGATION]
-        if len(fed) > 1 or any(c.kind == NOT_PRESERVER for c in row):
+        row = [_propose_pure(s, tol) for s in _section_maps(op, anchors, k)]
+        fed = [j for j, c in enumerate(row) if c is not None and c.kind == CONJUGATION]
+        if len(fed) > 1 or None in row:
             return None
         for j in fed:
             feeds[j].append((k, row[j].isometry))
@@ -193,13 +190,14 @@ def classify_sep_preserver(op: SuperOperator, tol: float = EPS_CLS,
     """Decide which of the seven bipartite canonical forms a map has.
 
     The feeds read at the ``basis_state(., 0)`` anchors (:func:`_read_feeds`)
-    propose the form: the slot sources name the tag through the inverse of
-    ``SEP_SOURCES``, a carried slot takes its feed's isometry and a replaced
-    slot j the state of the section map that varies input 1 and keeps slot j.
-    The grid cell is a label of the feeds.  The coefficient comparison at
-    ``tol`` against the rebuilt canonical map decides.  Every failure, the
-    empty cells (b,b') and (c,c') of a slot fed twice included, produces a
-    product pure state whose image violates product purity.
+    propose the form: the slot sources of the first feed of each slot name
+    the tag through the inverse of ``SEP_SOURCES``, a carried slot takes its
+    feed's isometry and a replaced slot j the state proposed for the section
+    map that varies input 1 and keeps slot j.  The grid cell is a label of
+    the feeds.  The sections only propose: the one comparison at ``tol``
+    against the rebuilt canonical map decides.  Every failure, the empty
+    cells (b,b') and (c,c') of a slot fed twice included, produces a product
+    pure state whose image violates product purity.
     """
     _check_numbers(tol, seed=seed)
     if len(op.in_dims) != 2 or op.in_dims != op.out_dims:
@@ -207,13 +205,11 @@ def classify_sep_preserver(op: SuperOperator, tol: float = EPS_CLS,
             "bipartite classification needs matching two-factor input/output dims"
         )
     m, n = op.in_dims
-    read = _read_feeds(op, (basis_state(m, 0), basis_state(n, 0)), tol, seed)
+    read = _read_feeds(op, (basis_state(m, 0), basis_state(n, 0)), tol)
     if read is None:
         return _sep_not_preserver(op, tol, seed)
     sections, feeds = read
     grid = _grid(feeds)
-    if any(len(fed) > 1 for fed in feeds):
-        return _sep_not_preserver(op, tol, seed, grid)
     tag = _SEP_TAGS[tuple(fed[0][0] if fed else None for fed in feeds)]
     form = _sep_form(tag, [fed[0][1] if fed else sections[0][j].replacement
                            for j, fed in enumerate(feeds)])
@@ -310,8 +306,8 @@ def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
     feeds are read at the uniform states (:func:`_read_feeds`).  A slot fed
     by no input is indeterminate: it writes one state for all these inputs.
     Otherwise every slot has one feed, as no input feeds two, so the feeds
-    are a permutation; the rebuilt map is verified at ``tol``.  Every other
-    failure gets a witness.
+    are a permutation, and the one comparison at ``tol`` against the rebuilt
+    map decides.  Every other failure gets a witness.
     """
     _check_numbers(tol, seed=seed)
     n = len(op.in_dims)
@@ -331,10 +327,7 @@ def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
         if not is_product_pure(img, tol)[0]:
             return MultiClassification(NOT_PRESERVER, witness=probe)
 
-    try:
-        read = _read_feeds(op, base, tol, seed)
-    except ClassificationError:  # no impure section image: the map's scan decides
-        read = None
+    read = _read_feeds(op, base, tol)
     if read is None:
         return _multi_not_preserver(op, tol, seed)
     feeds = read[1]

@@ -10,6 +10,7 @@ from conftest import (
     EXPECTED_GRID,
     leaky_embedding,
     legal_dims,
+    random_flag,
     random_multiform_setup,
     random_sep_form,
 )
@@ -58,7 +59,7 @@ from preservers.sep_analysis import (
     find_product_witness,
 )
 from preservers.superop import SEP_SOURCES, conjugation, isometry, random_unitary
-from preservers import basis, sep_analysis
+from preservers import basis, pure_analysis, sep_analysis
 
 
 def test_slice_phi_identity_form1_swap():
@@ -138,7 +139,7 @@ def test_claim_constancy_across_anchors():
         op = canonical_sep(random_sep_form(tag, m, n, rng), (m, n))
         grids = set()
         for _ in range(5):
-            _, feeds = _read_feeds(op, (random_pure(m, rng), random_pure(n, rng)), 1e-8, 0)
+            _, feeds = _read_feeds(op, (random_pure(m, rng), random_pure(n, rng)), 1e-8)
             grids.add(_grid(feeds))
         assert len(grids) == 1
         assert grids.pop() == EXPECTED_GRID[tag]
@@ -286,16 +287,16 @@ def test_rebuild_check_rejects_maps_hidden_from_the_anchor_slices():
 
 
 def test_positive_classifies_one_anchor_per_side(monkeypatch):
-    """An exact bipartite positive classifies the two slice maps at one
-    anchor per side and nothing more: 4 single-factor classifications."""
+    """An exact bipartite positive reads the two slice maps at one anchor
+    per side and nothing more: 4 single-factor proposals."""
     calls = []
-    inner = sep_analysis.classify_pure_preserver
+    inner = sep_analysis._propose_pure
 
     def counted(*args, **kwargs):
         calls.append(1)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(sep_analysis, "classify_pure_preserver", counted)
+    monkeypatch.setattr(sep_analysis, "_propose_pure", counted)
     rng = np.random.default_rng(22)
     for tag in range(1, 8):
         for m, n in itertools.product((2, 3), repeat=2):
@@ -306,6 +307,79 @@ def test_positive_classifies_one_anchor_per_side(monkeypatch):
             c = classify_sep_preserver(op)
             assert c.kind == "form" and c.form.tag == tag, (tag, m, n)
             assert len(calls) == 4, (tag, m, n, len(calls))
+
+
+def test_boundary_forms_get_a_certified_verdict():
+    """(2,2) forms 2, 4 and 6 with 3e-9 coefficient noise sit at the
+    tolerance, where a section map can fail its own rebuild with no impure
+    image.  Sections only propose, so the classifier never raises: it
+    returns a form within ``tol`` of the map, or a witness whose image is
+    not product pure at ``tol``."""
+    tol = 1e-8
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for tag in (2, 4, 6):
+            exact = canonical_sep(random_sep_form(tag, 2, 2, rng), (2, 2))
+            op = make_superop((2, 2), (2, 2),
+                              exact.coeff + 3e-9 * rng.standard_normal(exact.coeff.shape))
+            c = classify_sep_preserver(op, tol)
+            if c.kind == "form":
+                assert c.residual <= tol, (seed, tag)
+            else:
+                assert c.kind == "not_preserver", (seed, tag, c.kind)
+                p, q = c.witness
+                assert not is_product_pure(apply(op, tensor(p.projection, q.projection)), tol)[0]
+
+
+def _count(monkeypatch, name, modules):
+    calls = []
+    for module in modules:
+        inner = getattr(module, name)
+
+        def counted(*args, _inner=inner, **kwargs):
+            calls.append(1)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_product_positive_makes_one_comparison(monkeypatch):
+    """The rebuilt map's comparison is the one check of a product verdict:
+    an exact positive, bipartite or (2,2,2), makes a single one."""
+    calls = _count(monkeypatch, "superop_equal", (pure_analysis, sep_analysis))
+    rng = np.random.default_rng(23)
+    for tag in range(1, 8):
+        for m, n in itertools.product((2, 3), repeat=2):
+            if not legal_dims(tag, m, n):
+                continue
+            calls.clear()
+            assert classify_sep_preserver(canonical_sep(random_sep_form(tag, m, n, rng),
+                                                        (m, n))).positive
+            assert len(calls) == 1, (tag, m, n, len(calls))
+    for perm in itertools.permutations((1, 2, 3)):
+        isos = tuple(random_isometry(2, 2, rng, random_flag(rng)) for _ in range(3))
+        calls.clear()
+        assert classify_multi_preserver(canonical_multi(MultiForm(perm, isos), (2, 2, 2))).positive
+        assert len(calls) == 1, (perm, len(calls))
+
+
+def test_product_negatives_scan_no_section(monkeypatch):
+    """A section map only proposes, so a perturbed product map runs no
+    single-factor witness scan: its one scan is the map-level one."""
+    calls = _count(monkeypatch, "_not_preserver", (pure_analysis,))
+    rng = np.random.default_rng(24)
+    for tag in range(1, 8):
+        exact = canonical_sep(random_sep_form(tag, 2, 2, rng), (2, 2))
+        op = make_superop((2, 2), (2, 2), exact.coeff + 1e-3 * rng.standard_normal(exact.coeff.shape))
+        assert classify_sep_preserver(op).kind == "not_preserver", tag
+    for seed in range(3):
+        isos = tuple(random_isometry(2, 2, rng) for _ in range(3))
+        exact = canonical_multi(MultiForm((2, 3, 1), isos), (2, 2, 2))
+        op = make_superop((2, 2, 2), (2, 2, 2),
+                          exact.coeff + 1e-3 * rng.standard_normal(exact.coeff.shape))
+        assert classify_multi_preserver(op).kind == "not_preserver", seed
+    assert calls == []
 
 
 def test_sep_classifier_argument_errors():
@@ -436,7 +510,7 @@ def test_multi_input_feeding_two_slots_is_rejected():
     image."""
     for seed in range(3):
         op = _doubling_on_input_1(np.random.default_rng(seed))
-        assert _read_feeds(op, (uniform_state(2),) * 3, 1e-8, 0) is None
+        assert _read_feeds(op, (uniform_state(2),) * 3, 1e-8) is None
         c = classify_multi_preserver(op)
         assert c.kind == "not_preserver", (seed, c.kind)
         assert not is_product_pure(apply(op, tensor_all(
