@@ -139,29 +139,29 @@ def _not_preserver(op: SuperOperator, tol: float, seed: int) -> PureClassificati
                               residual=float(spectral_defect(np.linalg.eigvalsh(image))))
 
 
-def _propose_pure(op: SuperOperator, tol: float) -> PureClassification | None:
-    """The unverified trace replacement or conjugation (residual 0) read off
-    a single-factor map's images, or None.
+def _propose_pure(op: SuperOperator, tol: float):
+    """Yield the unverified proposals (residual 0) read off a single-factor
+    map's images: the trace replacement, then the conjugation.
 
     (1) Trace replacement: R = Phi(I)/m must be pure.  (2) Every diagonal
-    image Phi(E_jj) must be pure, or there is no proposal.  (3) Conjugation:
-    the Choi matrix of A -> VAV+ is the rank-one vec V vec V+, and that of
-    A -> V A^t V+ has a rank-one input partial transpose, so V is one column
-    of it.  With the pivot (c, j) the largest diagonal entry of the
-    Phi(E_jj), column i of V is Phi(E_ij) e_c (linear flag) or Phi(E_ji) e_c
-    (conjugate flag) over sqrt(Phi(E_jj)[c, c]); only these m images are
-    built.  The flag whose V is closer to an isometry is kept (linear on a
-    tie, as for m = 1), V must be an isometry (||V+V - I||_F at most
-    ``tol``) and its global phase is fixed as :func:`pure_state` fixes that
-    of its first column.
+    image Phi(E_jj) must be pure, or there is no conjugation.
+    (3) Conjugation: the Choi matrix of A -> VAV+ is the rank-one vec V vec V+,
+    and that of A -> V A^t V+ has a rank-one input partial transpose, so V
+    is one column of it.  With the pivot (c, j) the largest diagonal entry
+    of the Phi(E_jj), column i of V is Phi(E_ij) e_c (linear flag) or
+    Phi(E_ji) e_c (conjugate flag) over sqrt(Phi(E_jj)[c, c]); only these m
+    images are built.  The flag whose V is closer to an isometry is kept
+    (linear on a tie, as for m = 1), V must be an isometry (||V+V - I||_F at
+    most ``tol``) and its global phase is fixed as :func:`pure_state` fixes
+    that of its first column.
     """
     m, n = op.in_dim, op.out_dim
     diag = basis.from_coords(op.coeff[:, :m].T, n)
     ok, r = is_pure(HermitianOperator(diag.sum(axis=0) / m, op.out_dims), tol)
     if ok:
-        return PureClassification(TRACE_REPLACER, replacement=r)
+        yield PureClassification(TRACE_REPLACER, replacement=r)
     if m > n or first_not_pure(diag, tol) is not None:
-        return None
+        return
     j, c = np.unravel_index(np.argmax(np.diagonal(diag, axis1=1, axis2=2).real), (m, n))
     # E_ij = (X + 1j * s * Y) / sqrt(2) with s = sign(i - j) for the pair
     # elements X, Y of {i, j}, and E_ji takes -s; v[0] is the linear flag's
@@ -176,28 +176,31 @@ def _propose_pure(op: SuperOperator, tol: float) -> PureClassification | None:
     v /= np.sqrt(diag[j, c, c].real)
     defect = np.linalg.norm(np.swapaxes(v.conj(), 1, 2) @ v - np.eye(m), axis=(1, 2))
     k = int(defect[1] < defect[0])
-    if defect[k] > tol:
-        return None
-    iso = Isometry(v[k] * canonical_phase(v[k, :, 0]).conjugate(), (LINEAR, CONJUGATE)[k])
-    return PureClassification(CONJUGATION, isometry=iso)
+    if defect[k] <= tol:
+        iso = Isometry(v[k] * canonical_phase(v[k, :, 0]).conjugate(), (LINEAR, CONJUGATE)[k])
+        yield PureClassification(CONJUGATION, isometry=iso)
+
+
+def _compare(op: SuperOperator, c: PureClassification, tol: float):
+    """Compare ``op`` at ``tol`` with the map rebuilt from the proposal ``c``."""
+    rebuilt = (trace_replacer(c.replacement, op.in_dims, op.out_dims) if c.isometry is None
+               else conjugation(c.isometry, op.in_dims, op.out_dims))
+    return superop_equal(op, rebuilt, tol)
 
 
 def classify_pure_preserver(op: SuperOperator, tol: float = EPS_CLS,
                             seed: int = 0) -> PureClassification:
     """Decide trace replacement vs isometric conjugation vs non-preserver.
 
-    ``tol`` is the only threshold.  The proposal of :func:`_propose_pure` is
-    rebuilt and compared coefficientwise at ``tol``, which decides; no
-    proposal or a failed comparison goes to the witness search.
+    ``tol`` is the only threshold.  The proposals of :func:`_propose_pure`
+    are rebuilt and compared coefficientwise at ``tol`` in turn, and the
+    first that passes decides; none passing goes to the witness search.
     """
     _check_numbers(tol, seed=seed)
     if len(op.in_dims) != 1 or len(op.out_dims) != 1:
         raise StructureError("single-factor maps only; use the bipartite classifier")
-    c = _propose_pure(op, tol)
-    if c is not None:
-        rebuilt = (trace_replacer(c.replacement, op.in_dims, op.out_dims) if c.isometry is None
-                   else conjugation(c.isometry, op.in_dims, op.out_dims))
-        cmp = superop_equal(op, rebuilt, tol)
+    for c in _propose_pure(op, tol):
+        cmp = _compare(op, c, tol)
         if cmp.equal:
             return replace(c, residual=cmp.max_dev)
     return _not_preserver(op, tol, seed)

@@ -19,7 +19,7 @@ the form rebuilt from the first feed fails the comparison.
 
 A multipartite map's feeds are a factor permutation with per-slot isometries
 once every slot is fed.  An output slot that no input factor feeds is
-indeterminate.
+indeterminate, provided each section map fits its proposal at ``tol``.
 """
 
 import itertools
@@ -45,7 +45,7 @@ from .linalg import (
     tensor_all,
     uniform_state,
 )
-from .pure_analysis import CONJUGATION, NOT_PRESERVER, _propose_pure, _scan
+from .pure_analysis import CONJUGATION, NOT_PRESERVER, _compare, _propose_pure, _scan
 from .superop import (
     SEP_SOURCES,
     MultiForm,
@@ -101,19 +101,29 @@ def _section_maps(op: SuperOperator, states, k: int) -> list[SuperOperator]:
     return maps
 
 
+def _section_proposal(s: SuperOperator, tol: float):
+    """The first proposal of a section map on C^m, or its conjugation where
+    ``tol`` >= 1 - 1/m > 0 lets an exact conjugation's Phi(I)/m pass for pure."""
+    props = _propose_pure(s, tol)
+    c = next(props, None)
+    if c is not None and c.isometry is None and 0 < 1 - 1 / s.in_dim <= tol:
+        c = next(props, c)
+    return c
+
+
 def _read_feeds(op: SuperOperator, anchors, tol: float):
     """The slot wiring of ``op`` read off its section maps at ``anchors``.
 
     Input by input, the section maps varying input k (0-based) get their
-    unverified proposals (:func:`_propose_pure`) in sections[k][j], one for
-    every output slot j, and each conjugation among them appends
+    unverified proposals (:func:`_section_proposal`) in sections[k][j], one
+    for every output slot j, and each conjugation among them appends
     (k, isometry) to feeds[j].  Returns (sections, feeds), or None as soon
     as an input has a section with no proposal or feeds two slots (the
     doubling obstruction, see :func:`doubling_obstruction_check`).
     """
     sections, feeds = [], [[] for _ in op.out_dims]
     for k in range(len(op.in_dims)):
-        row = [_propose_pure(s, tol) for s in _section_maps(op, anchors, k)]
+        row = [_section_proposal(s, tol) for s in _section_maps(op, anchors, k)]
         fed = [j for j, c in enumerate(row) if c is not None and c.kind == CONJUGATION]
         if len(fed) > 1 or None in row:
             return None
@@ -304,10 +314,10 @@ def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
     The images of the ``basis_state(d, 0)`` anchors and of the uniform
     states must be product pure, or that input is the witness.  Then the
     feeds are read at the uniform states (:func:`_read_feeds`).  A slot fed
-    by no input is indeterminate: it writes one state for all these inputs.
-    Otherwise every slot has one feed, as no input feeds two, so the feeds
-    are a permutation, and the one comparison at ``tol`` against the rebuilt
-    map decides.  Every other failure gets a witness.
+    by no input, once each section map fits its proposal at ``tol``, is
+    indeterminate.  Otherwise the feeds are a permutation (no input feeds
+    two slots), and the one comparison at ``tol`` against the rebuilt map
+    decides.  Every other failure gets a witness.
     """
     _check_numbers(tol, seed=seed)
     n = len(op.in_dims)
@@ -330,9 +340,12 @@ def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
     read = _read_feeds(op, base, tol)
     if read is None:
         return _multi_not_preserver(op, tol, seed)
-    feeds = read[1]
+    sections, feeds = read
     # a slot fed twice, as by a joint carry of two inputs, leaves another unfed
     if [] in feeds:
+        if not all(_compare(s, c, tol).equal for k, row in enumerate(sections)
+                   for s, c in zip(_section_maps(op, base, k), row)):
+            return _multi_not_preserver(op, tol, seed)
         return MultiClassification(INSUFFICIENT, detail=(
             f"output slot {feeds.index([]) + 1} is fed by no input factor: "
             "varying any one input leaves it fixed"))

@@ -86,6 +86,35 @@ def test_dim_one_input_classifies_as_trace_replacer():
                        iso.matrix @ iso.matrix.conj().T, atol=1e-10)
 
 
+def test_conjugation_decides_after_a_failed_trace_replacement_at_large_tol():
+    """At tol >= 1 - 1/m an exact conjugation's Phi(I)/m passes for pure, so
+    the trace replacement is proposed first; its rebuild fails and the
+    conjugation proposal, tried next, decides.  Trace replacers stay such."""
+    rng = np.random.default_rng(12)
+    for m, n, tol in ((2, 2, 0.5), (2, 3, 0.5), (3, 3, 0.7), (2, 2, 0.6)):
+        for flag in (LINEAR, CONJUGATE):
+            c = classify_pure_preserver(conjugation(random_isometry(n, m, rng, flag)), tol)
+            assert (c.kind, c.isometry.flag) == ("conjugation", flag), (m, n, tol)
+            assert c.residual <= tol
+        c = classify_pure_preserver(trace_replacer(random_pure(n, rng), (m,), (n,)), tol)
+        assert c.kind == "trace_replacer", (m, n, tol)
+
+
+def test_one_to_n_maps_near_tol_stay_trace_replacers():
+    """On a 1 -> n map both proposals are A -> Tr(A) vv+.  The trace
+    replacement is tried first, so scaled pure images up to tol away from
+    pure classify as trace replacers, as exact ones do."""
+    rng = np.random.default_rng(13)
+    for tol in (1e-8, 0.1, 0.5):
+        for n in (2, 3):
+            for frac in (-0.999, -0.5, 0.5, 0.999):
+                u = random_pure(n, rng).vector
+                p = (1 + frac * tol) * np.outer(u, u.conj())
+                op = from_action((1,), (n,), lambda a, p=p: HermitianOperator(a.matrix[0, 0] * p))
+                c = classify_pure_preserver(op, tol)
+                assert c.kind == "trace_replacer" and c.residual <= tol, (tol, n, frac)
+
+
 def _structured_isometries(m, n, rng):
     """Phased permutation columns, and isometries whose first rows vanish:
     the extraction pivot sits off (0, 0) and the first nonzero entry of the

@@ -476,6 +476,48 @@ def test_multi_insufficient_richness_for_constant_maps():
         assert "output slot 1 " in c.detail
 
 
+def test_multi_unfed_slot_needs_fitting_sections():
+    """Slot 3 of this (2,2,2) map writes a pure rho plus eps Tr(sigma_y A_1) X,
+    which vanishes at both probes, so the slot-3 section proposes a trace
+    replacer and leaves the slot unfed.  The section does not fit its
+    proposal, so the map is no preserver, not indeterminate."""
+    sigma_y = np.array([[0, -1j], [1j, 0]])
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    corner = np.diag([1.0, 0, 0, 0])
+    for eps in (1e-3, 0.1):
+        rho = random_pure(2, np.random.default_rng(5)).projection.matrix
+
+        def action(a, eps=eps, rho=rho):
+            kept = np.einsum("abcdec->abde", a.matrix.reshape((2,) * 6)).reshape(4, 4)
+            t = np.trace(np.kron(sigma_y, np.eye(4)) @ a.matrix)
+            return HermitianOperator(np.kron(kept, rho) + eps * t * np.kron(corner, x), (2, 2, 2))
+
+        op = from_action((2, 2, 2), (2, 2, 2), action)
+        feeds = _read_feeds(op, (uniform_state(2),) * 3, 1e-8)[1]
+        assert feeds[2] == [], eps
+        c = classify_multi_preserver(op)
+        assert c.kind == "not_preserver", (eps, c.kind)
+        assert not is_product_pure(apply(op, tensor_all(
+            [s.projection for s in c.witness]).with_dims((2, 2, 2))))[0]
+
+
+def test_product_forms_at_large_tol():
+    """At tol = 0.5 a carried slot's section of an exact form also passes
+    the trace-replacer purity test; the section proposes its conjugation,
+    so exact forms keep their verdicts."""
+    rng = np.random.default_rng(25)
+    for tag in range(1, 8):
+        for m, n in itertools.product((2, 3), repeat=2):
+            if legal_dims(tag, m, n):
+                c = classify_sep_preserver(canonical_sep(random_sep_form(tag, m, n, rng), (m, n)),
+                                           0.5)
+                assert (c.kind, c.tag) == ("form", tag), (tag, m, n, c.kind)
+    for perm in itertools.permutations((1, 2, 3)):
+        isos = tuple(random_isometry(2, 2, rng, random_flag(rng)) for _ in range(3))
+        c = classify_multi_preserver(canonical_multi(MultiForm(perm, isos), (2, 2, 2)), 0.5)
+        assert c.kind == "multi_form" and c.form.perm == perm, (perm, c.kind)
+
+
 def _doubling_on_input_1(rng):
     """A (x) B (x) C -> Tr(B) Tr(C) G(A) (x) r on (2,2,2), with G linear, both
     marginals of G(A) equal to A, and G(p) = p (x) p at the basis_state(2, 0)
