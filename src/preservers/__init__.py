@@ -5,7 +5,6 @@ construction, application, and classification with certified parameters.
 from .errors import ClassificationError, ContractError, NumericError, StructureError
 from .linalg import (
     EPS_CLS,
-    EPS_EIG,
     EPS_HERM,
     PURITY_TOL,
     HermitianOperator,

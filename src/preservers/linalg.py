@@ -9,7 +9,7 @@ the product basis vector ``e_i (x) u_j`` sits at flat index ``i * dimK + j``.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .errors import NumericError, StructureError
 
 # Fixed numerical contract of the whole package.
 EPS_HERM = 1e-9      # relative Frobenius tolerance for hermiticity at construction
-EPS_EIG = 1e-10      # relative eigendecomposition reconstruction tolerance
 PURITY_TOL = 1e-8    # default second-eigenvalue threshold for purity
 EPS_ISOMETRY = 1e-8  # tolerance on ||V+V - I||_F for isometries
 EPS_CLS = 1e-8       # default classification tolerance
@@ -233,14 +232,21 @@ def swap_theta(a: HermitianOperator) -> HermitianOperator:
     return permute_factors(a, (2, 1))
 
 
+def _reduced(stack: np.ndarray, dims, f: int) -> np.ndarray:
+    """Reductions (t, d_f, d_f) to factor f (0-based) of the stack (t, D, D)
+    on the factors ``dims``: the partial trace of every other factor."""
+    n = len(dims)
+    rows = list(range(1, n + 1))
+    cols = rows[:f] + [n + 1] + rows[f + 1:]
+    t = stack.reshape((len(stack),) + tuple(dims) * 2)
+    return np.einsum(t, [0] + rows + cols, [0, f + 1, n + 1])
+
+
 def reduce_to_factor(a: HermitianOperator, which: int) -> HermitianOperator:
-    """Partial trace of every factor except ``which``."""
-    t, dims, n = _reshaped(a)
-    f = _factor_index(which, n)
-    row = list(range(n))
-    col = [i if i != f else n for i in range(n)]
-    out = np.einsum(t, row + col, [f, n])
-    return HermitianOperator(np.ascontiguousarray(out), (dims[f],))
+    """Partial trace of every factor except ``which`` (1-based): the one-image
+    view of the stacked reduction that product purity tests."""
+    f = _factor_index(which, len(a.factor_dims()))
+    return HermitianOperator(_reduced(a.matrix[None], a.dims, f)[0], (a.dims[f],))
 
 
 # ---------------------------------------------------------------------------
@@ -282,26 +288,17 @@ def is_pure(a: HermitianOperator, tol: float = PURITY_TOL):
 
 
 def is_product_pure(a: HermitianOperator, tol: float = PURITY_TOL):
-    """Test membership in the set of product pure states.
-
-    True iff the operator is pure and every single-factor reduction is pure;
-    the recovered per-factor states tensor back to the input within ``tol``.
-    """
-    dims = a.factor_dims()
-    ok, _ = is_pure(a, tol)
-    if not ok:
+    """Test membership in the set of product pure states at ``tol``: the
+    one-image view of :func:`first_not_product_pure`, whose checks it runs.
+    On success also returns the top eigenvectors of the factor reductions as
+    canonical-phase PureStates.  Raises NumericError when the solver fails."""
+    try:
+        limit, tops = _product_pure_prefix(a.matrix[None], a.factor_dims(), tol)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+    if limit == 0:
         return False, None
-    factors = []
-    for i in range(len(dims)):
-        red = reduce_to_factor(a, i + 1)
-        ok_i, state = is_pure(red, tol)
-        if not ok_i:
-            return False, None
-        factors.append(state)
-    recon = tensor_all([f.projection for f in factors])
-    if np.max(np.abs(recon.matrix - a.matrix)) > max(tol, 1e-10):
-        return False, None
-    return True, factors
+    return True, [pure_state(v[0]) for v in tops]
 
 
 def _first_true(bad: np.ndarray, limit: int) -> int:
@@ -360,37 +357,39 @@ def first_not_pure(images: np.ndarray, tol: float = PURITY_TOL):
     return first if first < len(images) else None
 
 
+def _product_pure_prefix(images: np.ndarray, dims, tol: float):
+    """(limit, tops): the index of the first image that
+    :func:`first_not_product_pure` rejects, or t, and in ``tops[f]`` (limit,
+    d_f) the top eigenvectors of the factor-f reductions of the images before
+    it (``tops`` is empty when limit is 0)."""
+    # eigh, not eigvalsh: a single image's spectrum is then that of is_pure
+    limit = _first_true(_not_pure(images, tol, lambda a: np.linalg.eigh(a)[0]), len(images))
+    tops = []
+    for f in range(len(dims)):
+        if limit == 0:
+            return 0, []
+        w, v = np.linalg.eigh(_reduced(images[:limit], dims, f))
+        limit = _first_true(spectral_defect(w) > tol, limit)
+        tops.append(v[:, :, -1:])
+    psi = reduce(_kron, [v[:limit] for v in tops])
+    dev = np.abs(psi * psi.conj().swapaxes(1, 2) - images[:limit]).max(axis=(1, 2))
+    limit = _first_true(dev > tol, limit)
+    return limit, [v[:limit, :, 0] for v in tops]
+
+
 def first_not_product_pure(images: np.ndarray, dims, tol: float = PURITY_TOL):
     """Index of the first matrix of the Hermitian stack ``images`` (t, D, D)
-    on the factors ``dims`` that :func:`is_product_pure` rejects at ``tol``,
-    or None.
+    on the factors ``dims`` that is not product pure at ``tol``, or None.
 
-    The checks and thresholds are those of :func:`is_product_pure`: the
-    image is pure (the certificate of :func:`_not_pure`, then a stacked
-    ``eigh`` of the images it cannot clear), every single-factor reduction
-    is pure (one stacked ``eigh`` each), and the tensor product of the
-    reductions' top eigenvectors rebuilds the image within max(tol, 1e-10).
-    Each check only looks at the images before the first failure found so
-    far, so a failing first image costs one eigendecomposition.
+    An image is product pure when it is pure (the certificate of
+    :func:`_not_pure`, then ``eigh`` of the images it cannot clear), every
+    factor reduction is pure (one stacked ``eigh`` each) and the tensor
+    product of their top eigenvectors rebuilds it within ``tol``, the one
+    threshold of all three checks.  Each check looks only at the images
+    before the first failure so far, so a failing first image costs one
+    eigensolve.
     """
-    dims = tuple(dims)
-    n = len(dims)
-    # eigh rather than eigvalsh, as in is_pure, so the eigenvalues and hence
-    # the verdicts are those of the single-image tests
-    limit = _first_true(_not_pure(images, tol, lambda a: np.linalg.eigh(a)[0]), len(images))
-    t = images.reshape((len(images),) + dims * 2)
-    rows = list(range(1, n + 1))
-    psi = np.ones((limit, 1), dtype=np.complex128)
-    for f in range(n):
-        if limit == 0:
-            return 0
-        cols = rows[:f] + [n + 1] + rows[f + 1:]
-        w, v = np.linalg.eigh(np.einsum(t[:limit], [0] + rows + cols, [0, f + 1, n + 1]))
-        limit = _first_true(spectral_defect(w) > tol, limit)
-        psi = (psi[:limit, :, None] * v[:limit, None, :, -1]).reshape(limit, psi.shape[1] * dims[f])
-    recon = psi[:, :, None] * psi[:, None, :].conj()
-    dev = np.abs(recon - images[:limit]).max(axis=(1, 2))
-    limit = _first_true(dev > max(tol, 1e-10), limit)
+    limit = _product_pure_prefix(images, dims, tol)[0]
     return limit if limit < len(images) else None
 
 

@@ -36,13 +36,12 @@ from .linalg import (
     PureState,
     _check_numbers,
     _kron,
+    _reduced,
     basis_state,
     first_not_product_pure,
-    is_product_pure,
     partial_trace,
     spanning_states,
     tensor,
-    tensor_all,
     uniform_state,
 )
 from .pure_analysis import CONJUGATION, NOT_PRESERVER, _compare, _propose_pure, _scan
@@ -90,15 +89,8 @@ def _section_maps(op: SuperOperator, states, k: int) -> list[SuperOperator]:
     inputs = reduce(_kron, [units if i == k else s.projection.matrix
                             for i, s in enumerate(states)])
     images = basis.from_coords(basis.coords(inputs) @ op.coeff.T, op.out_dim)
-    n = len(op.out_dims)
-    images = images.reshape((d * d,) + op.out_dims * 2)
-    rows = list(range(1, n + 1))
-    maps = []
-    for j, dj in enumerate(op.out_dims):
-        cols = rows[:j] + [n + 1] + rows[j + 1:]
-        reduced = np.einsum(images, [0] + rows + cols, [0, j + 1, n + 1])
-        maps.append(SuperOperator((d,), (dj,), np.ascontiguousarray(basis.coords(reduced).T)))
-    return maps
+    return [SuperOperator((d,), (dj,), np.ascontiguousarray(
+        basis.coords(_reduced(images, op.out_dims, j)).T)) for j, dj in enumerate(op.out_dims)]
 
 
 def _section_proposal(s: SuperOperator, tol: float):
@@ -311,13 +303,14 @@ def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
     """Classify an n-factor map as a factor permutation with per-slot
     isometric conjugations, when its section maps determine one.
 
-    The images of the ``basis_state(d, 0)`` anchors and of the uniform
-    states must be product pure, or that input is the witness.  Then the
-    feeds are read at the uniform states (:func:`_read_feeds`).  A slot fed
-    by no input, once each section map fits its proposal at ``tol``, is
-    indeterminate.  Otherwise the feeds are a permutation (no input feeds
-    two slots), and the one comparison at ``tol`` against the rebuilt map
-    decides.  Every other failure gets a witness.
+    The ``basis_state(d, 0)`` anchors and the uniform states, the first two
+    candidates of the witness scan, must have product pure images, or that
+    input is the witness.  Then the feeds are read at the uniform states
+    (:func:`_read_feeds`).  A slot fed by no input, once each section map
+    fits its proposal at ``tol``, is indeterminate; a dimension-1 slot is
+    never fed, and gets no other special case.  Otherwise the feeds are a
+    permutation (no input feeds two slots), and the one comparison at ``tol``
+    against the rebuilt map decides.  Every other failure gets a witness.
     """
     _check_numbers(tol, seed=seed)
     n = len(op.in_dims)
@@ -326,16 +319,11 @@ def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
     if op.in_dims != op.out_dims:
         raise StructureError("multipartite classification needs matching input/output dims")
     dims = op.in_dims
-    if any(d == 1 for d in dims):
-        return MultiClassification(
-            INSUFFICIENT, detail="a dimension-1 factor admits no independent image pair"
-        )
     anchors = tuple(basis_state(d, 0) for d in dims)
     base = tuple(uniform_state(d) for d in dims)
-    for probe in (anchors, base):
-        img = apply(op, tensor_all([s.projection for s in probe]).with_dims(dims))
-        if not is_product_pure(img, tol)[0]:
-            return MultiClassification(NOT_PRESERVER, witness=probe)
+    hit = _scan(op, dims, _first_not_product(op, tol), (anchors, base))
+    if hit is not None:
+        return MultiClassification(NOT_PRESERVER, witness=hit[1])
 
     read = _read_feeds(op, base, tol)
     if read is None:
@@ -350,8 +338,7 @@ def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
             f"output slot {feeds.index([]) + 1} is fed by no input factor: "
             "varying any one input leaves it fixed"))
     form = MultiForm(tuple(fed[0][0] + 1 for fed in feeds), tuple(fed[0][1] for fed in feeds))
-    candidate = canonical_multi(form, dims)
-    cmp = superop_equal(op, candidate, tol)
+    cmp = superop_equal(op, canonical_multi(form, dims), tol)
     if not cmp.equal:
         return _multi_not_preserver(op, tol, seed)
     return MultiClassification(MULTI_FORM, form=form, residual=cmp.max_dev)

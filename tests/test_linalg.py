@@ -13,6 +13,7 @@ from conftest import (
 )
 from preservers import (
     HermitianOperator,
+    NumericError,
     SepForm,
     StructureError,
     basis_state,
@@ -31,6 +32,7 @@ from preservers import (
     random_hermitian,
     random_isometry,
     random_pure,
+    reduce_to_factor,
     swap_theta,
     tensor,
     tensor_all,
@@ -322,6 +324,37 @@ def test_is_product_pure_agrees_with_brute_force_oracle():
         assert got == want, (trial, kind)
         agree += 1
     assert agree == 1000
+
+
+def test_product_purity_rebuild_uses_tol_alone():
+    """psi = a (x) b + eps a' (x) b' (a' orthogonal to a, b' to b) passes the
+    spectrum checks of the image and of both reductions at tol = 1e-12, its
+    defects being about eps^2, but the rebuild from the reductions deviates
+    by about eps = 2e-11: tol is the rebuild's threshold too.  Exact products
+    still pass down to tol = 1e-14."""
+    rng = np.random.default_rng(50)
+    eps, tol = 2e-11, 1e-12
+    for dims in ((2, 2), (2, 3), (3, 3)):
+        a, b = (np.linalg.qr(rng.standard_normal((k, 2)) + 1j * rng.standard_normal((k, 2)))[0]
+                for k in dims)
+        psi = np.kron(a[:, 0], b[:, 0]) + eps * np.kron(a[:, 1], b[:, 1])
+        img = pure_state(psi).projection.with_dims(dims)
+        assert purity_defect(img) <= tol
+        assert all(purity_defect(reduce_to_factor(img, k)) <= tol for k in (1, 2))
+        assert not is_product_pure(img, tol)[0]
+        assert first_not_product_pure(img.matrix[None], dims, tol) == 0
+        assert is_product_pure(img, 1e-10)[0]
+    for dims in ((2, 2), (2, 3), (1, 3), (2, 2, 2), (3, 3)):
+        stack = np.array([tensor_all([random_pure(k, rng).projection for k in dims]).matrix
+                          for _ in range(60)])
+        for tol in (1e-11, 1e-12, 1e-13, 1e-14):
+            assert all(is_product_pure(HermitianOperator(m, dims), tol)[0] for m in stack)
+            assert first_not_product_pure(stack, dims, tol) is None
+
+
+def test_is_product_pure_reports_solver_failure():
+    with pytest.raises(NumericError):
+        is_product_pure(HermitianOperator(np.full((4, 4), np.nan, dtype=complex), (2, 2)))
 
 
 def _near_product_states(rng, dims, count):

@@ -600,6 +600,26 @@ def test_multi_dim_one_factor_insufficient():
     assert c.kind == "insufficient_richness"
 
 
+def test_multi_dim_one_factors_take_the_general_path():
+    """A dimension-1 factor gets no special case: non-preservers on (2,1,2)
+    get certified witnesses, while exact permutation maps and the identity
+    on (1,1,1) stay indeterminate through their unfed dimension-1 slot."""
+    rng = np.random.default_rng(60)
+    dims = (2, 1, 2)
+    bell = pure_state(np.array([1, 0, 0, 1]) / np.sqrt(2))
+    isos = (random_isometry(2, 2, rng), random_isometry(1, 1, rng), random_isometry(2, 2, rng))
+    perm = canonical_multi(MultiForm((3, 2, 1), isos), dims)
+    noisy = make_superop(dims, dims, perm.coeff + 1e-3 * rng.standard_normal(perm.coeff.shape))
+    for op in (trace_replacer(bell, dims, dims), noisy):
+        c = classify_multi_preserver(op)
+        assert c.kind == "not_preserver"
+        assert not is_product_pure(apply(op, tensor_all(
+            [s.projection for s in c.witness]).with_dims(dims)))[0]
+    pair = canonical_multi(MultiForm((1, 2), isos[:2]), (2, 1))
+    for op in (pair, perm, identity_superop((1, 1, 1))):
+        assert classify_multi_preserver(op).kind == "insufficient_richness"
+
+
 def test_multi_perturbed_map_rejected():
     rng = np.random.default_rng(14)
     dims = (2, 2, 2)
