@@ -71,8 +71,9 @@ def _scan(op: SuperOperator, dims, first_bad, family=(), random_tries: int = 0, 
     rejected one, or None.  Inputs are tested in blocks that double from one
     input up to ``BLOCK_ENTRIES // D**2`` inputs, so an early failure costs
     one small block: the purity kernels eigensolve a block of one image (or
-    of few entries) directly and clear the images of larger blocks by a
-    certificate first.  A block's images come from one coefficient product.
+    of few entries), and of a larger block only the images that their
+    certificates cannot clear, at every stage of the product test.  A
+    block's images come from one coefficient product.
     Each block of draws is one ``standard_normal((t, 2 * sum(dims)))``, the
     stream of ``t`` rounds of ``random_pure`` calls (real then imaginary
     part, factor by factor), so the result is that of a state-by-state scan;
@@ -193,17 +194,19 @@ def classify_pure_preserver(op: SuperOperator, tol: float = EPS_CLS,
     """Decide trace replacement vs isometric conjugation vs non-preserver.
 
     ``tol`` is the only threshold.  The proposals of :func:`_propose_pure`
-    are rebuilt and compared coefficientwise at ``tol`` in turn, and the
-    first that passes decides; none passing goes to the witness search.
+    are rebuilt and compared coefficientwise at ``tol``; the closer of those
+    that pass decides (the trace replacement on a tie or a 1 -> n map, where
+    both are one map), and none passing goes to the witness search.
     """
     _check_numbers(tol, seed=seed)
     if len(op.in_dims) != 1 or len(op.out_dims) != 1:
         raise StructureError("single-factor maps only; use the bipartite classifier")
+    best = None
     for c in _propose_pure(op, tol):
         cmp = _compare(op, c, tol)
-        if cmp.equal:
-            return replace(c, residual=cmp.max_dev)
-    return _not_preserver(op, tol, seed)
+        if cmp.equal and (best is None or op.in_dim > 1 and cmp.max_dev < best.residual):
+            best = replace(c, residual=cmp.max_dev)
+    return best or _not_preserver(op, tol, seed)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Core kernel tests: tensor structure, partial operations, spectra, purity."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +15,12 @@ from conftest import (
 )
 from preservers import (
     HermitianOperator,
+    MultiForm,
     NumericError,
     SepForm,
     StructureError,
     basis_state,
+    canonical_multi,
     canonical_sep,
     conjugation,
     eig_hermitian,
@@ -41,6 +45,8 @@ from preservers import (
 from preservers.linalg import (
     _kron,
     _not_pure,
+    _rebuild_deviation,
+    _reduced,
     as_rng,
     first_not_product_pure,
     first_not_pure,
@@ -482,10 +488,120 @@ def test_purity_certificate_falls_back_on_degenerate_images():
             assert first_not_product_pure(stack, (3,), tol) == 15
 
 
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (1, 3), (2, 2, 2)])
+def test_stacked_product_purity_agrees_with_brute_force_oracle(dims):
+    """Stacks of exact products with a few entangled pure and mixed states
+    among them, all far from ``tol``: the first rejected index of every
+    suffix long enough to take the certificates is the projector-identity
+    oracle's."""
+    rng = np.random.default_rng(17)
+    d = int(np.prod(dims))
+    mats = []
+    for kind in rng.choice(3, size=48, p=(0.8, 0.1, 0.1)):
+        if kind == 0:
+            mats.append(tensor_all([random_pure(k, rng).projection for k in dims]).matrix)
+        elif kind == 1:
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            mats.append(pure_state(v).projection.matrix)
+        else:
+            w = rng.dirichlet(np.ones(d))
+            vecs = [random_pure(d, rng).vector for _ in range(d)]
+            mats.append(sum(wi * np.outer(v, v.conj()) for wi, v in zip(w, vecs)))
+    stack = np.array(mats)
+    want = [not product_pure_oracle(m, dims) for m in stack]
+    assert 0 < sum(want) < len(want)
+    shortest = -(-128 // (d * d))
+    for start in range(len(stack) - max(2, shortest) + 1):
+        assert first_not_product_pure(stack[start:], dims) == _first(want[start:]), start
+
+
+def _entangled_by(rng, dims, tol, count):
+    """psi = a (x) b + eps a' (x) b' (primed factors orthogonal to unprimed,
+    one pair per factor), eps scaled so that the rebuild deviation of the
+    product a (x) b straddles ``tol``: the image is pure, and the rebuild
+    decides."""
+    out = []
+    for _ in range(count):
+        pairs = [np.linalg.qr(rng.standard_normal((k, 2)) + 1j * rng.standard_normal((k, 2)))[0]
+                 for k in dims]
+        p0 = reduce(np.kron, [x[:, 0] for x in pairs])
+        p1 = reduce(np.kron, [x[:, 1] for x in pairs])
+        scale = np.abs(np.outer(p0, p1.conj()) + np.outer(p1, p0.conj())).max()
+        psi = p0 + tol * 10 ** rng.uniform(-0.3, 0.3) / scale * p1
+        out.append(pure_state(psi).projection.matrix)
+    return np.array(out)
+
+
+def _mixed_reductions(dims, shifts):
+    """Images (1 + s) |B><B| - s I for the shifts s, B entangling factor 1
+    with the others: the spectrum is off pure by s, the factor-1 reduction
+    is a multiple of the identity, and where s >= 1/(D - 1) it has no
+    positive diagonal entry, so its certificate bound is NaN."""
+    d = int(np.prod(dims))
+    b = np.zeros(d)
+    b[::d // dims[0] + 1] = 1 / np.sqrt(dims[0])
+    return np.array([(1 + s) * np.outer(b, b) - s * np.eye(d) for s in shifts], dtype=complex)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+def test_product_certificate_keeps_the_solver_verdicts(dims, monkeypatch):
+    """The reduction and rebuild certificates only skip eigensolves: on
+    states where the reductions and the rebuild decide, the single-image
+    verdicts (the solver's) and the first rejected index of every suffix of
+    a large stack agree, and on the accepted images the certificates clear
+    some but not all."""
+    rng = np.random.default_rng(60 + len(dims))
+    solved = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.shape) or eigh(a))
+    for tol in (1e-8, 0.1, 0.3):
+        stack = np.concatenate([_entangled_by(rng, dims, tol, 60),
+                                _near_product_states(rng, dims, 40),
+                                _rank_one_plus_noise(rng, dims, tol, 40),
+                                _mixed_reductions(dims, np.linspace(tol / 3, 0.99 * tol, 4))])
+        stack = stack[rng.permutation(len(stack))]
+        want = [first_not_product_pure(m[None], dims, tol) == 0 for m in stack]
+        assert 0 < sum(want) < len(want)
+        for start in range(len(stack) - 2):
+            assert first_not_product_pure(stack[start:], dims, tol) == _first(want[start:])
+        accepted = stack[~np.array(want)]
+        solved.clear()
+        assert first_not_product_pure(accepted, dims, tol) is None
+        reductions = [s[0] for s in solved if s[1] == dims[0]]
+        assert reductions and 0 < reductions[0] < len(accepted), (tol, reductions)
+    # past 30 products that the certificates clear, the images whose spectra
+    # pass but whose factor-1 reductions have NaN bounds go to the solver
+    d = int(np.prod(dims))
+    for tol in [t for t in (0.25, 0.3) if 1 / (d - 1) < t]:
+        stack = np.concatenate([_entangled_by(rng, dims, 1e-12, 30),
+                                _mixed_reductions(dims, np.linspace(1 / (d - 1), 0.99 * tol, 3))])
+        assert first_not_product_pure(stack, dims, tol) == 30
+
+
+def test_product_certificate_leaves_room_for_solver_error():
+    """At a tolerance just below the solver's own rebuild deviation of an
+    image whose spectrum and reductions pass, the image is rejected: the
+    certificate's bound exceeds that deviation by its slack, even where the
+    two agree to rounding (exact products, at a tolerance of the order of
+    rounding, and psi = a (x) b + 1e-9 a' (x) b')."""
+    rng = np.random.default_rng(61)
+    for dims in ((2, 2), (1, 3), (3, 3), (2, 2, 2)):
+        exact = np.array([tensor_all([random_pure(k, rng).projection for k in dims]).matrix
+                          for _ in range(300)])
+        images = exact if 1 in dims else np.concatenate([exact, _entangled_by(rng, dims, 1e-9, 60)])
+        for img in images:
+            solved = [np.linalg.eigh(_reduced(img[None], dims, f)) for f in range(len(dims))]
+            tol = np.nextafter(_rebuild_deviation([v[:, :, -1:] for _, v in solved], img[None])[0], 0)
+            if max(spectral_defect(w)[0] for w in [np.linalg.eigh(img[None])[0]] + [w for w, _ in solved]) > tol:
+                continue
+            assert first_not_product_pure(img[None], dims, tol) == 0
+            assert first_not_product_pure(np.array([img] * 16), dims, tol) == 0
+
+
 def test_exact_forms_make_no_stacked_image_eigensolve(monkeypatch):
     """Monte-Carlo verification of exact forms eigensolves its one-image
-    probe and the small reductions only; every larger stack of images is
-    cleared by the certificate."""
+    probe and that probe's reductions only; every larger stack of images,
+    and of their reductions, is cleared by the certificates."""
     rng = np.random.default_rng(41)
     shapes = []
 
@@ -499,6 +615,14 @@ def test_exact_forms_make_no_stacked_image_eigensolve(monkeypatch):
     assert mc_verify_product(op, 1000, 3).passed
     assert (1, 9, 9) in shapes and len(shapes) > 2
     assert not [s for s in shapes if s[1:] == (9, 9) and s[0] > 1]
+    # nor is any stacked reduction solved, here or on a multipartite form
+    assert (1, 3, 3) in shapes and not [s for s in shapes if s[0] > 1]
+    shapes.clear()
+    op = canonical_multi(MultiForm((3, 1, 2), [random_isometry(2, 2, rng) for _ in range(3)]),
+                         (2, 2, 2))
+    assert mc_verify_product(op, 1000, 3).passed
+    assert (1, 8, 8) in shapes and (1, 2, 2) in shapes
+    assert not [s for s in shapes if s[0] > 1]
     shapes.clear()
     assert mc_verify_pure(conjugation(random_isometry(9, 4, rng)), 1000, 3).passed
     assert shapes and not [s for s in shapes if s[0] > 1]

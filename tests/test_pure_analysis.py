@@ -100,6 +100,20 @@ def test_conjugation_decides_after_a_failed_trace_replacement_at_large_tol():
         assert c.kind == "trace_replacer", (m, n, tol)
 
 
+def test_best_fitting_proposal_decides_at_large_tol():
+    """At tol 0.7 an exact 3 -> 4 conjugation's trace-replacer rebuild may
+    pass the coefficient comparison too; the conjugation, whose rebuild is
+    exact, fits better and decides.  Exact trace replacers keep their kind."""
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        for flag in (LINEAR, CONJUGATE):
+            c = classify_pure_preserver(conjugation(random_isometry(4, 3, rng, flag)), 0.7)
+            assert (c.kind, c.isometry and c.isometry.flag) == ("conjugation", flag)
+            assert c.residual <= 1e-12
+        c = classify_pure_preserver(trace_replacer(random_pure(4, rng), (3,), (4,)), 0.7)
+        assert c.kind == "trace_replacer" and c.residual <= 1e-12
+
+
 def test_one_to_n_maps_near_tol_stay_trace_replacers():
     """On a 1 -> n map both proposals are A -> Tr(A) vv+.  The trace
     replacement is tried first, so scaled pure images up to tol away from
