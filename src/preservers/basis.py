@@ -43,12 +43,6 @@ def basis_element(d: int, idx: int) -> np.ndarray:
     return basis_elements(d, idx, idx + 1)[0]
 
 
-def pair_index(d: int, i, j):
-    """Basis index of the symmetric element for the pair i < j (elementwise
-    on integer arrays); the antisymmetric element follows it."""
-    return d + 2 * (i * (2 * d - i - 1) // 2 + j - i - 1)
-
-
 def basis_label(d: int, idx: int) -> str:
     """Human-readable name of a basis element, e.g. 'E11', 'X01', 'Y01'."""
     if idx < d:

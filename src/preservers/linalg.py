@@ -89,11 +89,15 @@ def _check_dims(dims, total: int) -> tuple[int, ...] | None:
 
 
 def herm(matrix, dims=None, tol: float = EPS_HERM) -> HermitianOperator:
-    """Validate hermiticity within ``tol`` (relative Frobenius) and symmetrize."""
+    """Validate finiteness and hermiticity within ``tol`` (relative
+    Frobenius) and symmetrize."""
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StructureError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.linalg.norm(m)))
+    norm = float(np.linalg.norm(m))
+    if not norm < np.inf:
+        raise StructureError(f"matrix is not finite: ||A||_F = {norm}")
+    scale = max(1.0, norm)
     dev = float(np.linalg.norm(m - m.conj().T))
     if dev > tol * scale:
         raise StructureError(f"matrix is not Hermitian: ||A - A+||_F = {dev:.3e}")
@@ -128,11 +132,11 @@ class PureState:
 
 
 def pure_state(vector) -> PureState:
-    """Normalize a nonzero complex vector and fix its canonical phase."""
+    """Normalize a nonzero finite complex vector and fix its canonical phase."""
     v = np.asarray(vector, dtype=np.complex128).reshape(-1)
     norm = float(np.linalg.norm(v))
-    if norm < 1e-150:
-        raise StructureError("cannot normalize a (numerically) zero vector")
+    if not 1e-150 <= norm < np.inf:
+        raise StructureError(f"cannot normalize a (numerically) zero or non-finite vector ({norm})")
     v = v / norm
     return PureState(v * canonical_phase(v).conjugate())
 

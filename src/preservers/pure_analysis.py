@@ -2,16 +2,17 @@
 
 A real-linear map sending every rank-1 projection to a rank-1 projection is
 either trace replacement A -> Tr(A) R or an isometric conjugation
-A -> VAV+ / V A^t V+.  A proposal reads R off Phi(I)/m, and V off one
-column of the rank-one Choi matrix of the map's complex-linear extension
-(of its input partial transpose under the conjugate flag), built from the
-images of one column of matrix units only.  Proposals also read the product
-classifiers' section maps, but only the coefficient comparison against the
-rebuilt map decides; a failure gets a pure state whose image fails purity.
-The classification tolerance is the only threshold.
+A -> VAV+ / V A^t V+.  A proposal is read off the stack of basis images
+Phi(B_k), the form the product classifiers' section maps take too: R off
+Phi(I)/m, and V off one column of the rank-one Choi matrix of the
+complex-linear extension (of its input partial transpose under the
+conjugate flag).  Only the coefficient comparison against the rebuilt map
+decides; a failure gets a pure state whose image fails purity.  The
+classification tolerance is the only threshold.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -140,9 +141,9 @@ def _not_preserver(op: SuperOperator, tol: float, seed: int) -> PureClassificati
                               residual=float(spectral_defect(np.linalg.eigvalsh(image))))
 
 
-def _propose_pure(op: SuperOperator, tol: float):
-    """Yield the unverified proposals (residual 0) read off a single-factor
-    map's images: the trace replacement, then the conjugation.
+def _propose_pure(images: np.ndarray, tol: float):
+    """Yield the unverified proposals (residual 0) read off the basis images
+    Phi(B_k), a stack (m*m, n, n): the trace replacement, then the conjugation.
 
     (1) Trace replacement: R = Phi(I)/m must be pure.  (2) Every diagonal
     image Phi(E_jj) must be pure, or there is no conjugation.
@@ -150,31 +151,25 @@ def _propose_pure(op: SuperOperator, tol: float):
     and that of A -> V A^t V+ has a rank-one input partial transpose, so V
     is one column of it.  With the pivot (c, j) the largest diagonal entry
     of the Phi(E_jj), column i of V is Phi(E_ij) e_c (linear flag) or
-    Phi(E_ji) e_c (conjugate flag) over sqrt(Phi(E_jj)[c, c]); only these m
-    images are built.  The flag whose V is closer to an isometry is kept
-    (linear on a tie, as for m = 1), V must be an isometry (||V+V - I||_F at
-    most ``tol``) and its global phase is fixed as :func:`pure_state` fixes
-    that of its first column.
+    Phi(E_ji) e_c (conjugate flag) over sqrt(Phi(E_jj)[c, c]), and since
+    Phi(E_ij) = sum_k B_k[j, i] Phi(B_k) (the B_k are Hermitian), each is one
+    product of column c of every image with the basis.  The flag whose V is
+    closer to an isometry is kept (linear on a tie, as for m = 1), V must be
+    an isometry (||V+V - I||_F at most ``tol``) and its global phase is fixed
+    as :func:`pure_state` fixes that of its first column.
     """
-    m, n = op.in_dim, op.out_dim
-    diag = basis.from_coords(op.coeff[:, :m].T, n)
-    ok, r = is_pure(HermitianOperator(diag.sum(axis=0) / m, op.out_dims), tol)
+    m, n = math.isqrt(len(images)), images.shape[-1]
+    diag = images[:m]
+    ok, r = is_pure(HermitianOperator(diag.sum(axis=0) / m, (n,)), tol)
     if ok:
         yield PureClassification(TRACE_REPLACER, replacement=r)
     if m > n or first_not_pure(diag, tol) is not None:
         return
     j, c = np.unravel_index(np.argmax(np.diagonal(diag, axis1=1, axis2=2).real), (m, n))
-    # E_ij = (X + 1j * s * Y) / sqrt(2) with s = sign(i - j) for the pair
-    # elements X, Y of {i, j}, and E_ji takes -s; v[0] is the linear flag's
-    # V, v[1] the conjugate flag's
-    other = np.delete(np.arange(m), j)
-    col = basis.pair_index(m, np.minimum(other, j), np.maximum(other, j))
-    xy = basis.from_coords(op.coeff[:, np.concatenate([col, col + 1])].T, n)[:, :, c]
-    s = np.array([[1], [-1]]) * np.sign(other - j)
-    v = np.empty((2, n, m), dtype=np.complex128)
-    v[:, :, j] = diag[j, :, c]
-    v[:, :, other] = np.swapaxes(xy[:m - 1] + 1j * s[:, :, None] * xy[m - 1:], 1, 2) / basis.SQRT2
-    v /= np.sqrt(diag[j, c, c].real)
+    cols = images[:, :, c].T
+    units = basis.basis_elements(m, 0, m * m)
+    # v[0] is the linear flag's V, v[1] the conjugate flag's
+    v = np.stack([cols @ units[:, j, :], cols @ units[:, :, j]]) / np.sqrt(diag[j, c, c].real)
     defect = np.linalg.norm(np.swapaxes(v.conj(), 1, 2) @ v - np.eye(m), axis=(1, 2))
     k = int(defect[1] < defect[0])
     if defect[k] <= tol:
@@ -202,7 +197,7 @@ def classify_pure_preserver(op: SuperOperator, tol: float = EPS_CLS,
     if len(op.in_dims) != 1 or len(op.out_dims) != 1:
         raise StructureError("single-factor maps only; use the bipartite classifier")
     best = None
-    for c in _propose_pure(op, tol):
+    for c in _propose_pure(basis.from_coords(op.coeff.T, op.out_dim), tol):
         cmp = _compare(op, c, tol)
         if cmp.equal and (best is None or op.in_dim > 1 and cmp.max_dev < best.residual):
             best = replace(c, residual=cmp.max_dev)

@@ -23,6 +23,7 @@ indeterminate, provided each section map fits its proposal at ``tol``.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -75,30 +76,29 @@ def slice_phi(op: SuperOperator, a: HermitianOperator, b: HermitianOperator,
     return partial_trace(img, 2 if which == 1 else 1)
 
 
-def _section_maps(op: SuperOperator, states, k: int) -> list[SuperOperator]:
+def _section_maps(op: SuperOperator, states, k: int) -> list[np.ndarray]:
     """The single-factor maps X -> output factor j of op(s_1 (x) ... (x) s_n)
     with X in input slot k (0-based) and the pure states s_i elsewhere
-    (``states[k]`` is ignored), one map for every output factor j.
+    (``states[k]`` is ignored): one stack of basis images for every output j.
 
-    By the vec-Kronecker identity this is the product of the coefficient
-    matrix with the coordinates of the stacked inputs (basis element in slot
-    k), followed by a stacked reduction to each output factor.
+    By the vec-Kronecker identity the images of the stacked inputs (basis
+    element in slot k) are one product with the coefficient matrix, and a
+    stacked reduction to each output factor gives the sections.
     """
     d = op.in_dims[k]
     units = basis.basis_elements(d, 0, d * d)
     inputs = reduce(_kron, [units if i == k else s.projection.matrix
                             for i, s in enumerate(states)])
     images = basis.from_coords(basis.coords(inputs) @ op.coeff.T, op.out_dim)
-    return [SuperOperator((d,), (dj,), np.ascontiguousarray(
-        basis.coords(_reduced(images, op.out_dims, j)).T)) for j, dj in enumerate(op.out_dims)]
+    return [_reduced(images, op.out_dims, j) for j in range(len(op.out_dims))]
 
 
-def _section_proposal(s: SuperOperator, tol: float):
+def _section_proposal(s: np.ndarray, tol: float):
     """The first proposal of a section map on C^m, or its conjugation where
     ``tol`` >= 1 - 1/m > 0 lets an exact conjugation's Phi(I)/m pass for pure."""
     props = _propose_pure(s, tol)
     c = next(props, None)
-    if c is not None and c.isometry is None and 0 < 1 - 1 / s.in_dim <= tol:
+    if c is not None and c.isometry is None and 0 < 1 - 1 / math.isqrt(len(s)) <= tol:
         c = next(props, c)
     return c
 
@@ -331,8 +331,9 @@ def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
     sections, feeds = read
     # a slot fed twice, as by a joint carry of two inputs, leaves another unfed
     if [] in feeds:
-        if not all(_compare(s, c, tol).equal for k, row in enumerate(sections)
-                   for s, c in zip(_section_maps(op, base, k), row)):
+        if not all(_compare(SuperOperator((dims[k],), (dj,), basis.coords(s).T), c, tol).equal
+                   for k, row in enumerate(sections)
+                   for dj, s, c in zip(dims, _section_maps(op, base, k), row)):
             return _multi_not_preserver(op, tol, seed)
         return MultiClassification(INSUFFICIENT, detail=(
             f"output slot {feeds.index([]) + 1} is fed by no input factor: "

@@ -4,6 +4,7 @@ Validation errors carry the offending field path so command-line users can
 locate the problem; unknown basis tags are rejected rather than guessed at.
 """
 
+import itertools
 import json
 import math
 
@@ -41,6 +42,16 @@ def _need_dims(obj, key, path) -> list:
     return dims
 
 
+def _need_numbers(rows, path):
+    """Refuse entries of the 2-d list ``rows`` that are not JSON numbers:
+    strings, booleans and nulls, which NumPy would turn into floats."""
+    kinds = set(map(type, itertools.chain.from_iterable(rows)))
+    if not kinds <= {int, float}:
+        names = ", ".join(sorted({bool: "boolean", str: "string", type(None): "null"}.get(
+            k, k.__name__) for k in kinds - {int, float}))
+        raise StructureError(f"{path}: expected numbers, got {names}")
+
+
 def _as_float_rows(value, path):
     try:
         arr = np.array(value, dtype=np.float64)
@@ -48,6 +59,7 @@ def _as_float_rows(value, path):
         raise StructureError(f"{path}: not a numeric array ({exc})") from exc
     if arr.ndim != 2:
         raise StructureError(f"{path}: expected a 2-d array, got {arr.ndim}-d")
+    _need_numbers(value, path)
     return arr
 
 
@@ -113,6 +125,7 @@ def vector_from_json(obj, path: str) -> np.ndarray:
         raise StructureError(f"{path}: not a numeric array ({exc})") from exc
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise StructureError(f"{path}: expected a list of [re, im] pairs")
+    _need_numbers(obj, path)
     return arr[:, 0] + 1j * arr[:, 1]
 
 

@@ -176,8 +176,10 @@ def isometry(matrix, flag: str = LINEAR, tol: float = EPS_ISOMETRY) -> Isometry:
         v = v.reshape(-1, 1)
     if flag not in (LINEAR, CONJUGATE):
         raise StructureError(f"unknown conjugation flag {flag!r}")
+    if not np.isfinite(v).all():
+        raise StructureError("matrix is not an isometry: it has non-finite entries")
     dev = float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
-    if dev > tol:
+    if not dev <= tol:
         raise StructureError(f"matrix is not an isometry: ||V+V - I||_F = {dev:.3e}")
     return Isometry(v, flag)
 
@@ -473,8 +475,8 @@ def affine_to_linear(state_action, dim: int, tol: float = 1e-8, seed: int = 7) -
 
     The extension is solved from the action on a spanning family of pure
     states and then cross-checked on 20 random states; a deviation above
-    ``tol`` means the callable was not affine and raises ContractError, so
-    ``tol`` must satisfy 0 < tol < inf.
+    ``tol``, or a NaN one, means the callable was not a finite affine map
+    and raises ContractError, so ``tol`` must satisfy 0 < tol < inf.
     """
     _check_numbers(tol, seed=seed)
     states = spanning_states(dim)
@@ -487,6 +489,8 @@ def affine_to_linear(state_action, dim: int, tol: float = 1e-8, seed: int = 7) -
             out_dim = img.shape[0]
         outs.append(basis.coords(img))
     cols_out = np.column_stack(outs)
+    if not np.isfinite(cols_out).all():
+        raise ContractError("state action is not a finite affine map: an image is not finite")
     coeff = cols_out @ np.linalg.inv(cols_in)
     op = SuperOperator((dim,), (out_dim,), coeff)
 
@@ -497,10 +501,11 @@ def affine_to_linear(state_action, dim: int, tol: float = 1e-8, seed: int = 7) -
         rho = HermitianOperator(u @ np.diag(w).astype(np.complex128) @ u.conj().T, (dim,))
         direct = np.asarray(state_action(rho.matrix), dtype=np.complex128)
         lifted = apply(op, rho).matrix
-        if np.max(np.abs(direct - lifted)) > tol:
+        dev = np.max(np.abs(direct - lifted))
+        if not dev <= tol:
             raise ContractError(
-                "state action is not affine: linear extension disagrees with a "
-                f"direct evaluation by {np.max(np.abs(direct - lifted)):.3e}"
+                "state action is not a finite affine map: linear extension disagrees "
+                f"with a direct evaluation by {dev:.3e}"
             )
     return op
 

@@ -138,6 +138,18 @@ def test_classify_rejects_boolean_dims(capsys, monkeypatch):
     assert code == 2 and rep_out == "" and "$.in_dims" in err
 
 
+def test_classify_rejects_entries_that_are_not_numbers(capsys, monkeypatch):
+    """A coefficient written as a JSON string, boolean or null is malformed
+    input (exit 2, naming the field), not a number to classify."""
+    code, out, _ = run_cli(capsys, "make", "--form", "6", "--dims", "2,2", "--seed", "1")
+    for bad in ("0.5", True, None):
+        obj = json.loads(out)
+        obj["coeff"][3][5] = bad
+        code, rep_out, err = run_cli(capsys, "classify", "-", stdin=json.dumps(obj),
+                                     monkeypatch=monkeypatch)
+        assert code == 2 and rep_out == "" and "$.coeff: expected numbers" in err
+
+
 def test_classify_pure_maps(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "make", "--pure", "conjugation", "--dims", "2,4",
                            "--seed", "5", "--flags", "conjugate")

@@ -22,9 +22,12 @@ from preservers import (
     random_isometry,
     random_pure,
     superop_equal,
+    to_choi,
     trace_replacer,
 )
-from preservers.linalg import as_rng, purity_defect
+from preservers.basis import from_coords
+from preservers.linalg import as_rng, canonical_phase, purity_defect
+from preservers.pure_analysis import _propose_pure
 
 
 def test_trace_replacer_round_trip_exact():
@@ -161,6 +164,32 @@ def test_structured_isometries_recovered_up_to_phase(flag):
                 assert np.max(np.abs(got - phase * v)) <= 1e-10, (m, n, flag)
                 # canonical phase: the first column is its own pure_state representative
                 assert np.allclose(pure_state(got[:, 0]).vector, got[:, 0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("flag", [LINEAR, CONJUGATE])
+def test_proposed_isometry_is_the_pivot_column_of_the_choi_matrix(flag):
+    """Independent of the basis-image read: the proposal's V is the column
+    of the Choi matrix (of its input partial transpose under the conjugate
+    flag) at the largest diagonal entry, over the root of that entry, with
+    the canonical phase of its first column."""
+    rng = np.random.default_rng(9)
+    for n in range(1, 6):
+        for m in range(1, n + 1):
+            for noise in (1e-9, 1e-6, 1e-3):
+                base = conjugation(random_isometry(n, m, rng, flag))
+                op = make_superop((m,), (n,), base.coeff
+                                  + noise * rng.standard_normal(base.coeff.shape))
+                props = _propose_pure(from_coords(op.coeff.T, n), 0.1)
+                c = [p for p in props if p.kind == "conjugation"][0]
+                assert c.isometry.flag == (flag if m > 1 else LINEAR), (m, n, noise)
+                choi = to_choi(op).reshape(n, m, n, m)
+                if c.isometry.flag == CONJUGATE:
+                    choi = choi.swapaxes(1, 3)
+                choi = choi.reshape(n * m, n * m)
+                pivot = int(np.argmax(np.diagonal(choi).real))
+                ref = (choi[:, pivot] / np.sqrt(choi[pivot, pivot].real)).reshape(n, m)
+                ref = ref * canonical_phase(ref[:, 0]).conjugate()
+                assert np.max(np.abs(c.isometry.matrix - ref)) <= 1e-12, (m, n, noise)
 
 
 def test_small_noise_keeps_positive_verdicts():

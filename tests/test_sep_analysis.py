@@ -58,7 +58,7 @@ from preservers.sep_analysis import (
     _section_maps,
     find_product_witness,
 )
-from preservers.superop import SEP_SOURCES, conjugation, isometry, random_unitary
+from preservers.superop import SEP_SOURCES, SuperOperator, conjugation, isometry, random_unitary
 from preservers import basis, pure_analysis, sep_analysis
 
 
@@ -276,7 +276,7 @@ def test_rebuild_check_rejects_maps_hidden_from_the_anchor_slices():
             anchors = (basis_state(m, 0), basis_state(n, 0))
             for k in (0, 1):
                 for s, t in zip(_section_maps(op, anchors, k), _section_maps(base, anchors, k)):
-                    assert np.allclose(s.coeff, t.coeff, rtol=0, atol=1e-14)
+                    assert np.allclose(basis.coords(s).T, basis.coords(t).T, rtol=0, atol=1e-14)
             c = classify_sep_preserver(op)
             assert c.kind == "not_preserver", (tag, dims)
             assert c.grid == EXPECTED_GRID[tag]
@@ -705,12 +705,12 @@ def test_slice_superop_matches_slice_phi_reference():
             out_d = (m, n)[which - 1]
             ref = from_action((m,), (out_d,),
                               lambda a: slice_phi(op, a, q.projection, which))
-            got = _section_maps(op, (p, q), 0)[which - 1]
-            assert np.max(np.abs(got.coeff - ref.coeff)) <= 1e-14
+            got = basis.coords(_section_maps(op, (p, q), 0)[which - 1]).T
+            assert np.max(np.abs(got - ref.coeff)) <= 1e-14
             ref = from_action((n,), (out_d,),
                               lambda b: slice_phi(op, p.projection, b, which))
-            got = _section_maps(op, (p, q), 1)[which - 1]
-            assert np.max(np.abs(got.coeff - ref.coeff)) <= 1e-14
+            got = basis.coords(_section_maps(op, (p, q), 1)[which - 1]).T
+            assert np.max(np.abs(got - ref.coeff)) <= 1e-14
 
 
 def test_section_maps_match_per_element_reference():
@@ -728,7 +728,7 @@ def test_section_maps_match_per_element_reference():
                 return reduce_to_factor(apply(op, tensor_all(mats).with_dims(dims)), slot + 1)
 
             ref = from_action((dims[k],), (dims[slot],), action)
-            assert np.max(np.abs(got.coeff - ref.coeff)) <= 1e-14
+            assert np.max(np.abs(basis.coords(got).T - ref.coeff)) <= 1e-14
 
 
 def _witness_reference(op, tol, seed=0, random_tries=1000):
@@ -754,7 +754,9 @@ def test_batched_witness_scan_on_boundary_slices(seed, dims, fixed_slot, which, 
     # classifier's boundary cases
     op = _noisy_sep(seed, *dims, 3e-9)
     anchors = tuple(basis_state(d, 0) for d in dims)
-    sl = _section_maps(op, anchors, 2 - fixed_slot)[which - 1]
+    k = 2 - fixed_slot
+    stack = _section_maps(op, anchors, k)[which - 1]
+    sl = SuperOperator((dims[k],), (dims[which - 1],), basis.coords(stack).T)
     ref, found = _witness_reference(sl, 1e-8, seed=3)
     assert found == where
     got = find_impure_witness(sl, 1e-8, seed=3)

@@ -112,6 +112,50 @@ def test_boolean_scalar_and_empty_dims_are_rejected():
         state_from_json({"dims": [], "terms": [{"p": 1.0, "factors": []}]})
 
 
+def test_json_entries_must_be_numbers():
+    """NumPy reads the JSON string "1" and true as 1.0 and null as NaN; each
+    is refused with the path of the field that holds it."""
+    eye = {"dims": [2], "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}
+    factors = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    iso = {"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]], "flag": "linear"}
+    coeff = superop_to_json(trace_replacer(random_pure(2, 2), (2,), (2,)))
+    for bad, name in (("1", "string"), (True, "boolean"), (None, "null")):
+        for key in ("re", "im"):
+            obj = json.loads(json.dumps(eye))
+            obj[key][1][1] = bad
+            with pytest.raises(StructureError, match=rf"\$\.{key}: expected numbers, got {name}"):
+                matrix_from_json(obj)
+            obj = json.loads(json.dumps(iso))
+            obj[key][0][0] = bad
+            with pytest.raises(StructureError, match=rf"\$\.{key}: expected numbers, got {name}"):
+                isometry_from_json(obj)
+        obj = json.loads(json.dumps(coeff))
+        obj["coeff"][2][3] = bad
+        with pytest.raises(StructureError, match=rf"\$\.coeff: expected numbers, got {name}"):
+            superop_from_json(obj)
+        for i in (0, 1):
+            vec = [[1, 0], [0, 0]]
+            vec[1][i] = bad
+            term = {"p": 1.0, "factors": [factors[0], vec]}
+            with pytest.raises(StructureError,
+                               match=rf"\$\.terms\[0\]\.factors\[1\]: expected numbers, got {name}"):
+                state_from_json({"dims": [2, 2], "terms": [term]})
+    # the same entries as JSON numbers are accepted
+    assert matrix_from_json(eye).matrix[0, 0] == 1.0
+    assert state_from_json({"dims": [2, 2], "terms": [{"p": 1, "factors": factors}]}).dims == (2, 2)
+
+
+def test_json_nulls_are_not_read_as_nan():
+    """A JSON null would be NaN to NumPy; neither a matrix nor a state
+    with one comes back as a NaN object."""
+    obj = json.loads('{"dims": [2], "re": [[null, 0], [0, 1]], "im": [[0, 0], [0, 0]]}')
+    with pytest.raises(StructureError, match=r"\$\.re"):
+        matrix_from_json(obj)
+    obj = json.loads('{"dims": [2], "terms": [{"p": 1, "factors": [[[null, 0], [1, 0]]]}]}')
+    with pytest.raises(StructureError, match=r"\$\.terms\[0\]\.factors\[0\]"):
+        state_from_json(obj)
+
+
 def test_isometry_round_trip():
     iso = random_isometry(3, 2, 5, "conjugate")
     back = isometry_from_json(json.loads(json.dumps(isometry_to_json(iso))))

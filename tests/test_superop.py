@@ -32,6 +32,7 @@ from preservers import (
     partial_trace,
     partial_transpose,
     permute_factors,
+    pure_state,
     random_hermitian,
     random_isometry,
     random_pure,
@@ -172,6 +173,27 @@ def test_isometry_validation():
         isometry(np.eye(2), "sideways")
     with pytest.raises(StructureError):
         random_isometry(2, 3, 0)
+
+
+def test_non_finite_input_is_refused():
+    """Every deviation test is false for NaN, so each check is phrased as a
+    comparison that NaN fails: non-finite input is refused, not carried
+    into NaN operators, states, isometries or maps."""
+    nan, inf = np.nan, np.inf
+    for m in ([[nan, 0], [0, 1]], [[1, inf], [inf, 1]], [[inf, 0], [0, 1]], [[1j * inf]]):
+        with pytest.raises(StructureError, match="not finite"):
+            herm(m)
+    for v in ([[nan], [0]], [[inf], [0]], [[1, 0], [0, nan]]):
+        with pytest.raises(StructureError, match="not an isometry"):
+            isometry(v)
+    for v in ([nan, 1], [inf, 0], [1j * inf, 1], [0, 0]):
+        with pytest.raises(StructureError, match="zero or non-finite"):
+            pure_state(v)
+    for value in (nan, inf):
+        with pytest.raises(ContractError):
+            affine_to_linear(lambda rho, value=value: np.full((2, 2), value), 2)
+    with pytest.raises(ContractError):
+        affine_to_linear(lambda rho: np.where(rho.real > 0.9, nan, rho), 2)
 
 
 def test_canonical_sep_form_behaviors():
