@@ -1,10 +1,11 @@
 """Classifying bipartite separable-pure-state preservers.
 
-Freezing one input factor and partial-tracing one output factor produces
-single-factor slice maps; each slice that conjugates says which input feeds
-which output slot.  Those feeds name the canonical form and label its cell
-in a 3x3 grid, and the parameters are read off the slices and verified by
-exact reconstruction.
+One column of the Choi matrix, at its largest diagonal entry, holds the
+wiring: for each input and output slot, the slice of that column that is an
+isometry (directly, or after a partial transpose on the input) says which
+input feeds which output slot.  Those feeds name the canonical form and
+label its cell in a 3x3 grid, and the parameters are read off the same
+column and verified by exact reconstruction.
 
 Run:  python demos/04_bipartite_preservers.py
 """

@@ -1,7 +1,7 @@
 """Classifying multipartite preservers: factor permutations with per-slot
-isometric conjugations, read off the kinds of the section maps (one input
-factor varied, one output factor kept).  An output slot fed by no input
-factor is indeterminate.
+isometric conjugations, read off one column of the Choi matrix (which input
+feeds which output slot) and verified by exact reconstruction.  An output
+slot fed by no input factor is indeterminate.
 
 Run:  python demos/05_multipartite_preservers.py
 """

@@ -68,6 +68,19 @@ def coords(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def column(vec: np.ndarray, d: int, a: int) -> np.ndarray:
+    """Column a of ``from_coords(vec, d)``, of shape (..., d), read off the
+    2d - 1 coordinates that hold it: entry a and the pairs holding a."""
+    iu, ju = _triu(d)
+    p = d + 2 * np.flatnonzero((iu == a) | (ju == a))
+    z = (vec[..., p] + 1j * vec[..., p + 1]) / SQRT2
+    out = np.empty(vec.shape[:-1] + (d,), dtype=np.complex128)
+    out[..., a] = vec[..., a]
+    out[..., :a] = z[..., :a]
+    out[..., a + 1:] = z[..., a:].conj()
+    return out
+
+
 def from_coords(vec: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`coords`; a stack of shape (..., d*d) gives (..., d, d)."""
     m = np.zeros(vec.shape[:-1] + (d, d), dtype=np.complex128)

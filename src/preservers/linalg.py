@@ -42,6 +42,13 @@ def _check_numbers(tol: float, samples: int = 1, seed=0):
     _check_seed(seed)
 
 
+def _check_tol(tol: float):
+    """Refuse a threshold outside 0 <= tol < inf (NaN included): every test
+    against it would pass or fail regardless of the input."""
+    if not 0 <= tol < np.inf:
+        raise StructureError(f"tolerance must be nonnegative and finite, got {tol!r}")
+
+
 def as_rng(seed) -> np.random.Generator:
     """Accept a nonnegative int seed or an existing Generator."""
     _check_seed(seed)
@@ -91,6 +98,7 @@ def _check_dims(dims, total: int) -> tuple[int, ...] | None:
 def herm(matrix, dims=None, tol: float = EPS_HERM) -> HermitianOperator:
     """Validate finiteness and hermiticity within ``tol`` (relative
     Frobenius) and symmetrize."""
+    _check_tol(tol)
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StructureError(f"expected a square matrix, got shape {m.shape}")
@@ -132,12 +140,16 @@ class PureState:
 
 
 def pure_state(vector) -> PureState:
-    """Normalize a nonzero finite complex vector and fix its canonical phase."""
+    """Normalize a nonzero finite complex vector and fix its canonical phase.
+    It is divided by its largest modulus first, so the norm cannot overflow."""
     v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-    norm = float(np.linalg.norm(v))
+    scale = float(np.abs(v).max(initial=0.0))
+    if 0 < scale < np.inf:
+        v = v / scale
+    norm = scale * float(np.linalg.norm(v))
     if not 1e-150 <= norm < np.inf:
         raise StructureError(f"cannot normalize a (numerically) zero or non-finite vector ({norm})")
-    v = v / norm
+    v = v / (norm / scale)
     return PureState(v * canonical_phase(v).conjugate())
 
 
@@ -285,6 +297,7 @@ def is_pure(a: HermitianOperator, tol: float = PURITY_TOL):
     PureState; the threshold applies to the distance of the top eigenvalue
     from 1 and of every other eigenvalue from 0.
     """
+    _check_tol(tol)
     w, v = eig_hermitian(a)
     if spectral_defect(w[::-1]) > tol:
         return False, None
@@ -296,6 +309,7 @@ def is_product_pure(a: HermitianOperator, tol: float = PURITY_TOL):
     one-image view of :func:`first_not_product_pure`, whose checks it runs.
     On success also returns the top eigenvectors of the factor reductions as
     canonical-phase PureStates.  Raises NumericError when the solver fails."""
+    _check_tol(tol)
     try:
         limit, tops = _product_pure_prefix(a.matrix[None], a.factor_dims(), tol)
     except np.linalg.LinAlgError as exc:

@@ -2,18 +2,18 @@
 
 A real-linear map sending every rank-1 projection to a rank-1 projection is
 either trace replacement A -> Tr(A) R or an isometric conjugation
-A -> VAV+ / V A^t V+.  A proposal is read off the stack of basis images
-Phi(B_k), the form the product classifiers' section maps take too: R off
-Phi(I)/m, and V off one column of the rank-one Choi matrix of the
-complex-linear extension (of its input partial transpose under the
-conjugate flag).  Only the coefficient comparison against the rebuilt map
-decides; a failure gets a pure state whose image fails purity.  The
-classification tolerance is the only threshold.
+A -> VAV+ / V A^t V+.  By the paper's structure theorem a separable-pure-state
+preserver is a product of such slots, each carrying input factors through an
+isometry or writing a fixed pure state, so after a partial transpose on the
+conjugated inputs one column of its Choi matrix holds the whole wiring.
+:func:`_propose` reads that column, the one read of all three classifiers,
+and proposes the slots; only the coefficient comparison at ``tol`` against
+the rebuilt product map decides, and a failure gets a pure state whose image
+fails purity.  The classification tolerance is the only threshold.
 """
 
 import itertools
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -22,13 +22,12 @@ from . import basis
 from .errors import ClassificationError, StructureError
 from .linalg import (
     EPS_CLS,
-    HermitianOperator,
     PureState,
     _check_numbers,
+    _reduced,
     as_rng,
     canonical_phase,
     first_not_pure,
-    is_pure,
     pure_state,
     spanning_states,
     spectral_defect,
@@ -39,9 +38,8 @@ from .superop import (
     LINEAR,
     Isometry,
     SuperOperator,
-    conjugation,
+    _product_map,
     superop_equal,
-    trace_replacer,
 )
 
 TRACE_REPLACER = "trace_replacer"
@@ -141,67 +139,113 @@ def _not_preserver(op: SuperOperator, tol: float, seed: int) -> PureClassificati
                               residual=float(spectral_defect(np.linalg.eigvalsh(image))))
 
 
-def _propose_pure(images: np.ndarray, tol: float):
-    """Yield the unverified proposals (residual 0) read off the basis images
-    Phi(B_k), a stack (m*m, n, n): the trace replacement, then the conjugation.
+def _pivot_column(op: SuperOperator):
+    """(a, c, t): the largest diagonal entry Phi(E_cc)[a, a] of the Choi
+    matrix as per-factor indices, and its column t[a', x, y] = Phi(E_yx)[a', a]
+    with the axes a'_1 .. a'_p, x_1, y_1 .. x_n, y_n, read off column a of
+    every basis image; None when that entry is not positive."""
+    ins, outs = op.in_dims, op.out_dims
+    din, dout, p = op.in_dim, op.out_dim, len(outs)
+    a, c = np.unravel_index(np.argmax(op.coeff[:dout, :din]), (dout, din))
+    if not op.coeff[a, c] > 0:
+        return None
+    col = basis.column(op.coeff.T, dout, a).T
+    t = basis.from_coords(col.real, din) + 1j * basis.from_coords(col.imag, din)
+    t = t.reshape(outs + ins + ins).transpose(
+        list(range(p)) + [p + i for k in range(len(ins)) for i in (k, len(ins) + k)])
+    return np.unravel_index(a, outs), np.unravel_index(c, ins), t
 
-    (1) Trace replacement: R = Phi(I)/m must be pure.  (2) Every diagonal
-    image Phi(E_jj) must be pure, or there is no conjugation.
-    (3) Conjugation: the Choi matrix of A -> VAV+ is the rank-one vec V vec V+,
-    and that of A -> V A^t V+ has a rank-one input partial transpose, so V
-    is one column of it.  With the pivot (c, j) the largest diagonal entry
-    of the Phi(E_jj), column i of V is Phi(E_ij) e_c (linear flag) or
-    Phi(E_ji) e_c (conjugate flag) over sqrt(Phi(E_jj)[c, c]), and since
-    Phi(E_ij) = sum_k B_k[j, i] Phi(B_k) (the B_k are Hermitian), each is one
-    product of column c of every image with the basis.  The flag whose V is
-    closer to an isometry is kept (linear on a tie, as for m = 1), V must be
-    an isometry (||V+V - I||_F at most ``tol``) and its global phase is fixed
-    as :func:`pure_state` fixes that of its first column.
+
+def _read(t: np.ndarray, a, c, j: int, inputs, flags) -> np.ndarray:
+    """The (e_j, prod d_k) slice of the pivot column t over output slot j and
+    ``inputs``, each free in y under the linear flag and in x under the
+    conjugate one (the input partial transpose); all else at the pivot."""
+    idx = [slice(None) if i == j else ai for i, ai in enumerate(a)]
+    idx += [ck for ck in c for _ in range(2)]
+    for k, flag in zip(inputs, flags):
+        idx[len(a) + 2 * k + (flag == LINEAR)] = slice(None)
+    s = t[tuple(idx)]
+    return s.reshape(len(s), -1)
+
+
+def _propose(op: SuperOperator):
+    """(feeds, slots): the unverified wiring of ``op``.  feeds[j] lists
+    (input, flag) for the inputs feeding output slot j, and slots[j] is the
+    slot as ``superop._product_map`` takes it.  Both are None when the pivot
+    (:func:`_pivot_column`) is not positive or an input feeds two slots, and
+    slots alone when a fed slot is wider than its output.
+
+    Where slot j carries input k through V, the read (:func:`_read`) under
+    its flag is V up to scale and phase, and a slot that does not vary with
+    input k has rank-one reads.  Scaled to Frobenius norm sqrt(d), a read v
+    has the isometry defect ||v+v - I||_F / sqrt(d (d - 1)), 0 for a feed and
+    1 at rank one, and the off-pivot share ||v without column c_k||_F /
+    sqrt(d), at least sqrt(1 - 1/d) for a feed and at most that at rank one.
+    So input k feeds slot j when the smaller defect of its two reads is below
+    the larger share, under the flag of that defect (linear on a tie); a
+    dimension-1 input feeds nothing.  A fed slot carries the polar factor of
+    its read over all its inputs, phased as :func:`pure_state` phases its
+    first column; an unfed slot writes the top eigenvector of its reduction
+    of Phi(I).
     """
-    m, n = math.isqrt(len(images)), images.shape[-1]
-    diag = images[:m]
-    ok, r = is_pure(HermitianOperator(diag.sum(axis=0) / m, (n,)), tol)
-    if ok:
-        yield PureClassification(TRACE_REPLACER, replacement=r)
-    if m > n or first_not_pure(diag, tol) is not None:
-        return
-    j, c = np.unravel_index(np.argmax(np.diagonal(diag, axis1=1, axis2=2).real), (m, n))
-    cols = images[:, :, c].T
-    units = basis.basis_elements(m, 0, m * m)
-    # v[0] is the linear flag's V, v[1] the conjugate flag's
-    v = np.stack([cols @ units[:, j, :], cols @ units[:, :, j]]) / np.sqrt(diag[j, c, c].real)
-    defect = np.linalg.norm(np.swapaxes(v.conj(), 1, 2) @ v - np.eye(m), axis=(1, 2))
-    k = int(defect[1] < defect[0])
-    if defect[k] <= tol:
-        iso = Isometry(v[k] * canonical_phase(v[k, :, 0]).conjugate(), (LINEAR, CONJUGATE)[k])
-        yield PureClassification(CONJUGATION, isometry=iso)
-
-
-def _compare(op: SuperOperator, c: PureClassification, tol: float):
-    """Compare ``op`` at ``tol`` with the map rebuilt from the proposal ``c``."""
-    rebuilt = (trace_replacer(c.replacement, op.in_dims, op.out_dims) if c.isometry is None
-               else conjugation(c.isometry, op.in_dims, op.out_dims))
-    return superop_equal(op, rebuilt, tol)
+    pivot = _pivot_column(op)
+    if pivot is None:
+        return None, None
+    a, c, t = pivot
+    feeds = [[] for _ in op.out_dims]
+    for (k, d), j in itertools.product(enumerate(op.in_dims), range(len(feeds))):
+        if d == 1:
+            continue
+        s = np.stack([_read(t, a, c, j, (k,), (f,)) for f in (LINEAR, CONJUGATE)])
+        g = s.conj().swapaxes(1, 2) @ s  # v+v, once scaled
+        g *= (d / np.trace(g, axis1=1, axis2=2).real)[:, None, None]
+        defect = np.linalg.norm(g - np.eye(d), axis=(1, 2))
+        share = np.sqrt(np.maximum(1.0 - g[:, c[k], c[k]].real / d, 0.0))
+        if defect.min() / np.sqrt(d * (d - 1)) < share.max():
+            if any(k == q for pairs in feeds for q, _ in pairs):
+                return None, None
+            feeds[j].append((k, (LINEAR, CONJUGATE)[int(defect[1] < defect[0])]))
+    slots = []
+    for j, pairs in enumerate(feeds):
+        if not pairs:
+            phi_i = basis.from_coords(op.coeff[:, :op.in_dim].sum(axis=1), op.out_dim)
+            top = np.linalg.eigh(_reduced(phi_i[None], op.out_dims, j)[0])[1][:, -1]
+            slots.append((None, pure_state(top)))
+            continue
+        inputs, flags = zip(*pairs)
+        s = _read(t, a, c, j, inputs, flags)
+        if s.shape[1] > s.shape[0]:
+            return feeds, None
+        u, _, vh = np.linalg.svd(s, full_matrices=False)
+        w = u @ vh
+        w *= canonical_phase(w[:, 0]).conjugate()
+        slots.append((inputs[0], Isometry(w, flags[0])) if len(pairs) == 1
+                     else (inputs, Isometry(w, flags)))
+    return feeds, slots
 
 
 def classify_pure_preserver(op: SuperOperator, tol: float = EPS_CLS,
                             seed: int = 0) -> PureClassification:
     """Decide trace replacement vs isometric conjugation vs non-preserver.
 
-    ``tol`` is the only threshold.  The proposals of :func:`_propose_pure`
-    are rebuilt and compared coefficientwise at ``tol``; the closer of those
-    that pass decides (the trace replacement on a tie or a 1 -> n map, where
-    both are one map), and none passing goes to the witness search.
+    ``tol`` is the only threshold.  The image of e_0, the first candidate of
+    the witness scan, must be pure.  The one slot that :func:`_propose`
+    reads is then a trace replacer where unfed and a conjugation where fed,
+    and the one coefficient comparison at ``tol`` against the rebuilt map
+    decides; a failure goes to the witness search.
     """
     _check_numbers(tol, seed=seed)
     if len(op.in_dims) != 1 or len(op.out_dims) != 1:
         raise StructureError("single-factor maps only; use the bipartite classifier")
-    best = None
-    for c in _propose_pure(basis.from_coords(op.coeff.T, op.out_dim), tol):
-        cmp = _compare(op, c, tol)
-        if cmp.equal and (best is None or op.in_dim > 1 and cmp.max_dev < best.residual):
-            best = replace(c, residual=cmp.max_dev)
-    return best or _not_preserver(op, tol, seed)
+    first = basis.from_coords(op.coeff[:, :1].T, op.out_dim)
+    slots = None if first_not_pure(first, tol) is not None else _propose(op)[1]
+    cmp = slots and superop_equal(op, _product_map(op.in_dims, slots), tol)
+    if not (cmp and cmp.equal):
+        return _not_preserver(op, tol, seed)
+    (src, param), = slots
+    if src is None:
+        return PureClassification(TRACE_REPLACER, replacement=param, residual=cmp.max_dev)
+    return PureClassification(CONJUGATION, isometry=param, residual=cmp.max_dev)
 
 
 @dataclass(frozen=True)

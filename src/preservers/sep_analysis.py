@@ -1,31 +1,27 @@
 """Classification of separable-pure-state preservers.
 
-Both classifiers read the slot wiring off section maps: varying one input
-factor at fixed pure anchors and keeping one output factor gives a
-single-factor map, whose unverified proposal (:func:`_read_feeds`) is a
-trace replacer, or a conjugation that says the input feeds that slot.
-Section maps only propose; the one check is the coefficient comparison at
-``tol`` of the whole map against the map rebuilt from the wiring.  No
-proposal, an input feeding two slots (the doubling obstruction) or a failed
-comparison gets a product pure state whose image is not product pure.
+Both classifiers take their wiring from the pivot column of the Choi matrix
+(``pure_analysis._propose``): which inputs feed which output slot, under
+which flag, and the isometry or fixed pure state of every slot.  The read
+only proposes; the one check is the coefficient comparison at ``tol`` of
+the whole map against the rebuilt product map.  A failed comparison, an
+input feeding two slots (the doubling obstruction) or a slot that cannot be
+rebuilt gets a product pure state whose image is not product pure.
 
-A bipartite map's feeds name its form through the inverse of ``SEP_SOURCES``,
-and its parameters are the feeding isometries and the replaced slots' states.
+A bipartite map's feeds name its form through the inverse of ``SEP_SOURCES``.
 The grid cell is a label of the feeds: input 1's letter is a, c or b as it
 feeds no slot, slot 1 or slot 2, and input 2's takes a prime.  The cells
 (b,b') and (c,c'), where both inputs feed one slot, hold no preserver when
 the input and output dims agree (see :func:`doubling_obstruction_check`), so
-the form rebuilt from the first feed fails the comparison.
+such a joint carry has no tag and gets a witness.
 
 A multipartite map's feeds are a factor permutation with per-slot isometries
 once every slot is fed.  An output slot that no input factor feeds is
-indeterminate, provided each section map fits its proposal at ``tol``.
+indeterminate, provided the rebuilt map passes the comparison.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -36,8 +32,6 @@ from .linalg import (
     HermitianOperator,
     PureState,
     _check_numbers,
-    _kron,
-    _reduced,
     basis_state,
     first_not_product_pure,
     partial_trace,
@@ -45,16 +39,15 @@ from .linalg import (
     tensor,
     uniform_state,
 )
-from .pure_analysis import CONJUGATION, NOT_PRESERVER, _compare, _propose_pure, _scan
+from .pure_analysis import NOT_PRESERVER, _propose, _scan
 from .superop import (
     SEP_SOURCES,
     MultiForm,
     SepForm,
     SuperOperator,
+    _product_map,
     _sep_form,
     apply,
-    canonical_multi,
-    canonical_sep,
     superop_equal,
 )
 
@@ -74,55 +67,6 @@ def slice_phi(op: SuperOperator, a: HermitianOperator, b: HermitianOperator,
         raise StructureError("slice index must be 1 or 2")
     img = apply(op, tensor(a, b))
     return partial_trace(img, 2 if which == 1 else 1)
-
-
-def _section_maps(op: SuperOperator, states, k: int) -> list[np.ndarray]:
-    """The single-factor maps X -> output factor j of op(s_1 (x) ... (x) s_n)
-    with X in input slot k (0-based) and the pure states s_i elsewhere
-    (``states[k]`` is ignored): one stack of basis images for every output j.
-
-    By the vec-Kronecker identity the images of the stacked inputs (basis
-    element in slot k) are one product with the coefficient matrix, and a
-    stacked reduction to each output factor gives the sections.
-    """
-    d = op.in_dims[k]
-    units = basis.basis_elements(d, 0, d * d)
-    inputs = reduce(_kron, [units if i == k else s.projection.matrix
-                            for i, s in enumerate(states)])
-    images = basis.from_coords(basis.coords(inputs) @ op.coeff.T, op.out_dim)
-    return [_reduced(images, op.out_dims, j) for j in range(len(op.out_dims))]
-
-
-def _section_proposal(s: np.ndarray, tol: float):
-    """The first proposal of a section map on C^m, or its conjugation where
-    ``tol`` >= 1 - 1/m > 0 lets an exact conjugation's Phi(I)/m pass for pure."""
-    props = _propose_pure(s, tol)
-    c = next(props, None)
-    if c is not None and c.isometry is None and 0 < 1 - 1 / math.isqrt(len(s)) <= tol:
-        c = next(props, c)
-    return c
-
-
-def _read_feeds(op: SuperOperator, anchors, tol: float):
-    """The slot wiring of ``op`` read off its section maps at ``anchors``.
-
-    Input by input, the section maps varying input k (0-based) get their
-    unverified proposals (:func:`_section_proposal`) in sections[k][j], one
-    for every output slot j, and each conjugation among them appends
-    (k, isometry) to feeds[j].  Returns (sections, feeds), or None as soon
-    as an input has a section with no proposal or feeds two slots (the
-    doubling obstruction, see :func:`doubling_obstruction_check`).
-    """
-    sections, feeds = [], [[] for _ in op.out_dims]
-    for k in range(len(op.in_dims)):
-        row = [_section_proposal(s, tol) for s in _section_maps(op, anchors, k)]
-        fed = [j for j, c in enumerate(row) if c is not None and c.kind == CONJUGATION]
-        if len(fed) > 1 or None in row:
-            return None
-        for j in fed:
-            feeds[j].append((k, row[j].isometry))
-        sections.append(row)
-    return sections, feeds
 
 
 def _grid(feeds) -> tuple[str, str]:
@@ -182,42 +126,33 @@ def _product_witness(op: SuperOperator, tol: float, seed: int, det_cap: int | No
     return found
 
 
-def _sep_not_preserver(op: SuperOperator, tol: float, seed: int,
-                       grid=None) -> SepClassification:
-    return SepClassification(NOT_PRESERVER, witness=_product_witness(op, tol, seed), grid=grid)
-
-
 def classify_sep_preserver(op: SuperOperator, tol: float = EPS_CLS,
                            seed: int = 0) -> SepClassification:
     """Decide which of the seven bipartite canonical forms a map has.
 
-    The feeds read at the ``basis_state(., 0)`` anchors (:func:`_read_feeds`)
-    propose the form: the slot sources of the first feed of each slot name
-    the tag through the inverse of ``SEP_SOURCES``, a carried slot takes its
-    feed's isometry and a replaced slot j the state proposed for the section
-    map that varies input 1 and keeps slot j.  The grid cell is a label of
-    the feeds.  The sections only propose: the one comparison at ``tol``
-    against the rebuilt canonical map decides.  Every failure, the empty
-    cells (b,b') and (c,c') of a slot fed twice included, produces a product
-    pure state whose image violates product purity.
+    The image of e_0 (x) e_0, the first candidate of the witness scan, must
+    be product pure.  The feeds read off the pivot column of the Choi matrix
+    (``pure_analysis._propose``) propose the form: the slot sources name the
+    tag through the inverse of ``SEP_SOURCES``, a carried slot takes its
+    isometry and a replaced slot its state.  The grid cell is a label of the
+    feeds.  The one comparison at ``tol`` against the rebuilt map decides.
+    Every failure, a joint carry in the empty cells (b,b') and (c,c')
+    included, produces a product pure state whose image violates product
+    purity.
     """
     _check_numbers(tol, seed=seed)
     if len(op.in_dims) != 2 or op.in_dims != op.out_dims:
         raise StructureError(
             "bipartite classification needs matching two-factor input/output dims"
         )
-    m, n = op.in_dims
-    read = _read_feeds(op, (basis_state(m, 0), basis_state(n, 0)), tol)
-    if read is None:
-        return _sep_not_preserver(op, tol, seed)
-    sections, feeds = read
-    grid = _grid(feeds)
-    tag = _SEP_TAGS[tuple(fed[0][0] if fed else None for fed in feeds)]
-    form = _sep_form(tag, [fed[0][1] if fed else sections[0][j].replacement
-                           for j, fed in enumerate(feeds)])
-    cmp = superop_equal(op, canonical_sep(form, (m, n)), tol)
-    if not cmp.equal:
-        return _sep_not_preserver(op, tol, seed, grid)
+    first = basis.from_coords(op.coeff[:, :1].T, op.out_dim)
+    feeds, slots = (None, None) if _first_not_product(op, tol)(first) is not None else _propose(op)
+    grid = feeds and _grid(feeds)
+    tag = slots and _SEP_TAGS.get(tuple(src for src, _ in slots))
+    cmp = tag and superop_equal(op, _product_map(op.in_dims, slots), tol)
+    if not (cmp and cmp.equal):
+        return SepClassification(NOT_PRESERVER, witness=_product_witness(op, tol, seed), grid=grid)
+    form = _sep_form(tag, [param for _, param in slots])
     return SepClassification(FORM, form=form, grid=grid, residual=cmp.max_dev)
 
 
@@ -248,8 +183,8 @@ def doubling_obstruction_check(m: int = 2) -> bool:
     Polarizing in x at fixed y (a sesquilinear form over C is fixed by its
     values on the diagonal) gives (I (x) y'+) W+W (I (x) y') = ||y||^2 I_m,
     and polarizing each entry in y gives W+W = I_{mn}.  By the dimension law
-    m >= mn, so n = 1; but a dimension-1 factor's slices are trace
-    replacers, so the column letter is a', not c'.  For (b,b') likewise m = 1.
+    m >= mn, so n = 1; but a dimension-1 input feeds nothing, so the
+    column letter is a', not c'.  For (b,b') likewise m = 1.
 
     For qubits this follows without the theorem.  With Bloch vectors a, b of
     the inputs, slot 1 has c = k + M a + N b + sum_i a_i L_i b (real 3x3 M, N,
@@ -294,23 +229,20 @@ class MultiClassification:
         return self.kind == MULTI_FORM
 
 
-def _multi_not_preserver(op: SuperOperator, tol: float, seed: int) -> MultiClassification:
-    return MultiClassification(NOT_PRESERVER, witness=_product_witness(op, tol, seed, 729))
-
-
 def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
                              seed: int = 0) -> MultiClassification:
     """Classify an n-factor map as a factor permutation with per-slot
-    isometric conjugations, when its section maps determine one.
+    isometric conjugations, when its wiring determines one.
 
     The ``basis_state(d, 0)`` anchors and the uniform states, the first two
     candidates of the witness scan, must have product pure images, or that
-    input is the witness.  Then the feeds are read at the uniform states
-    (:func:`_read_feeds`).  A slot fed by no input, once each section map
-    fits its proposal at ``tol``, is indeterminate; a dimension-1 slot is
-    never fed, and gets no other special case.  Otherwise the feeds are a
-    permutation (no input feeds two slots), and the one comparison at ``tol``
-    against the rebuilt map decides.  Every other failure gets a witness.
+    input is the witness.  Then the pivot column of the Choi matrix
+    (``pure_analysis._propose``) proposes the slots, and the one comparison
+    at ``tol`` against the rebuilt map decides.  A map that passes with a
+    slot fed by no input is indeterminate; a dimension-1 slot is never fed,
+    and gets no other special case.  Otherwise the feeds are a permutation.
+    Every failure, an input feeding two slots or a joint carry wider than
+    its slot included, gets a witness.
     """
     _check_numbers(tol, seed=seed)
     n = len(op.in_dims)
@@ -324,24 +256,15 @@ def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
     hit = _scan(op, dims, _first_not_product(op, tol), (anchors, base))
     if hit is not None:
         return MultiClassification(NOT_PRESERVER, witness=hit[1])
-
-    read = _read_feeds(op, base, tol)
-    if read is None:
-        return _multi_not_preserver(op, tol, seed)
-    sections, feeds = read
-    # a slot fed twice, as by a joint carry of two inputs, leaves another unfed
+    feeds, slots = _propose(op)
+    cmp = slots and superop_equal(op, _product_map(op.in_dims, slots), tol)
+    if not (cmp and cmp.equal):
+        return MultiClassification(NOT_PRESERVER, witness=_product_witness(op, tol, seed, 729))
     if [] in feeds:
-        if not all(_compare(SuperOperator((dims[k],), (dj,), basis.coords(s).T), c, tol).equal
-                   for k, row in enumerate(sections)
-                   for dj, s, c in zip(dims, _section_maps(op, base, k), row)):
-            return _multi_not_preserver(op, tol, seed)
         return MultiClassification(INSUFFICIENT, detail=(
             f"output slot {feeds.index([]) + 1} is fed by no input factor: "
             "varying any one input leaves it fixed"))
-    form = MultiForm(tuple(fed[0][0] + 1 for fed in feeds), tuple(fed[0][1] for fed in feeds))
-    cmp = superop_equal(op, canonical_multi(form, dims), tol)
-    if not cmp.equal:
-        return _multi_not_preserver(op, tol, seed)
+    form = MultiForm(tuple(src + 1 for src, _ in slots), tuple(iso for _, iso in slots))
     return MultiClassification(MULTI_FORM, form=form, residual=cmp.max_dev)
 
 

@@ -17,6 +17,7 @@ from .linalg import (
     PPT_TOL,
     HermitianOperator,
     PureState,
+    _check_tol,
     as_rng,
     eig_hermitian,
     herm,
@@ -115,6 +116,7 @@ class PptResult:
 def ppt_check(rho: HermitianOperator, tol: float = PPT_TOL) -> PptResult:
     """Peres test: a negative eigenvalue of the first-factor partial transpose
     certifies entanglement; positivity is inconclusive."""
+    _check_tol(tol)
     dims = rho.factor_dims()
     if len(dims) != 2:
         raise StructureError("the PPT test expects exactly two factors")

@@ -273,8 +273,10 @@ def _product_coeff(in_dims, slots) -> np.ndarray:
     slot isometries.
 
     Each slot is (source, isometry): source is the 0-based input factor that
-    the slot carries (transposed first under the conjugate flag), or None for
-    a slot whose 1-column isometry is a replacement state, fed by the trace.
+    the slot carries (transposed first under the conjugate flag), or a tuple
+    of them for a joint carry, whose isometry then has a tuple of flags and
+    its columns in the order of the tuple.  A slot (None, r) writes the pure
+    state r, a 1-column isometry fed by the trace.
     X is A with every factor no slot carries traced out and the carried
     factors in slot order.  With no carried factor the map only replaces the
     trace, and its coefficient matrix is an outer product.
@@ -285,8 +287,9 @@ def _product_coeff(in_dims, slots) -> np.ndarray:
     entries a = b, then for blocks of the entries a < b, and written
     straight into the coordinate rows.
     """
-    w = reduce(_kron, [iso.matrix for _, iso in slots])
-    carried = tuple((src, iso.flag) for src, iso in slots if src is not None)
+    w = reduce(_kron, [p.vector[:, None] if src is None else p.matrix for src, p in slots])
+    carried = tuple(pair for src, iso in slots if src is not None for pair in
+                    (zip(src, iso.flag) if isinstance(src, tuple) else [(src, iso.flag)]))
     din = math.prod(in_dims)
     if not carried:
         return np.outer(basis.coords(w @ w.conj().T), basis.coords(np.eye(din)))
@@ -307,13 +310,8 @@ def _product_coeff(in_dims, slots) -> np.ndarray:
     return coeff
 
 
-def _replacement(r: PureState):
-    """The slot that writes the pure state r, scaled by the trace."""
-    return None, Isometry(r.vector.reshape(-1, 1))
-
-
 def _product_map(in_dims, slots) -> SuperOperator:
-    out_dims = tuple(iso.d_out for _, iso in slots)
+    out_dims = tuple(p.dim if src is None else p.d_out for src, p in slots)
     return SuperOperator(in_dims, out_dims, _product_coeff(in_dims, slots))
 
 
@@ -323,7 +321,7 @@ def trace_replacer(r: PureState, in_dims, out_dims=None) -> SuperOperator:
     out_dims = _dims_tuple(out_dims) if out_dims is not None else (r.dim,)
     if math.prod(out_dims) != r.dim:
         raise StructureError("output dims do not match the replacement state")
-    return SuperOperator(in_dims, out_dims, _product_coeff(in_dims, (_replacement(r),)))
+    return SuperOperator(in_dims, out_dims, _product_coeff(in_dims, ((None, r),)))
 
 
 def conjugation(u: Isometry, in_dims=None, out_dims=None) -> SuperOperator:
@@ -401,14 +399,11 @@ def canonical_sep(form: SepForm, dims) -> SuperOperator:
     """Build the superoperator of a tag 1-7 canonical form on input dims (m, n)."""
     dims = _dims_tuple(dims)
     _require(len(dims) == 2, f"bipartite forms need dims (m, n), got {dims}")
-    slots = []
-    for j, (src, p) in enumerate(_sep_slots(form)):
-        if src is None:
-            slots.append(_replacement(p))
-            continue
-        _require(p.d_in == dims[src],
-                 f"form {form.tag} u{j + 1} input must be {dims[src]}, got {p.d_in}")
-        slots.append((src, p))
+    slots = _sep_slots(form)
+    for j, (src, p) in enumerate(slots):
+        if src is not None:
+            _require(p.d_in == dims[src],
+                     f"form {form.tag} u{j + 1} input must be {dims[src]}, got {p.d_in}")
     return _product_map(dims, slots)
 
 

@@ -32,11 +32,13 @@ from preservers import (
     partial_trace,
     partial_transpose,
     permute_factors,
+    ppt_check,
     pure_state,
     random_hermitian,
     random_isometry,
     random_pure,
     reduce_to_factor,
+    sample_separable,
     swap_theta,
     tensor,
     tensor_all,
@@ -635,6 +637,28 @@ def test_as_rng_refuses_bad_seeds():
     for seed in (-1, 1.5, "3", None, True):
         with pytest.raises(StructureError, match="seed"):
             as_rng(seed)
+
+
+def test_thresholds_outside_zero_to_inf_are_refused():
+    """A NaN or negative threshold would certify anything: a non-Hermitian
+    matrix as Hermitian, the maximally mixed state as pure or product pure,
+    and a separable state as entangled.  Each of these tests refuses it, and
+    takes 0."""
+    sep = sample_separable((2, 2), 3, 0).density
+    for tol in (np.nan, -1.0, np.inf, -np.inf):
+        with pytest.raises(StructureError, match="tolerance"):
+            herm([[0, 1], [0, 0]], tol=tol)
+        with pytest.raises(StructureError, match="tolerance"):
+            is_pure(herm(np.eye(2) / 2), tol)
+        with pytest.raises(StructureError, match="tolerance"):
+            is_product_pure(herm(np.eye(4) / 4, (2, 2)), tol)
+        with pytest.raises(StructureError, match="tolerance"):
+            ppt_check(sep, tol=tol)
+    assert np.array_equal(herm(np.eye(2), tol=0.0).matrix, np.eye(2))
+    assert is_pure(basis_state(2, 0).projection, 0.0)[0]
+    assert is_product_pure(tensor(basis_state(2, 0).projection, basis_state(2, 1).projection),
+                           0.0)[0]
+    assert not ppt_check(BELL, tol=0.0).positive
 
 
 def test_spectral_defect_matches_purity_defect():

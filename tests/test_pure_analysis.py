@@ -1,5 +1,7 @@
 """Pure-preserver classification: round trips, dichotomy, witnesses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,9 +27,8 @@ from preservers import (
     to_choi,
     trace_replacer,
 )
-from preservers.basis import from_coords
 from preservers.linalg import as_rng, canonical_phase, purity_defect
-from preservers.pure_analysis import _propose_pure
+from preservers.pure_analysis import _pivot_column, _propose, _read
 
 
 def test_trace_replacer_round_trip_exact():
@@ -90,9 +91,9 @@ def test_dim_one_input_classifies_as_trace_replacer():
 
 
 def test_conjugation_decides_after_a_failed_trace_replacement_at_large_tol():
-    """At tol >= 1 - 1/m an exact conjugation's Phi(I)/m passes for pure, so
-    the trace replacement is proposed first; its rebuild fails and the
-    conjugation proposal, tried next, decides.  Trace replacers stay such."""
+    """At tol >= 1 - 1/m an exact conjugation's Phi(I)/m would pass for
+    pure, but the read tests no proposal against tol: the fed slot is a
+    conjugation, and its rebuild decides.  Trace replacers stay such."""
     rng = np.random.default_rng(12)
     for m, n, tol in ((2, 2, 0.5), (2, 3, 0.5), (3, 3, 0.7), (2, 2, 0.6)):
         for flag in (LINEAR, CONJUGATE):
@@ -105,8 +106,9 @@ def test_conjugation_decides_after_a_failed_trace_replacement_at_large_tol():
 
 def test_best_fitting_proposal_decides_at_large_tol():
     """At tol 0.7 an exact 3 -> 4 conjugation's trace-replacer rebuild may
-    pass the coefficient comparison too; the conjugation, whose rebuild is
-    exact, fits better and decides.  Exact trace replacers keep their kind."""
+    pass the coefficient comparison too, but the read proposes the
+    conjugation, whose rebuild is exact.  Exact trace replacers keep their
+    kind."""
     rng = np.random.default_rng(21)
     for _ in range(20):
         for flag in (LINEAR, CONJUGATE):
@@ -118,9 +120,9 @@ def test_best_fitting_proposal_decides_at_large_tol():
 
 
 def test_one_to_n_maps_near_tol_stay_trace_replacers():
-    """On a 1 -> n map both proposals are A -> Tr(A) vv+.  The trace
-    replacement is tried first, so scaled pure images up to tol away from
-    pure classify as trace replacers, as exact ones do."""
+    """On a 1 -> n map a trace replacer and a conjugation are the same map
+    A -> Tr(A) vv+.  A dimension-1 input feeds nothing, so scaled pure images
+    up to tol away from pure classify as trace replacers, as exact ones do."""
     rng = np.random.default_rng(13)
     for tol in (1e-8, 0.1, 0.5):
         for n in (2, 3):
@@ -168,10 +170,10 @@ def test_structured_isometries_recovered_up_to_phase(flag):
 
 @pytest.mark.parametrize("flag", [LINEAR, CONJUGATE])
 def test_proposed_isometry_is_the_pivot_column_of_the_choi_matrix(flag):
-    """Independent of the basis-image read: the proposal's V is the column
-    of the Choi matrix (of its input partial transpose under the conjugate
-    flag) at the largest diagonal entry, over the root of that entry, with
-    the canonical phase of its first column."""
+    """Independent of the basis-image read: the raw read of the proposal is
+    the column of the Choi matrix (of its input partial transpose under the
+    conjugate flag) at the largest diagonal entry, and the proposed V is its
+    polar factor with the canonical phase of its first column."""
     rng = np.random.default_rng(9)
     for n in range(1, 6):
         for m in range(1, n + 1):
@@ -179,17 +181,40 @@ def test_proposed_isometry_is_the_pivot_column_of_the_choi_matrix(flag):
                 base = conjugation(random_isometry(n, m, rng, flag))
                 op = make_superop((m,), (n,), base.coeff
                                   + noise * rng.standard_normal(base.coeff.shape))
-                props = _propose_pure(from_coords(op.coeff.T, n), 0.1)
-                c = [p for p in props if p.kind == "conjugation"][0]
-                assert c.isometry.flag == (flag if m > 1 else LINEAR), (m, n, noise)
+                feeds, slots = _propose(op)
+                if m == 1:
+                    assert feeds == [[]] and slots[0][0] is None, (n, noise)
+                    continue
+                src, iso = slots[0]
+                assert (feeds, src, iso.flag) == ([[(0, flag)]], 0, flag), (m, n, noise)
                 choi = to_choi(op).reshape(n, m, n, m)
-                if c.isometry.flag == CONJUGATE:
+                if flag == CONJUGATE:
                     choi = choi.swapaxes(1, 3)
                 choi = choi.reshape(n * m, n * m)
                 pivot = int(np.argmax(np.diagonal(choi).real))
-                ref = (choi[:, pivot] / np.sqrt(choi[pivot, pivot].real)).reshape(n, m)
-                ref = ref * canonical_phase(ref[:, 0]).conjugate()
-                assert np.max(np.abs(c.isometry.matrix - ref)) <= 1e-12, (m, n, noise)
+                a, c, t = _pivot_column(op)
+                assert (a[0] * m + c[0]) == pivot, (m, n, noise)
+                raw = _read(t, a, c, 0, (0,), (flag,))
+                assert np.max(np.abs(raw - choi[:, pivot].reshape(n, m))) <= 1e-12, (m, n, noise)
+                u, _, vh = np.linalg.svd(raw, full_matrices=False)
+                ref = (u @ vh) * canonical_phase((u @ vh)[:, 0]).conjugate()
+                assert np.max(np.abs(iso.matrix - ref)) <= 1e-12, (m, n, noise)
+
+
+def test_classify_holds_no_second_stack_of_images():
+    """A warm classify of an exact 32 -> 32 conjugation reads one column of
+    the basis images, not all of them: its peak is the rebuilt map and the
+    comparison's difference, below 2.5 times the coefficient matrix."""
+    op = conjugation(random_isometry(32, 32, 10, CONJUGATE))
+    classify_pure_preserver(op)
+    tracemalloc.start()
+    try:
+        c = classify_pure_preserver(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert c.kind == "conjugation"
+    assert peak < 2.5 * op.coeff.nbytes, peak / op.coeff.nbytes
 
 
 def test_small_noise_keeps_positive_verdicts():

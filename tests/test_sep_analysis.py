@@ -46,19 +46,18 @@ from preservers import (
     swap_theta,
     tensor,
     tensor_all,
+    to_choi,
     trace_replacer,
     uniform_state,
 )
 from preservers.linalg import as_rng, spanning_states
-from preservers.pure_analysis import find_impure_witness
+from preservers.pure_analysis import _pivot_column, _read, find_impure_witness
 from preservers.sep_analysis import (
     _SEP_TAGS,
     _grid,
-    _read_feeds,
-    _section_maps,
     find_product_witness,
 )
-from preservers.superop import SEP_SOURCES, SuperOperator, conjugation, isometry, random_unitary
+from preservers.superop import SEP_SOURCES, conjugation, isometry, random_unitary
 from preservers import basis, pure_analysis, sep_analysis
 
 
@@ -131,20 +130,6 @@ def test_trace_to_entangled_is_not_preserver():
     assert not is_product_pure(img)[0]
 
 
-def test_claim_constancy_across_anchors():
-    rng = np.random.default_rng(2)
-    # the feeds, hence the grid cell, must be identical for arbitrary anchor states
-    for tag in (2, 5, 6):
-        m, n = (2, 3) if tag != 2 else (3, 2)
-        op = canonical_sep(random_sep_form(tag, m, n, rng), (m, n))
-        grids = set()
-        for _ in range(5):
-            _, feeds = _read_feeds(op, (random_pure(m, rng), random_pure(n, rng)), 1e-8)
-            grids.add(_grid(feeds))
-        assert len(grids) == 1
-        assert grids.pop() == EXPECTED_GRID[tag]
-
-
 def test_doubling_obstruction():
     assert doubling_obstruction_check(2)
     assert doubling_obstruction_check(3)
@@ -192,7 +177,11 @@ def test_fake_pattern9_map_rejected_with_witness():
 
     op = from_action((2, 2), (2, 2), fake)
     c = classify_sep_preserver(op)
-    assert c.kind == "not_preserver" and c.grid == ("b", "b′")
+    # both inputs feed slot 2 only through the slices at e_0 (x) e_0, where
+    # the e00 term cancels; the pivot sits at e_1 (x) e_1, whose image 2 E_11
+    # has the largest diagonal, and there the slices diag(1, 2) and
+    # [[0, 0], [0, 2]] are no isometries, so no input feeds
+    assert c.kind == "not_preserver" and c.grid == ("a", "a′")
     p, q = c.witness
     assert not is_product_pure(apply(op, tensor(p.projection, q.projection)))[0]
 
@@ -201,12 +190,14 @@ def _joint_carry(rng, m, n, slot):
     """A (x) B -> V (A (x) B) V+ in output slot ``slot``, the other slot
     writing a random pure state.  V maps C^{mn} into the slot's space so that
     x -> V (x (x) e_0) and y -> V (e_0 (x) y) are isometries agreeing on
-    e_0 (x) e_0; its other columns are random."""
+    e_0 (x) e_0 = e_0; its other columns are random with entries of scale
+    0.3, so the pivot of the Choi matrix sits at e_0 (x) e_0."""
     d = (m, n)[slot - 1]
-    u = random_unitary(d, rng)
+    u = np.eye(d, dtype=complex)
+    u[1:, 1:] = random_unitary(d - 1, rng)
     turn = np.eye(d, dtype=complex)
     turn[1:, 1:] = random_unitary(d - 1, rng)
-    v = rng.standard_normal((d, m * n)) + 1j * rng.standard_normal((d, m * n))
+    v = 0.3 * (rng.standard_normal((d, m * n)) + 1j * rng.standard_normal((d, m * n)))
     v[:, ::n] = u[:, :m]
     v[:, :n] = (u @ turn)[:, :n]
     r = random_pure((n, m)[slot - 1], rng).projection.matrix
@@ -220,8 +211,8 @@ def _joint_carry(rng, m, n, slot):
 
 def test_joint_carry_attempts_are_rejected_in_their_cells():
     """Both inputs fed into one slot through a map V that is isometric on
-    each anchored slice: the slices select cell (c,c') or (b,b'), which hold
-    no preserver, and the scan certifies a witness."""
+    each slice through the pivot: the reads select cell (c,c') or (b,b'),
+    which hold no preserver, and the scan certifies a witness."""
     for slot, cell, dims in ((1, ("c", "c′"), ((2, 2), (3, 2), (3, 3))),
                              (2, ("b", "b′"), ((2, 2), (2, 3), (3, 3)))):
         for m, n in dims:
@@ -257,9 +248,10 @@ def test_perturbed_canonical_maps_get_witnesses():
 
 
 def test_rebuild_check_rejects_maps_hidden_from_the_anchor_slices():
-    """Canonical form + eps * (A (x) B -> <1|A|1><1|B|1> X): every slice at the
-    basis_state(., 0) anchors is the canonical form's, so only the
-    coefficient comparison against the rebuilt form can reject the map."""
+    """Canonical form + eps * (A (x) B -> <1|A|1><1|B|1> X): the bump moves
+    the image of one basis element only, so the pivot read still proposes
+    the canonical form's wiring and grid cell, and the coefficient
+    comparison against the rebuilt form rejects the map."""
     rng = np.random.default_rng(21)
     cases = 0
     for tag in (2, 5, 6, 7):
@@ -273,10 +265,6 @@ def test_rebuild_check_rejects_maps_hidden_from_the_anchor_slices():
             bump = from_action(dims, dims,
                                lambda a: HermitianOperator(a.matrix[corner, corner].real * x, dims))
             op = make_superop(dims, dims, base.coeff + 1e-3 * bump.coeff)
-            anchors = (basis_state(m, 0), basis_state(n, 0))
-            for k in (0, 1):
-                for s, t in zip(_section_maps(op, anchors, k), _section_maps(base, anchors, k)):
-                    assert np.allclose(basis.coords(s).T, basis.coords(t).T, rtol=0, atol=1e-14)
             c = classify_sep_preserver(op)
             assert c.kind == "not_preserver", (tag, dims)
             assert c.grid == EXPECTED_GRID[tag]
@@ -287,32 +275,26 @@ def test_rebuild_check_rejects_maps_hidden_from_the_anchor_slices():
 
 
 def test_positive_classifies_one_anchor_per_side(monkeypatch):
-    """An exact bipartite positive reads the two slice maps at one anchor
-    per side and nothing more: 4 single-factor proposals."""
-    calls = []
-    inner = sep_analysis._propose_pure
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(sep_analysis, "_propose_pure", counted)
+    """An exact bipartite positive reads one pivot column of its Choi matrix
+    and makes one comparison, whatever its form."""
+    reads = _count(monkeypatch, "column", (basis,))
+    comparisons = _count(monkeypatch, "superop_equal", (pure_analysis, sep_analysis))
     rng = np.random.default_rng(22)
     for tag in range(1, 8):
         for m, n in itertools.product((2, 3), repeat=2):
             if not legal_dims(tag, m, n):
                 continue
             op = canonical_sep(random_sep_form(tag, m, n, rng), (m, n))
-            calls.clear()
+            reads.clear()
+            comparisons.clear()
             c = classify_sep_preserver(op)
             assert c.kind == "form" and c.form.tag == tag, (tag, m, n)
-            assert len(calls) == 4, (tag, m, n, len(calls))
+            assert (len(reads), len(comparisons)) == (1, 1), (tag, m, n, reads, comparisons)
 
 
 def test_boundary_forms_get_a_certified_verdict():
     """(2,2) forms 2, 4 and 6 with 3e-9 coefficient noise sit at the
-    tolerance, where a section map can fail its own rebuild with no impure
-    image.  Sections only propose, so the classifier never raises: it
+    tolerance.  The read only proposes, so the classifier never raises: it
     returns a form within ``tol`` of the map, or a witness whose image is
     not product pure at ``tol``."""
     tol = 1e-8
@@ -346,26 +328,30 @@ def _count(monkeypatch, name, modules):
 
 def test_product_positive_makes_one_comparison(monkeypatch):
     """The rebuilt map's comparison is the one check of a product verdict:
-    an exact positive, bipartite or (2,2,2), makes a single one."""
+    an exact positive, bipartite or (2,2,2), reads one pivot column and
+    makes a single comparison."""
+    reads = _count(monkeypatch, "column", (basis,))
     calls = _count(monkeypatch, "superop_equal", (pure_analysis, sep_analysis))
     rng = np.random.default_rng(23)
     for tag in range(1, 8):
         for m, n in itertools.product((2, 3), repeat=2):
             if not legal_dims(tag, m, n):
                 continue
+            reads.clear()
             calls.clear()
             assert classify_sep_preserver(canonical_sep(random_sep_form(tag, m, n, rng),
                                                         (m, n))).positive
-            assert len(calls) == 1, (tag, m, n, len(calls))
+            assert (len(reads), len(calls)) == (1, 1), (tag, m, n, len(reads), len(calls))
     for perm in itertools.permutations((1, 2, 3)):
         isos = tuple(random_isometry(2, 2, rng, random_flag(rng)) for _ in range(3))
+        reads.clear()
         calls.clear()
         assert classify_multi_preserver(canonical_multi(MultiForm(perm, isos), (2, 2, 2))).positive
-        assert len(calls) == 1, (perm, len(calls))
+        assert (len(reads), len(calls)) == (1, 1), (perm, len(reads), len(calls))
 
 
 def test_product_negatives_scan_no_section(monkeypatch):
-    """A section map only proposes, so a perturbed product map runs no
+    """The pivot read only proposes, so a perturbed product map runs no
     single-factor witness scan: its one scan is the map-level one."""
     calls = _count(monkeypatch, "_not_preserver", (pure_analysis,))
     rng = np.random.default_rng(24)
@@ -478,9 +464,8 @@ def test_multi_insufficient_richness_for_constant_maps():
 
 def test_multi_unfed_slot_needs_fitting_sections():
     """Slot 3 of this (2,2,2) map writes a pure rho plus eps Tr(sigma_y A_1) X,
-    which vanishes at both probes, so the slot-3 section proposes a trace
-    replacer and leaves the slot unfed.  The section does not fit its
-    proposal, so the map is no preserver, not indeterminate."""
+    which vanishes at both probes.  The map does not fit the product map
+    rebuilt from its read, so it is no preserver, not indeterminate."""
     sigma_y = np.array([[0, -1j], [1j, 0]])
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     corner = np.diag([1.0, 0, 0, 0])
@@ -493,8 +478,6 @@ def test_multi_unfed_slot_needs_fitting_sections():
             return HermitianOperator(np.kron(kept, rho) + eps * t * np.kron(corner, x), (2, 2, 2))
 
         op = from_action((2, 2, 2), (2, 2, 2), action)
-        feeds = _read_feeds(op, (uniform_state(2),) * 3, 1e-8)[1]
-        assert feeds[2] == [], eps
         c = classify_multi_preserver(op)
         assert c.kind == "not_preserver", (eps, c.kind)
         assert not is_product_pure(apply(op, tensor_all(
@@ -502,9 +485,9 @@ def test_multi_unfed_slot_needs_fitting_sections():
 
 
 def test_product_forms_at_large_tol():
-    """At tol = 0.5 a carried slot's section of an exact form also passes
-    the trace-replacer purity test; the section proposes its conjugation,
-    so exact forms keep their verdicts."""
+    """At tol = 0.5 a carried slot's trace replacer would pass a purity
+    test at tol, but the read tests no proposal against tol, so exact forms
+    keep their verdicts."""
     rng = np.random.default_rng(25)
     for tag in range(1, 8):
         for m, n in itertools.product((2, 3), repeat=2):
@@ -546,13 +529,11 @@ def _doubling_on_input_1(rng):
 
 
 def test_multi_input_feeding_two_slots_is_rejected():
-    """Input 1 of this map feeds slots 1 and 2 at the uniform anchors while
-    slot 3 is unfed: the doubling obstruction decides before the unfed slot,
-    and the witness scan certifies a product pure state with an entangled
-    image."""
+    """Input 1 of this map feeds slots 1 and 2 while slot 3 is unfed, and
+    its images of the classifier's probes are product pure: the witness
+    scan certifies a product pure state with an entangled image."""
     for seed in range(3):
         op = _doubling_on_input_1(np.random.default_rng(seed))
-        assert _read_feeds(op, (uniform_state(2),) * 3, 1e-8) is None
         c = classify_multi_preserver(op)
         assert c.kind == "not_preserver", (seed, c.kind)
         assert not is_product_pure(apply(op, tensor_all(
@@ -572,9 +553,9 @@ def test_multi_entangled_target_is_not_preserver():
 
 def test_multi_noisy_product_replacers_get_a_verdict():
     """Product replacers with 3e-9 coefficient noise sit at the tolerance.
-    Where a section map fails with no impure image of its own, the witness
-    scan of the whole map decides instead of raising, and a map is
-    indeterminate only if the uniform states' image is product pure."""
+    Where the rebuilt map fails, the witness scan of the whole map decides
+    instead of raising, and a map is indeterminate only if the uniform
+    states' image is product pure."""
     for dims in ((2, 2), (2, 3)):
         uniform = tensor(uniform_state(dims[0]).projection, uniform_state(dims[1]).projection)
         for seed in range(50):
@@ -696,39 +677,75 @@ def _noisy_sep(seed: int, m: int, n: int, noise: float):
                         op.coeff + noise * rng.standard_normal(op.coeff.shape))
 
 
-def test_slice_superop_matches_slice_phi_reference():
-    rng = np.random.default_rng(40)
-    for seed, (m, n) in enumerate([(2, 3), (3, 2), (1, 3), (3, 3)]):
-        op = _noisy_sep(seed, m, n, 1e-3)
-        p, q = random_pure(m, rng), random_pure(n, rng)
-        for which in (1, 2):
-            out_d = (m, n)[which - 1]
-            ref = from_action((m,), (out_d,),
-                              lambda a: slice_phi(op, a, q.projection, which))
-            got = basis.coords(_section_maps(op, (p, q), 0)[which - 1]).T
-            assert np.max(np.abs(got - ref.coeff)) <= 1e-14
-            ref = from_action((n,), (out_d,),
-                              lambda b: slice_phi(op, p.projection, b, which))
-            got = basis.coords(_section_maps(op, (p, q), 1)[which - 1]).T
-            assert np.max(np.abs(got - ref.coeff)) <= 1e-14
+def _pivot_cases():
+    """Maps with all isometries under one flag, both flags, and noise from 0
+    to 1e-3: single-factor m -> n conjugations (m <= n <= 5, m = 1
+    included), form 6 on (2,3) and multipartite forms on (2,2,2)."""
+    rng = np.random.default_rng(42)
+    for flag, noise in itertools.product((LINEAR, CONJUGATE), (0.0, 1e-9, 1e-6, 1e-3)):
+        maps = [conjugation(random_isometry(n, m, rng, flag))
+                for n in range(1, 6) for m in range(1, n + 1)]
+        maps.append(canonical_sep(SepForm(6, u1=random_isometry(2, 2, rng, flag),
+                                          u2=random_isometry(3, 3, rng, flag)), (2, 3)))
+        perm = tuple(int(p) + 1 for p in rng.permutation(3))
+        isos = tuple(random_isometry(2, 2, rng, flag) for _ in range(3))
+        maps.append(canonical_multi(MultiForm(perm, isos), (2, 2, 2)))
+        for op in maps:
+            yield make_superop(op.in_dims, op.out_dims,
+                               op.coeff + noise * rng.standard_normal(op.coeff.shape))
 
 
-def test_section_maps_match_per_element_reference():
-    rng = np.random.default_rng(41)
-    dims = (2, 3, 2)
-    d = int(np.prod(dims))
-    op = make_superop(dims, dims, np.eye(d * d) + 1e-3 * rng.standard_normal((d * d, d * d)))
-    states = tuple(random_pure(k, rng) for k in dims)
-    for k in range(3):
-        maps = _section_maps(op, states, k)
-        for slot, got in enumerate(maps):
-            def action(x, k=k, slot=slot):
-                mats = [s.projection for s in states]
-                mats[k] = x
-                return reduce_to_factor(apply(op, tensor_all(mats).with_dims(dims)), slot + 1)
+def _choi_reference(op, a, c):
+    """``to_choi(op)`` with the axes (out, in, out, in), after checking that
+    the pivot (a, c) is its largest diagonal entry."""
+    choi = to_choi(op)
+    diag = np.diagonal(choi).real
+    pivot = np.ravel_multi_index(a, op.out_dims) * op.in_dim + np.ravel_multi_index(c, op.in_dims)
+    assert diag[pivot] >= diag.max() - 1e-12
+    return choi.reshape(op.out_dims + op.in_dims + op.out_dims + op.in_dims)
 
-            ref = from_action((dims[k],), (dims[slot],), action)
-            assert np.max(np.abs(basis.coords(got).T - ref.coeff)) <= 1e-14
+
+def test_pivot_column_matches_the_choi_matrix():
+    """The pivot column t, read off 2D - 1 coordinates of each basis image,
+    is the column of ``to_choi(op)`` at its largest diagonal entry, and each
+    linear read is the slice of that column over one input and one output
+    slot, every other index at the pivot."""
+    for op in _pivot_cases():
+        outs, ins = op.out_dims, op.in_dims
+        p, n = len(outs), len(ins)
+        a, c, t = _pivot_column(op)
+        choi = _choi_reference(op, a, c)
+        ref = choi[(Ellipsis,) + tuple(a) + tuple(c)]  # axes (out, in)
+        got = t[(slice(None),) * p + tuple(x for ck in c for x in (ck, slice(None)))]
+        assert np.max(np.abs(got - ref)) <= 1e-12, (ins, outs)
+        for k in range(n):
+            for j in range(p):
+                idx = tuple(slice(None) if i == j else ai for i, ai in enumerate(a))
+                idx += tuple(slice(None) if i == k else ci for i, ci in enumerate(c))
+                read = _read(t, a, c, j, (k,), (LINEAR,))
+                assert np.max(np.abs(read - ref[idx])) <= 1e-12, (ins, outs, k, j)
+
+
+def test_conjugate_reads_match_the_partial_transpose():
+    """Each conjugate read of input k is the slice of the pivot column of
+    the Choi matrix's partial transpose on input k, every other index at the
+    pivot; the whole of that column is t with x_k and y_k exchanged."""
+    for op in _pivot_cases():
+        outs, ins = op.out_dims, op.in_dims
+        p, n = len(outs), len(ins)
+        a, c, t = _pivot_column(op)
+        choi = _choi_reference(op, a, c)
+        for k in range(n):
+            gamma = choi.swapaxes(p + k, 2 * p + n + k)[(Ellipsis,) + tuple(a) + tuple(c)]
+            whole = tuple(x for i, ci in enumerate(c)
+                          for x in ((slice(None), ci) if i == k else (ci, slice(None))))
+            got = t[(slice(None),) * p + whole]
+            assert np.max(np.abs(got - gamma)) <= 1e-12, (ins, outs, k)
+            for j in range(p):
+                idx = tuple(slice(None) if i == j else ai for i, ai in enumerate(a))
+                idx += tuple(slice(None) if i == k else ci for i, ci in enumerate(c))
+                read = _read(t, a, c, j, (k,), (CONJUGATE,))
+                assert np.max(np.abs(read - gamma[idx])) <= 1e-12, (ins, outs, k, j)
 
 
 def _witness_reference(op, tol, seed=0, random_tries=1000):
@@ -753,10 +770,15 @@ def test_batched_witness_scan_on_boundary_slices(seed, dims, fixed_slot, which, 
     # slices of canonical forms with 3e-9 coefficient noise, as in the
     # classifier's boundary cases
     op = _noisy_sep(seed, *dims, 3e-9)
-    anchors = tuple(basis_state(d, 0) for d in dims)
+    anchors = [basis_state(d, 0).projection for d in dims]
     k = 2 - fixed_slot
-    stack = _section_maps(op, anchors, k)[which - 1]
-    sl = SuperOperator((dims[k],), (dims[which - 1],), basis.coords(stack).T)
+
+    def section(x):
+        ab = list(anchors)
+        ab[k] = x
+        return slice_phi(op, *ab, which)
+
+    sl = from_action((dims[k],), (dims[which - 1],), section)
     ref, found = _witness_reference(sl, 1e-8, seed=3)
     assert found == where
     got = find_impure_witness(sl, 1e-8, seed=3)

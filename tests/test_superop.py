@@ -189,6 +189,10 @@ def test_non_finite_input_is_refused():
     for v in ([nan, 1], [inf, 0], [1j * inf, 1], [0, 0]):
         with pytest.raises(StructureError, match="zero or non-finite"):
             pure_state(v)
+    # finite entries whose squares overflow still normalize
+    h = 2 ** -0.5
+    assert np.allclose(pure_state([1e200, 1e200]).vector, [h, h], rtol=0, atol=1e-15)
+    assert np.allclose(pure_state([1e300j, -1e300]).vector, [h, 1j * h], rtol=0, atol=1e-15)
     for value in (nan, inf):
         with pytest.raises(ContractError):
             affine_to_linear(lambda rho, value=value: np.full((2, 2), value), 2)
