@@ -121,24 +121,34 @@ def cmd_make(args) -> int:
         flags = _parse_flags(args.flags, sum(src is not None for src in sources), rng)
         form = _random_sep_form(args.form, dims[0], dims[1], rng, flags)
         op = canonical_sep(form, dims)
-    sys.stdout.write(serialize.dumps(serialize.superop_to_json(op)))
+    serialize.write_superop(op, sys.stdout)
     return EXIT_OK
 
 
-def _load_superop(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise StructureError(f"cannot read {path}: {exc}")
+def _read_text(path: str) -> str:
     try:
-        obj = json.loads(text)
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise StructureError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise StructureError(f"{path}: not UTF-8 text ({exc})")
+
+
+def _parse(text: str):
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructureError(f"malformed JSON: {exc}")
-    return serialize.superop_from_json(obj)
+    except RecursionError:
+        raise StructureError("malformed JSON: nested too deeply")
+
+
+def _load_superop(path: str):
+    # the text is freed when _parse returns, before the array is built
+    return serialize.superop_from_json(_parse(_read_text(path)))
 
 
 def cmd_classify(args) -> int:

@@ -1,7 +1,13 @@
 """JSON interchange for matrices, maps, states and classification reports.
 
 Validation errors carry the offending field path so command-line users can
-locate the problem; unknown basis tags are rejected rather than guessed at.
+locate the problem; unknown basis tags are rejected rather than guessed at,
+and so are entries that are not JSON numbers or do not fit a float.
+
+A map's coefficient matrix has D⁴ entries (36 MB of text at dims (6,6)), so
+``write_superop`` streams it one row at a time, in the same bytes as
+``dumps(superop_to_json(op))``, without holding the whole matrix as Python
+floats or as one string.
 """
 
 import itertools
@@ -52,11 +58,17 @@ def _need_numbers(rows, path):
         raise StructureError(f"{path}: expected numbers, got {names}")
 
 
-def _as_float_rows(value, path):
+def _float_array(value, path):
     try:
-        arr = np.array(value, dtype=np.float64)
+        return np.array(value, dtype=np.float64)
+    except OverflowError as exc:
+        raise StructureError(f"{path}: a number is too large for a float") from exc
     except (TypeError, ValueError) as exc:
         raise StructureError(f"{path}: not a numeric array ({exc})") from exc
+
+
+def _as_float_rows(value, path):
+    arr = _float_array(value, path)
     if arr.ndim != 2:
         raise StructureError(f"{path}: expected a 2-d array, got {arr.ndim}-d")
     _need_numbers(value, path)
@@ -92,13 +104,23 @@ def matrix_from_json(obj, path: str = "$") -> HermitianOperator:
         raise StructureError(f"{path}: {exc}") from exc
 
 
+def _superop_head(op: SuperOperator) -> dict:
+    return {"in_dims": list(op.in_dims), "out_dims": list(op.out_dims), "basis": basis.BASIS_TAG}
+
+
 def superop_to_json(op: SuperOperator) -> dict:
-    return {
-        "in_dims": list(op.in_dims),
-        "out_dims": list(op.out_dims),
-        "basis": basis.BASIS_TAG,
-        "coeff": op.coeff.tolist(),
-    }
+    return {**_superop_head(op), "coeff": op.coeff.tolist()}
+
+
+def write_superop(op: SuperOperator, fh) -> None:
+    """Write ``dumps(superop_to_json(op))`` to the text stream ``fh``, one
+    coefficient row at a time."""
+    fh.write(dumps({**_superop_head(op), "coeff": []})[:-len("]}\n")])
+    for i, row in enumerate(op.coeff):
+        if i:
+            fh.write(",")
+        fh.write(json.dumps(row.tolist(), separators=(",", ":")))
+    fh.write("]}\n")
 
 
 def superop_from_json(obj, path: str = "$") -> SuperOperator:
@@ -119,10 +141,7 @@ def vector_to_json(v: np.ndarray) -> list:
 
 
 def vector_from_json(obj, path: str) -> np.ndarray:
-    try:
-        arr = np.array(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise StructureError(f"{path}: not a numeric array ({exc})") from exc
+    arr = _float_array(obj, path)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise StructureError(f"{path}: expected a list of [re, im] pairs")
     _need_numbers(obj, path)
@@ -150,7 +169,11 @@ def state_from_json(obj, path: str = "$"):
     for i, term in enumerate(terms_obj):
         tp = f"{path}.terms[{i}]"
         p = _need(term, "p", tp)
-        if type(p) not in (int, float) or not math.isfinite(p):
+        try:
+            finite = type(p) in (int, float) and math.isfinite(p)
+        except OverflowError:       # an integer beyond the float range
+            finite = False
+        if not finite:
             raise StructureError(f"{tp}.p: expected a finite number")
         weights.append(p)
         factors = _need(term, "factors", tp)

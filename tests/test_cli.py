@@ -127,6 +127,25 @@ def test_classify_malformed_json(capsys, monkeypatch):
     assert code == 2 and "cannot read" in err
 
 
+def test_classify_refuses_text_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "map.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert code == 2 and out == "" and err.startswith("error:") and "not UTF-8" in err
+
+
+def test_classify_refuses_json_nested_too_deeply(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "classify", "-", stdin="[" * 100_000,
+                             monkeypatch=monkeypatch)
+    assert code == 2 and out == "" and err.startswith("error:") and "nested too deeply" in err
+
+
+def test_classify_refuses_numbers_too_large_for_a_float(capsys, monkeypatch):
+    text = '{"in_dims":[1],"out_dims":[1],"basis":"gellmann-v1","coeff":[[1%s]]}' % ("0" * 400)
+    code, out, err = run_cli(capsys, "classify", "-", stdin=text, monkeypatch=monkeypatch)
+    assert code == 2 and out == "" and err.startswith("error: $.coeff: a number is too large")
+
+
 def test_classify_rejects_boolean_dims(capsys, monkeypatch):
     """JSON true is not the factor dimension 1: a (2,2) map whose dims read
     [true, 4] is malformed input, not a (1,4) map to classify."""

@@ -1,13 +1,19 @@
 """JSON interchange round trips and validation error paths."""
 
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from preservers import (
+    MultiForm,
+    SepForm,
     StructureError,
     basis_state,
+    canonical_multi,
+    canonical_sep,
     random_hermitian,
     random_isometry,
     random_pure,
@@ -26,6 +32,7 @@ from preservers.serialize import (
     state_to_json,
     superop_from_json,
     superop_to_json,
+    write_superop,
 )
 
 
@@ -170,3 +177,65 @@ def test_dumps_is_single_line_utf8():
     text = dumps({"grid": ["a", "b′"]})
     assert text.endswith("\n") and text.count("\n") == 1
     assert "b′" in text
+
+
+def _form6(dims, seed, out_dims=None):
+    rng = np.random.default_rng(seed)
+    out_dims = out_dims or dims
+    return canonical_sep(SepForm(6, u1=random_isometry(out_dims[0], dims[0], rng),
+                                 u2=random_isometry(out_dims[1], dims[1], rng, "conjugate")), dims)
+
+
+def test_write_superop_is_dumps_of_superop_to_json():
+    """The streamed map text is the one-shot text, byte for byte."""
+    rng = np.random.default_rng(11)
+    multi = canonical_multi(MultiForm((2, 3, 1), tuple(
+        random_isometry(2, 2, rng, flag) for flag in ("linear", "conjugate", "linear"))), (2, 2, 2))
+    ops = [trace_replacer(random_pure(3, rng), (2,), (3,)), _form6((2, 3), 1), multi,
+           _form6((1, 3), 2, (2, 3))]
+    for op in ops:
+        buf = io.StringIO()
+        write_superop(op, buf)
+        assert buf.getvalue() == dumps(superop_to_json(op))
+        assert superop_equal(superop_from_json(json.loads(buf.getvalue())), op, 0.0).equal
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+def test_write_superop_holds_one_row_at_a_time():
+    """Writing an exact (4,4) map allocates a small fraction of its matrix;
+    the one-shot text holds it about eleven times over."""
+    op = _form6((4, 4), 3)
+    tracemalloc.start()
+    try:
+        write_superop(op, _Discard())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * op.coeff.nbytes
+
+
+def test_numbers_too_large_for_a_float_are_refused():
+    """A JSON integer beyond the float range is malformed input naming its
+    field, not an OverflowError."""
+    big = 10**400
+    coeff = superop_to_json(trace_replacer(random_pure(2, 2), (2,), (2,)))
+    coeff["coeff"][1][2] = big
+    with pytest.raises(StructureError, match=r"\$\.coeff: a number is too large"):
+        superop_from_json(coeff)
+    for key in ("re", "im"):
+        obj = {"dims": [2], "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}
+        obj[key][0][1] = -big
+        with pytest.raises(StructureError, match=rf"\$\.{key}: a number is too large"):
+            matrix_from_json(obj)
+        obj = {"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]], "flag": "linear"}
+        obj[key][1][0] = big
+        with pytest.raises(StructureError, match=rf"\$\.{key}: a number is too large"):
+            isometry_from_json(obj)
+    with pytest.raises(StructureError, match=r"\$\.terms\[0\]\.p: expected a finite number"):
+        state_from_json({"dims": [2], "terms": [{"p": big, "factors": [[[1, 0], [0, 0]]]}]})
+    with pytest.raises(StructureError, match=r"\$\.terms\[0\]\.factors\[0\]: a number is too large"):
+        state_from_json({"dims": [2], "terms": [{"p": 1, "factors": [[[1, 0], [0, big]]]}]})
