@@ -13,8 +13,9 @@ fails purity.  The classification tolerance is the only threshold.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .linalg import (
     _check_numbers,
     _reduced,
     as_rng,
+    basis_state,
     canonical_phase,
     first_not_pure,
     pure_state,
@@ -60,11 +62,37 @@ class PureClassification:
         return self.kind in (TRACE_REPLACER, CONJUGATION)
 
 
-def _scan(op: SuperOperator, dims, first_bad, family=(), random_tries: int = 0, seed=0):
+@lru_cache(maxsize=None)
+def _spanning_vectors(d: int) -> np.ndarray:
+    """The vectors of ``spanning_states(d)`` as one read-only (d*d, d) stack,
+    built once per dimension."""
+    v = np.array([p.vector for p in spanning_states(d)])
+    v.flags.writeable = False
+    return v
+
+
+def _family(dims, stop: int | None = None):
+    """The first ``stop`` (all, if None) products of the spanning families of
+    ``dims`` in lexicographic order, as :func:`_scan` takes a family: the
+    per-factor vector stacks and one row of per-factor indices a product."""
+    shape = [d * d for d in dims]
+    count = math.prod(shape) if stop is None else min(stop, math.prod(shape))
+    return ([_spanning_vectors(d) for d in dims],
+            np.column_stack(np.unravel_index(np.arange(count), shape)))
+
+
+def _scan(op: SuperOperator, dims, first_bad, family=((), ()), random_tries: int = 0, seed=0,
+          start: int = 0):
     """First input, a tuple of pure states on the factors ``dims`` of the
-    input space, whose image ``first_bad`` rejects: the tuples of ``family``
-    in order, then ``random_tries`` seeded draws.  Returns (position, tuple,
-    image of the tuple) or None.
+    input space, whose image ``first_bad`` rejects: the candidates of
+    ``family`` from position ``start`` on, then ``random_tries`` seeded
+    draws.  Returns (position, tuple, image of the tuple) or None.
+
+    ``family`` is (stacks, rows): one stack of unit vectors per factor, and
+    an integer array whose row i picks candidate i's vector from each stack
+    (see :func:`_family`).  Only the returned tuple becomes ``PureState``
+    objects, from copies, so no vector is shared with the stacks.  The
+    candidates before ``start`` are ones the caller has tested already.
 
     ``first_bad`` gets a stack of images and returns the index of the first
     rejected one, or None.  Inputs are tested in blocks that double from one
@@ -72,7 +100,9 @@ def _scan(op: SuperOperator, dims, first_bad, family=(), random_tries: int = 0, 
     one small block: the purity kernels eigensolve a block of one image (or
     of few entries), and of a larger block only the images that their
     certificates cannot clear, at every stage of the product test.  A
-    block's images come from one coefficient product.
+    block's images come from one coefficient product.  The family's blocks
+    are those of a scan from position 0, cut at ``start``, so every image is
+    computed as that scan computes it.
     Each block of draws is one ``standard_normal((t, 2 * sum(dims)))``, the
     stream of ``t`` rounds of ``random_pure`` calls (real then imaginary
     part, factor by factor), so the result is that of a state-by-state scan;
@@ -92,22 +122,26 @@ def _scan(op: SuperOperator, dims, first_bad, family=(), random_tries: int = 0, 
         projs = psi[:, :, None] * psi[:, None, :].conj()
         return basis.from_coords(basis.coords(projs) @ op.coeff.T, op.out_dim)
 
-    for start, stop in blocks(len(family)):
-        block = family[start:stop]
-        imgs = images([np.array([c[k].vector for c in block]) for k in range(len(dims))])
+    stacks, rows = family
+    for lo, stop in blocks(len(rows)):
+        lo = max(lo, start)
+        if lo >= stop:
+            continue
+        block = rows[lo:stop]
+        imgs = images([s[block[:, k]] for k, s in enumerate(stacks)])
         i = first_bad(imgs)
         if i is not None:
-            return start + i, tuple(block[i]), imgs[i]
+            return lo + i, tuple(PureState(s[j].copy()) for s, j in zip(stacks, block[i])), imgs[i]
     rng = as_rng(seed)
     offsets = list(itertools.accumulate(dims, initial=0))
-    for start, stop in blocks(random_tries):
-        g = rng.standard_normal((stop - start, 2 * offsets[-1]))
+    for lo, stop in blocks(random_tries):
+        g = rng.standard_normal((stop - lo, 2 * offsets[-1]))
         raw = [g[:, 2 * o:2 * o + d] + 1j * g[:, 2 * o + d:2 * (o + d)]
                for o, d in zip(offsets, dims)]
         imgs = images([v / np.linalg.norm(v, axis=1, keepdims=True) for v in raw])
         i = first_bad(imgs)
         if i is not None:
-            return len(family) + start + i, tuple(pure_state(v[i]) for v in raw), imgs[i]
+            return len(rows) + lo + i, tuple(pure_state(v[i]) for v in raw), imgs[i]
     return None
 
 
@@ -121,20 +155,19 @@ def find_impure_witness(op: SuperOperator, tol: float, seed: int = 0,
     state-by-state scan finds.  A Generator passed as ``seed`` advances by
     whole blocks.
     """
-    d = op.in_dim
-    hit = _scan(op, (d,), lambda images: first_not_pure(images, tol),
-                [(p,) for p in spanning_states(d)], random_tries, seed)
+    _check_numbers(tol, seed=seed)
+    return _impure_scan(op, tol, seed, random_tries=random_tries)
+
+
+def _impure_scan(op: SuperOperator, tol: float, seed, start: int = 0, random_tries: int = 1000):
+    """:func:`find_impure_witness` from candidate ``start`` of the family."""
+    dims = (op.in_dim,)
+    hit = _scan(op, dims, lambda images: first_not_pure(images, tol),
+                _family(dims), random_tries, seed, start)
     return None if hit is None else (hit[1][0], hit[2])
 
 
-def _not_preserver(op: SuperOperator, tol: float, seed: int) -> PureClassification:
-    hit = find_impure_witness(op, tol, seed)
-    if hit is None:
-        raise ClassificationError(
-            "map fails reconstruction but no impure image was found; "
-            f"classification is indeterminate at tol={tol:g}"
-        )
-    witness, image = hit
+def _not_preserver(witness: PureState, image: np.ndarray) -> PureClassification:
     return PureClassification(NOT_PRESERVER, witness=witness,
                               residual=float(spectral_defect(np.linalg.eigvalsh(image))))
 
@@ -206,10 +239,11 @@ def _propose(op: SuperOperator):
                 return None, None
             feeds[j].append((k, (LINEAR, CONJUGATE)[int(defect[1] < defect[0])]))
     slots = []
+    if [] in feeds:
+        phi_i = basis.from_coords(op.coeff[:, :op.in_dim].sum(axis=1), op.out_dim)[None]
     for j, pairs in enumerate(feeds):
         if not pairs:
-            phi_i = basis.from_coords(op.coeff[:, :op.in_dim].sum(axis=1), op.out_dim)
-            top = np.linalg.eigh(_reduced(phi_i[None], op.out_dims, j)[0])[1][:, -1]
+            top = np.linalg.eigh(_reduced(phi_i, op.out_dims, j)[0])[1][:, -1]
             slots.append((None, pure_state(top)))
             continue
         inputs, flags = zip(*pairs)
@@ -228,20 +262,30 @@ def classify_pure_preserver(op: SuperOperator, tol: float = EPS_CLS,
                             seed: int = 0) -> PureClassification:
     """Decide trace replacement vs isometric conjugation vs non-preserver.
 
-    ``tol`` is the only threshold.  The image of e_0, the first candidate of
-    the witness scan, must be pure.  The one slot that :func:`_propose`
-    reads is then a trace replacer where unfed and a conjugation where fed,
-    and the one coefficient comparison at ``tol`` against the rebuilt map
-    decides; a failure goes to the witness search.
+    ``tol`` is the only threshold.  The image of e_0, candidate 0 of the
+    witness scan, must be pure; if it is not, e_0 is the witness and that
+    image gives the residual.  The one slot that :func:`_propose` reads is
+    then a trace replacer where unfed and a conjugation where fed, and the
+    one coefficient comparison at ``tol`` against the rebuilt map decides.
+    A failure scans for a witness from candidate 1, so no candidate is
+    tested twice; the witness is the one :func:`find_impure_witness` finds.
     """
     _check_numbers(tol, seed=seed)
     if len(op.in_dims) != 1 or len(op.out_dims) != 1:
         raise StructureError("single-factor maps only; use the bipartite classifier")
     first = basis.from_coords(op.coeff[:, :1].T, op.out_dim)
-    slots = None if first_not_pure(first, tol) is not None else _propose(op)[1]
+    if first_not_pure(first, tol) is not None:
+        return _not_preserver(basis_state(op.in_dim, 0), first[0])
+    slots = _propose(op)[1]
     cmp = slots and superop_equal(op, _product_map(op.in_dims, slots), tol)
     if not (cmp and cmp.equal):
-        return _not_preserver(op, tol, seed)
+        hit = _impure_scan(op, tol, seed, start=1)
+        if hit is None:
+            raise ClassificationError(
+                "map fails reconstruction but no impure image was found; "
+                f"classification is indeterminate at tol={tol:g}"
+            )
+        return _not_preserver(*hit)
     (src, param), = slots
     if src is None:
         return PureClassification(TRACE_REPLACER, replacement=param, residual=cmp.max_dev)

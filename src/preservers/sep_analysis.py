@@ -20,8 +20,8 @@ once every slot is fed.  An output slot that no input factor feeds is
 indeterminate, provided the rebuilt map passes the comparison.
 """
 
-import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,11 +35,10 @@ from .linalg import (
     basis_state,
     first_not_product_pure,
     partial_trace,
-    spanning_states,
     tensor,
     uniform_state,
 )
-from .pure_analysis import NOT_PRESERVER, _propose, _scan
+from .pure_analysis import NOT_PRESERVER, _family, _propose, _scan
 from .superop import (
     SEP_SOURCES,
     MultiForm,
@@ -109,15 +108,22 @@ def find_product_witness(op: SuperOperator, tol: float, seed: int = 0,
     state-by-state scan finds.  A Generator passed as ``seed`` advances by
     whole blocks.
     """
-    families = [spanning_states(d) for d in op.in_dims]
-    family = list(itertools.islice(itertools.product(*families), det_cap))
-    hit = _scan(op, op.in_dims, _first_not_product(op, tol), family, random_tries, seed)
+    _check_numbers(tol, seed=seed)
+    return _product_scan(op, tol, seed, det_cap=det_cap, random_tries=random_tries)
+
+
+def _product_scan(op: SuperOperator, tol: float, seed, start: int = 0,
+                  det_cap: int | None = None, random_tries: int = 1000):
+    """:func:`find_product_witness` from candidate ``start`` of the family."""
+    hit = _scan(op, op.in_dims, _first_not_product(op, tol), _family(op.in_dims, det_cap),
+                random_tries, seed, start)
     return None if hit is None else hit[1]
 
 
-def _product_witness(op: SuperOperator, tol: float, seed: int, det_cap: int | None = None):
-    """The witness of :func:`find_product_witness`; raises if there is none."""
-    found = find_product_witness(op, tol, seed, det_cap)
+def _product_witness(op: SuperOperator, tol: float, seed, det_cap: int | None = None):
+    """The witness of :func:`find_product_witness` for a map whose candidate
+    0 is known to pass; raises if there is none."""
+    found = _product_scan(op, tol, seed, 1, det_cap)
     if found is None:
         raise ClassificationError(
             "map failed form verification but no product-pure violation was "
@@ -130,15 +136,16 @@ def classify_sep_preserver(op: SuperOperator, tol: float = EPS_CLS,
                            seed: int = 0) -> SepClassification:
     """Decide which of the seven bipartite canonical forms a map has.
 
-    The image of e_0 (x) e_0, the first candidate of the witness scan, must
-    be product pure.  The feeds read off the pivot column of the Choi matrix
-    (``pure_analysis._propose``) propose the form: the slot sources name the
-    tag through the inverse of ``SEP_SOURCES``, a carried slot takes its
-    isometry and a replaced slot its state.  The grid cell is a label of the
-    feeds.  The one comparison at ``tol`` against the rebuilt map decides.
-    Every failure, a joint carry in the empty cells (b,b') and (c,c')
-    included, produces a product pure state whose image violates product
-    purity.
+    The image of e_0 (x) e_0, candidate 0 of the witness scan, must be
+    product pure; if it is not, that product is the witness.  The feeds read
+    off the pivot column of the Choi matrix (``pure_analysis._propose``)
+    propose the form: the slot sources name the tag through the inverse of
+    ``SEP_SOURCES``, a carried slot takes its isometry and a replaced slot
+    its state.  The grid cell is a label of the feeds.  The one comparison
+    at ``tol`` against the rebuilt map decides.  Every other failure, a
+    joint carry in the empty cells (b,b') and (c,c') included, scans for a
+    witness from candidate 1, so no candidate is tested twice; the witness
+    is the one :func:`find_product_witness` finds.
     """
     _check_numbers(tol, seed=seed)
     if len(op.in_dims) != 2 or op.in_dims != op.out_dims:
@@ -146,7 +153,10 @@ def classify_sep_preserver(op: SuperOperator, tol: float = EPS_CLS,
             "bipartite classification needs matching two-factor input/output dims"
         )
     first = basis.from_coords(op.coeff[:, :1].T, op.out_dim)
-    feeds, slots = (None, None) if _first_not_product(op, tol)(first) is not None else _propose(op)
+    if _first_not_product(op, tol)(first) is not None:
+        return SepClassification(NOT_PRESERVER,
+                                 witness=tuple(basis_state(d, 0) for d in op.in_dims))
+    feeds, slots = _propose(op)
     grid = feeds and _grid(feeds)
     tag = slots and _SEP_TAGS.get(tuple(src for src, _ in slots))
     cmp = tag and superop_equal(op, _product_map(op.in_dims, slots), tol)
@@ -229,6 +239,17 @@ class MultiClassification:
         return self.kind == MULTI_FORM
 
 
+@lru_cache(maxsize=None)
+def _multi_probes(dims):
+    """The anchors e_0 on every factor, then the uniform product state, as a
+    :func:`_scan` family of read-only arrays, built once per ``dims``."""
+    stacks = [np.array([basis_state(d, 0).vector, uniform_state(d).vector]) for d in dims]
+    rows = np.repeat([[0], [1]], len(dims), axis=1)
+    for a in stacks + [rows]:
+        a.flags.writeable = False
+    return stacks, rows
+
+
 def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
                              seed: int = 0) -> MultiClassification:
     """Classify an n-factor map as a factor permutation with per-slot
@@ -242,7 +263,9 @@ def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
     slot fed by no input is indeterminate; a dimension-1 slot is never fed,
     and gets no other special case.  Otherwise the feeds are a permutation.
     Every failure, an input feeding two slots or a joint carry wider than
-    its slot included, gets a witness.
+    its slot included, gets the witness of
+    ``find_product_witness(op, tol, seed, det_cap=729)``, scanned from
+    candidate 1 since the anchors are candidate 0.
     """
     _check_numbers(tol, seed=seed)
     n = len(op.in_dims)
@@ -251,9 +274,7 @@ def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
     if op.in_dims != op.out_dims:
         raise StructureError("multipartite classification needs matching input/output dims")
     dims = op.in_dims
-    anchors = tuple(basis_state(d, 0) for d in dims)
-    base = tuple(uniform_state(d) for d in dims)
-    hit = _scan(op, dims, _first_not_product(op, tol), (anchors, base))
+    hit = _scan(op, dims, _first_not_product(op, tol), _multi_probes(dims))
     if hit is not None:
         return MultiClassification(NOT_PRESERVER, witness=hit[1])
     feeds, slots = _propose(op)

@@ -109,6 +109,23 @@ def leaky_embedding(in_dims, w_seed: int, ratio: float, tol: float = 1e-8):
     return make_superop(in_dims, out_dims, coeff)
 
 
+def perturbed(op, noise: float, rng):
+    """``op`` with ``noise`` times Gaussian noise on every coefficient."""
+    return make_superop(op.in_dims, op.out_dims,
+                        op.coeff + noise * rng.standard_normal(op.coeff.shape))
+
+
+def hidden_bump(op, eps: float, rng):
+    """``op`` plus ``eps`` times a random Hermitian image of the coordinate
+    Y_01 of the whole input space.  The probes e_0 (x) ... (x) e_0 and the
+    uniform product state have no Y_01 coordinate, so their images are those
+    of ``op``, while the candidates mixing e_0 and i e_1 see the bump."""
+    coeff = op.coeff.copy()
+    g = rng.standard_normal((op.out_dim, op.out_dim)) + 1j * rng.standard_normal((op.out_dim,) * 2)
+    coeff[:, op.in_dim + 1] += eps * basis.coords(g + g.conj().T)
+    return make_superop(op.in_dims, op.out_dims, coeff)
+
+
 # ---------------------------------------------------------------------------
 # independent oracles
 

@@ -1,11 +1,12 @@
 """Pure-preserver classification: round trips, dichotomy, witnesses."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import leaky_embedding
+from conftest import hidden_bump, leaky_embedding, perturbed
 from preservers import (
     CONJUGATE,
     LINEAR,
@@ -27,8 +28,8 @@ from preservers import (
     to_choi,
     trace_replacer,
 )
-from preservers.linalg import as_rng, canonical_phase, purity_defect
-from preservers.pure_analysis import _pivot_column, _propose, _read
+from preservers.linalg import as_rng, canonical_phase, purity_defect, spectral_defect
+from preservers.pure_analysis import _pivot_column, _propose, _read, find_impure_witness
 
 
 def test_trace_replacer_round_trip_exact():
@@ -298,6 +299,28 @@ def test_mc_verify_pure_contracts():
     res2 = mc_verify_pure(sym, 500, 0)
     assert res2.samples == res.samples
     assert np.allclose(res2.witness.vector, res.witness.vector)
+
+
+@pytest.mark.parametrize("noise", [1e-3, 3e-9])
+def test_witness_is_the_scan_witness(noise):
+    """Whether the probe of e_0 decides or the scan runs from candidate 1,
+    the witness and its residual are those of the public scan from 0."""
+    rng = np.random.default_rng(29)
+    later = 0
+    for m, n in itertools.product((2, 3, 4), repeat=2):
+        maps = [trace_replacer(random_pure(n, rng), (m,), (n,))]
+        if m <= n:
+            maps.append(conjugation(random_isometry(n, m, rng, (LINEAR, CONJUGATE)[m % 2])))
+            maps.append(hidden_bump(maps[-1], 1e-3, rng))
+        for op in [perturbed(op, noise, rng) for op in maps[:2]] + maps[2:]:
+            c = classify_pure_preserver(op, 1e-8, seed=2)
+            if c.kind != "not_preserver":
+                continue
+            witness, image = find_impure_witness(op, 1e-8, 2)
+            assert np.array_equal(c.witness.vector, witness.vector), (m, n)
+            assert c.residual == float(spectral_defect(np.linalg.eigvalsh(image))), (m, n)
+            later += not np.array_equal(witness.vector, np.eye(m)[0])
+    assert later >= 6
 
 
 def test_classifier_argument_errors():

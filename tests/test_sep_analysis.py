@@ -8,8 +8,10 @@ import pytest
 
 from conftest import (
     EXPECTED_GRID,
+    hidden_bump,
     leaky_embedding,
     legal_dims,
+    perturbed,
     random_flag,
     random_multiform_setup,
     random_sep_form,
@@ -26,6 +28,7 @@ from preservers import (
     canonical_sep,
     check_both_directions,
     classify_multi_preserver,
+    classify_pure_preserver,
     classify_sep_preserver,
     basis_state,
     doubling_obstruction_check,
@@ -314,12 +317,13 @@ def test_boundary_forms_get_a_certified_verdict():
 
 
 def _count(monkeypatch, name, modules):
+    """Record the positional arguments of every call of ``name``."""
     calls = []
     for module in modules:
         inner = getattr(module, name)
 
         def counted(*args, _inner=inner, **kwargs):
-            calls.append(1)
+            calls.append(args)
             return _inner(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -366,6 +370,147 @@ def test_product_negatives_scan_no_section(monkeypatch):
                           exact.coeff + 1e-3 * rng.standard_normal(exact.coeff.shape))
         assert classify_multi_preserver(op).kind == "not_preserver", seed
     assert calls == []
+
+
+def _probe_images(monkeypatch):
+    """The images that the product and the single-factor purity tests get,
+    one list of stacks each."""
+    return (_count(monkeypatch, "first_not_product_pure", (sep_analysis,)),
+            _count(monkeypatch, "first_not_pure", (pure_analysis,)))
+
+
+def _witness(c):
+    """The witness of a pure or product classification as a tuple of states."""
+    return c.witness if isinstance(c.witness, tuple) else (c.witness,)
+
+
+def _is_first_candidate(witness):
+    return all(np.array_equal(w.vector, basis_state(w.dim, 0).vector) for w in witness)
+
+
+def test_probe_failing_negatives_test_one_image(monkeypatch):
+    """A negative whose probe image fails returns the probe as its witness:
+    candidate 0 of the family, and the only image tested."""
+    prod, pure = _probe_images(monkeypatch)
+    rng = np.random.default_rng(25)
+    cases = [(perturbed(canonical_sep(random_sep_form(tag, 2, 2, rng), (2, 2)), 1e-3, rng),
+              classify_sep_preserver) for tag in range(1, 8)]
+    cases += [(perturbed(trace_replacer(random_pure(3, rng), (3,), (3,)), 1e-3, rng),
+               classify_pure_preserver),
+              (_bipartite_replacer(np.pi / 4), classify_sep_preserver)]
+    for i, (op, classify) in enumerate(cases):
+        prod.clear()
+        pure.clear()
+        c = classify(op)
+        assert c.kind == "not_preserver", i
+        assert sum(len(args[0]) for args in prod + pure) == 1, i
+        assert _is_first_candidate(_witness(c)), i
+
+
+def test_witness_scans_after_a_passed_probe_skip_it(monkeypatch):
+    """A negative whose probe passes scans for its witness from candidate 1:
+    the image of e_0 (x) ... (x) e_0 is tested once, by the probe."""
+    prod, pure = _probe_images(monkeypatch)
+    rng = np.random.default_rng(26)
+    isos = tuple(random_isometry(2, 2, rng) for _ in range(3))
+    cases = [(_noisy_sep(0, 2, 2, 3e-9), classify_sep_preserver),   # family, candidate 6
+             (_noisy_sep(2, 2, 2, 3e-9), classify_sep_preserver),   # random draw
+             (_noisy_sep(0, 2, 3, 3e-9), classify_sep_preserver),
+             (hidden_bump(canonical_sep(random_sep_form(6, 3, 3, rng), (3, 3)), 1e-3, rng),
+              classify_sep_preserver),
+             (hidden_bump(canonical_multi(MultiForm((2, 3, 1), isos), (2, 2, 2)), 1e-3, rng),
+              classify_multi_preserver),
+             (hidden_bump(conjugation(random_isometry(3, 3, rng)), 1e-3, rng),
+              classify_pure_preserver)]
+    for i, (op, classify) in enumerate(cases):
+        prod.clear()
+        pure.clear()
+        c = classify(op)
+        assert c.kind == "not_preserver", i
+        assert not _is_first_candidate(_witness(c)), i
+        probe = basis.from_coords(op.coeff[:, 0], op.out_dim)
+        tested = [img for args in prod + pure for img in args[0]]
+        assert sum(np.array_equal(img, probe) for img in tested) == 1, i
+
+
+@pytest.mark.parametrize("noise", [1e-3, 3e-9])
+def test_sep_witness_is_the_scan_witness(noise):
+    """Whether the probe decides or the scan runs from candidate 1, the
+    classifier's witness is the one the public scan finds from candidate 0."""
+    rng = np.random.default_rng(27)
+    found = {"probe": 0, "later": 0}
+    for tag in range(1, 8):
+        for m, n in itertools.product((2, 3, 4), repeat=2):
+            if not legal_dims(tag, m, n):
+                continue
+            op = perturbed(canonical_sep(random_sep_form(tag, m, n, rng), (m, n)), noise, rng)
+            c = classify_sep_preserver(op, 1e-8, seed=4)
+            if c.kind == "not_preserver":
+                assert _same_states(c.witness, find_product_witness(op, 1e-8, 4)), (tag, m, n)
+                found["probe" if _is_first_candidate(c.witness) else "later"] += 1
+    assert found["probe"] and (noise > 1e-6 or found["later"]), found
+
+
+def test_multi_witness_is_the_scan_witness():
+    """A multipartite negative whose anchors fail or pass gets the witness
+    of the public scan over its first 729 candidates."""
+    rng = np.random.default_rng(28)
+    later = 0
+    for dims, perm in (((2, 2, 2), (2, 3, 1)), ((2, 3, 3), (1, 3, 2))):
+        for _ in range(3):
+            isos = tuple(random_isometry(dims[j], dims[perm[j] - 1], rng, random_flag(rng))
+                         for j in range(3))
+            exact = canonical_multi(MultiForm(perm, isos), dims)
+            for op in (perturbed(exact, 1e-3, rng), hidden_bump(exact, 1e-3, rng)):
+                c = classify_multi_preserver(op, 1e-8, seed=3)
+                assert c.kind == "not_preserver", dims
+                assert _same_states(c.witness, find_product_witness(op, 1e-8, 3, det_cap=729))
+                later += not _is_first_candidate(c.witness)
+    assert later == 6
+
+
+def test_spanning_states_stay_fresh_and_witnesses_share_nothing():
+    """The families are built once per dimension, yet ``spanning_states``
+    returns new writable states, and no witness shares a vector with the
+    family or with another witness: mutating either changes no later one."""
+    a, b = spanning_states(3), spanning_states(3)
+    for p, q in zip(a, b):
+        assert p.vector.flags.writeable and not np.shares_memory(p.vector, q.vector)
+        assert np.array_equal(p.vector, q.vector)
+    rng = np.random.default_rng(30)
+    cases = [(perturbed(canonical_sep(random_sep_form(6, 3, 3, rng), (3, 3)), 1e-3, rng),
+              classify_sep_preserver),
+             (hidden_bump(canonical_sep(random_sep_form(6, 3, 3, rng), (3, 3)), 1e-3, rng),
+              classify_sep_preserver),
+             (hidden_bump(conjugation(random_isometry(3, 3, rng)), 1e-3, rng),
+              classify_pure_preserver)]
+    for op, classify in cases:
+        first = _witness(classify(op))
+        want = [w.vector.copy() for w in first]
+        for p in a:
+            p.vector[:] = 0
+        for w in first:
+            assert w.vector.flags.writeable
+            w.vector[:] = 0
+        again = _witness(classify(op))
+        assert all(np.array_equal(w.vector, v) for w, v in zip(again, want, strict=True))
+    assert all(np.array_equal(p.vector, q.vector) for p, q in zip(spanning_states(3), b))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": float("nan")}, {"tol": -1.0}, {"tol": 1e-8, "seed": -1},
+], ids=["nan_tol", "negative_tol", "negative_seed"])
+def test_witness_scans_check_their_arguments(kwargs):
+    """A NaN tolerance would read as "no violation", a negative one make
+    every candidate a witness, and a negative seed passes unseen when the
+    family holds the witness: all three are refused up front."""
+    rng = np.random.default_rng(31)
+    sep = perturbed(canonical_sep(random_sep_form(6, 2, 2, rng), (2, 2)), 1e-3, rng)
+    pure = perturbed(conjugation(random_isometry(3, 2, rng)), 1e-3, rng)
+    with pytest.raises(StructureError):
+        find_product_witness(sep, **kwargs)
+    with pytest.raises(StructureError):
+        find_impure_witness(pure, **kwargs)
 
 
 def test_sep_classifier_argument_errors():
