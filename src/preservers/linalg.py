@@ -32,6 +32,14 @@ def _check_seed(seed):
         raise StructureError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
+def _check_counts(*counts):
+    """Refuse a scan size that is not a nonnegative integer: a negative one
+    scans nothing, which would read as "no violation found"."""
+    for n in counts:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise StructureError(f"scan sizes must be nonnegative integers, got {n!r}")
+
+
 def _check_numbers(tol: float, samples: int = 1, seed=0):
     """Refuse a tolerance outside 0 < tol < inf (NaN included), a sample
     count below one and a seed that :func:`as_rng` refuses."""

@@ -6,10 +6,11 @@ A -> VAV+ / V A^t V+.  By the paper's structure theorem a separable-pure-state
 preserver is a product of such slots, each carrying input factors through an
 isometry or writing a fixed pure state, so after a partial transpose on the
 conjugated inputs one column of its Choi matrix holds the whole wiring.
-:func:`_propose` reads that column, the one read of all three classifiers,
-and proposes the slots; only the coefficient comparison at ``tol`` against
-the rebuilt product map decides, and a failure gets a pure state whose image
-fails purity.  The classification tolerance is the only threshold.
+:func:`_propose` reads that column and proposes the slots, and
+:func:`_decide`, the one verdict path of all three classifiers, compares the
+rebuilt product map with the map at ``tol``; a failure gets an input whose
+image fails (product) purity.  The classification tolerance is the only
+threshold.
 """
 
 import itertools
@@ -24,11 +25,13 @@ from .errors import ClassificationError, StructureError
 from .linalg import (
     EPS_CLS,
     PureState,
+    _check_counts,
     _check_numbers,
     _reduced,
     as_rng,
     basis_state,
     canonical_phase,
+    first_not_product_pure,
     first_not_pure,
     pure_state,
     spanning_states,
@@ -156,20 +159,11 @@ def find_impure_witness(op: SuperOperator, tol: float, seed: int = 0,
     whole blocks.
     """
     _check_numbers(tol, seed=seed)
-    return _impure_scan(op, tol, seed, random_tries=random_tries)
-
-
-def _impure_scan(op: SuperOperator, tol: float, seed, start: int = 0, random_tries: int = 1000):
-    """:func:`find_impure_witness` from candidate ``start`` of the family."""
+    _check_counts(random_tries)
     dims = (op.in_dim,)
-    hit = _scan(op, dims, lambda images: first_not_pure(images, tol),
-                _family(dims), random_tries, seed, start)
+    hit = _scan(op, dims, lambda images: first_not_pure(images, tol), _family(dims),
+                random_tries, seed)
     return None if hit is None else (hit[1][0], hit[2])
-
-
-def _not_preserver(witness: PureState, image: np.ndarray) -> PureClassification:
-    return PureClassification(NOT_PRESERVER, witness=witness,
-                              residual=float(spectral_defect(np.linalg.eigvalsh(image))))
 
 
 def _pivot_column(op: SuperOperator):
@@ -258,34 +252,62 @@ def _propose(op: SuperOperator):
     return feeds, slots
 
 
-def classify_pure_preserver(op: SuperOperator, tol: float = EPS_CLS,
-                            seed: int = 0) -> PureClassification:
-    """Decide trace replacement vs isometric conjugation vs non-preserver.
+def _decide(op: SuperOperator, tol: float, seed, probes=None, det_cap: int | None = None):
+    """The verdict path of all three classifiers: (hit, feeds, slots, cmp).
 
-    ``tol`` is the only threshold.  The image of e_0, candidate 0 of the
-    witness scan, must be pure; if it is not, e_0 is the witness and that
-    image gives the residual.  The one slot that :func:`_propose` reads is
-    then a trace replacer where unfed and a conjugation where fed, and the
-    one coefficient comparison at ``tol`` against the rebuilt map decides.
-    A failure scans for a witness from candidate 1, so no candidate is
-    tested twice; the witness is the one :func:`find_impure_witness` finds.
+    In order, until one decides: the probe e_0 (x) ... (x) e_0, whose image
+    is ``op.coeff[:, 0]``; the extra ``probes`` (a :func:`_scan` family), if
+    any; the wiring that :func:`_propose` reads; the one comparison ``cmp``
+    at ``tol`` against the rebuilt product map; and, when that fails or no
+    map was rebuilt, the witness scan from candidate 1 over the first
+    ``det_cap`` (all, if None) products of the spanning families and 1000
+    seeded draws, so no candidate is tested twice.  Images are tested with
+    spectral purity for one input factor, product purity on ``op.out_dims``
+    otherwise.  ``hit`` is a failing probe or the scan's witness, as
+    :func:`_scan` returns it, and None after a passed comparison; a probe
+    that decides leaves the rest None.  A scan that finds no witness raises
+    ``ClassificationError``, the one indeterminate outcome.
     """
     _check_numbers(tol, seed=seed)
+
+    def first_bad(images):
+        if len(op.in_dims) == 1:
+            return first_not_pure(images, tol)
+        return first_not_product_pure(images, op.out_dims, tol)
+
+    first = basis.from_coords(op.coeff[:, :1].T, op.out_dim)
+    if first_bad(first) is not None:
+        return (0, tuple(basis_state(d, 0) for d in op.in_dims), first[0]), None, None, None
+    hit = None if probes is None else _scan(op, op.in_dims, first_bad, probes)
+    if hit is not None:
+        return hit, None, None, None
+    feeds, slots = _propose(op)
+    cmp = slots and superop_equal(op, _product_map(op.in_dims, slots), tol)
+    if cmp and cmp.equal:
+        return None, feeds, slots, cmp
+    hit = _scan(op, op.in_dims, first_bad, _family(op.in_dims, det_cap), 1000, seed, start=1)
+    if hit is None:
+        raise ClassificationError(
+            "map fails reconstruction but no witness was found; "
+            f"classification is indeterminate at tol={tol:g}"
+        )
+    return hit, feeds, slots, cmp
+
+
+def classify_pure_preserver(op: SuperOperator, tol: float = EPS_CLS,
+                            seed: int = 0) -> PureClassification:
+    """Decide trace replacement vs isometric conjugation vs non-preserver
+    along :func:`_decide`: the one slot that :func:`_propose` reads is a
+    trace replacer where unfed and a conjugation where fed.  A witness is
+    the one :func:`find_impure_witness` finds, and its image gives the
+    residual.
+    """
     if len(op.in_dims) != 1 or len(op.out_dims) != 1:
         raise StructureError("single-factor maps only; use the bipartite classifier")
-    first = basis.from_coords(op.coeff[:, :1].T, op.out_dim)
-    if first_not_pure(first, tol) is not None:
-        return _not_preserver(basis_state(op.in_dim, 0), first[0])
-    slots = _propose(op)[1]
-    cmp = slots and superop_equal(op, _product_map(op.in_dims, slots), tol)
-    if not (cmp and cmp.equal):
-        hit = _impure_scan(op, tol, seed, start=1)
-        if hit is None:
-            raise ClassificationError(
-                "map fails reconstruction but no impure image was found; "
-                f"classification is indeterminate at tol={tol:g}"
-            )
-        return _not_preserver(*hit)
+    hit, _, slots, cmp = _decide(op, tol, seed)
+    if hit:
+        return PureClassification(NOT_PRESERVER, witness=hit[1][0],
+                                  residual=float(spectral_defect(np.linalg.eigvalsh(hit[2]))))
     (src, param), = slots
     if src is None:
         return PureClassification(TRACE_REPLACER, replacement=param, residual=cmp.max_dev)

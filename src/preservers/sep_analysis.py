@@ -1,19 +1,21 @@
 """Classification of separable-pure-state preservers.
 
-Both classifiers take their wiring from the pivot column of the Choi matrix
-(``pure_analysis._propose``): which inputs feed which output slot, under
-which flag, and the isometry or fixed pure state of every slot.  The read
-only proposes; the one check is the coefficient comparison at ``tol`` of
-the whole map against the rebuilt product map.  A failed comparison, an
-input feeding two slots (the doubling obstruction) or a slot that cannot be
-rebuilt gets a product pure state whose image is not product pure.
+Both classifiers decide along ``pure_analysis._decide``, the one verdict
+path of all three: the pivot column of the Choi matrix proposes the wiring
+(which inputs feed which output slot, under which flag, and the isometry or
+fixed pure state of every slot), and the one check is the coefficient
+comparison at ``tol`` of the whole map against the rebuilt product map.  A
+failed comparison, an input feeding two slots (the doubling obstruction) or
+a slot that cannot be rebuilt gets a product pure state whose image is not
+product pure.
 
-A bipartite map's feeds name its form through the inverse of ``SEP_SOURCES``.
-The grid cell is a label of the feeds: input 1's letter is a, c or b as it
-feeds no slot, slot 1 or slot 2, and input 2's takes a prime.  The cells
-(b,b') and (c,c'), where both inputs feed one slot, hold no preserver when
-the input and output dims agree (see :func:`doubling_obstruction_check`), so
-such a joint carry has no tag and gets a witness.
+A bipartite map's slot sources name its form through the inverse of
+``SEP_SOURCES``.  The grid cell is a label of the feeds: input 1's letter is
+a, c or b as it feeds no slot, slot 1 or slot 2, and input 2's takes a
+prime.  The cells (b,b') and (c,c'), where both inputs feed one slot, hold
+no preserver when the input and output dims agree (see
+:func:`doubling_obstruction_check`); such a joint carry is wider than its
+slot, so no map is rebuilt and it gets a witness.
 
 A multipartite map's feeds are a factor permutation with per-slot isometries
 once every slot is fed.  An output slot that no input factor feeds is
@@ -25,29 +27,26 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import basis
-from .errors import ClassificationError, StructureError
+from .errors import StructureError
 from .linalg import (
     EPS_CLS,
     HermitianOperator,
     PureState,
+    _check_counts,
     _check_numbers,
-    basis_state,
     first_not_product_pure,
     partial_trace,
     tensor,
     uniform_state,
 )
-from .pure_analysis import NOT_PRESERVER, _family, _propose, _scan
+from .pure_analysis import NOT_PRESERVER, _decide, _family, _scan
 from .superop import (
     SEP_SOURCES,
     MultiForm,
     SepForm,
     SuperOperator,
-    _product_map,
     _sep_form,
     apply,
-    superop_equal,
 )
 
 # the form tag of each row of slot sources
@@ -109,60 +108,34 @@ def find_product_witness(op: SuperOperator, tol: float, seed: int = 0,
     whole blocks.
     """
     _check_numbers(tol, seed=seed)
-    return _product_scan(op, tol, seed, det_cap=det_cap, random_tries=random_tries)
-
-
-def _product_scan(op: SuperOperator, tol: float, seed, start: int = 0,
-                  det_cap: int | None = None, random_tries: int = 1000):
-    """:func:`find_product_witness` from candidate ``start`` of the family."""
+    _check_counts(random_tries, 0 if det_cap is None else det_cap)
     hit = _scan(op, op.in_dims, _first_not_product(op, tol), _family(op.in_dims, det_cap),
-                random_tries, seed, start)
+                random_tries, seed)
     return None if hit is None else hit[1]
-
-
-def _product_witness(op: SuperOperator, tol: float, seed, det_cap: int | None = None):
-    """The witness of :func:`find_product_witness` for a map whose candidate
-    0 is known to pass; raises if there is none."""
-    found = _product_scan(op, tol, seed, 1, det_cap)
-    if found is None:
-        raise ClassificationError(
-            "map failed form verification but no product-pure violation was "
-            f"found; classification is indeterminate at tol={tol:g}"
-        )
-    return found
 
 
 def classify_sep_preserver(op: SuperOperator, tol: float = EPS_CLS,
                            seed: int = 0) -> SepClassification:
-    """Decide which of the seven bipartite canonical forms a map has.
+    """Decide which of the seven bipartite canonical forms a map has, along
+    ``pure_analysis._decide``.
 
-    The image of e_0 (x) e_0, candidate 0 of the witness scan, must be
-    product pure; if it is not, that product is the witness.  The feeds read
-    off the pivot column of the Choi matrix (``pure_analysis._propose``)
-    propose the form: the slot sources name the tag through the inverse of
-    ``SEP_SOURCES``, a carried slot takes its isometry and a replaced slot
-    its state.  The grid cell is a label of the feeds.  The one comparison
-    at ``tol`` against the rebuilt map decides.  Every other failure, a
-    joint carry in the empty cells (b,b') and (c,c') included, scans for a
-    witness from candidate 1, so no candidate is tested twice; the witness
-    is the one :func:`find_product_witness` finds.
+    The slot sources of a passed comparison name the tag through the inverse
+    of ``SEP_SOURCES``: with two factors and matching dims, ``_propose``
+    rebuilds no map for an input feeding two slots or a joint carry, so
+    every row of sources it returns is a form.  A carried slot takes its
+    isometry and a replaced slot its state.  The grid cell is a label of the
+    feeds, kept on a failed comparison.  A witness is the one
+    :func:`find_product_witness` finds.
     """
-    _check_numbers(tol, seed=seed)
     if len(op.in_dims) != 2 or op.in_dims != op.out_dims:
         raise StructureError(
             "bipartite classification needs matching two-factor input/output dims"
         )
-    first = basis.from_coords(op.coeff[:, :1].T, op.out_dim)
-    if _first_not_product(op, tol)(first) is not None:
-        return SepClassification(NOT_PRESERVER,
-                                 witness=tuple(basis_state(d, 0) for d in op.in_dims))
-    feeds, slots = _propose(op)
+    hit, feeds, slots, cmp = _decide(op, tol, seed)
     grid = feeds and _grid(feeds)
-    tag = slots and _SEP_TAGS.get(tuple(src for src, _ in slots))
-    cmp = tag and superop_equal(op, _product_map(op.in_dims, slots), tol)
-    if not (cmp and cmp.equal):
-        return SepClassification(NOT_PRESERVER, witness=_product_witness(op, tol, seed), grid=grid)
-    form = _sep_form(tag, [param for _, param in slots])
+    if hit:
+        return SepClassification(NOT_PRESERVER, witness=hit[1], grid=grid)
+    form = _sep_form(_SEP_TAGS[tuple(src for src, _ in slots)], [param for _, param in slots])
     return SepClassification(FORM, form=form, grid=grid, residual=cmp.max_dev)
 
 
@@ -241,10 +214,10 @@ class MultiClassification:
 
 @lru_cache(maxsize=None)
 def _multi_probes(dims):
-    """The anchors e_0 on every factor, then the uniform product state, as a
-    :func:`_scan` family of read-only arrays, built once per ``dims``."""
-    stacks = [np.array([basis_state(d, 0).vector, uniform_state(d).vector]) for d in dims]
-    rows = np.repeat([[0], [1]], len(dims), axis=1)
+    """The uniform product state as a one-row :func:`_scan` family of
+    read-only arrays, built once per ``dims``."""
+    stacks = [np.array([uniform_state(d).vector]) for d in dims]
+    rows = np.zeros((1, len(dims)), dtype=int)
     for a in stacks + [rows]:
         a.flags.writeable = False
     return stacks, rows
@@ -253,34 +226,23 @@ def _multi_probes(dims):
 def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
                              seed: int = 0) -> MultiClassification:
     """Classify an n-factor map as a factor permutation with per-slot
-    isometric conjugations, when its wiring determines one.
+    isometric conjugations, when its wiring determines one, along
+    ``pure_analysis._decide`` with the uniform product state as an extra
+    probe and witness scans capped at ``det_cap=729``.
 
-    The ``basis_state(d, 0)`` anchors and the uniform states, the first two
-    candidates of the witness scan, must have product pure images, or that
-    input is the witness.  Then the pivot column of the Choi matrix
-    (``pure_analysis._propose``) proposes the slots, and the one comparison
-    at ``tol`` against the rebuilt map decides.  A map that passes with a
-    slot fed by no input is indeterminate; a dimension-1 slot is never fed,
-    and gets no other special case.  Otherwise the feeds are a permutation.
-    Every failure, an input feeding two slots or a joint carry wider than
-    its slot included, gets the witness of
-    ``find_product_witness(op, tol, seed, det_cap=729)``, scanned from
-    candidate 1 since the anchors are candidate 0.
+    A map that passes with a slot fed by no input is indeterminate; a
+    dimension-1 slot is never fed, and gets no other special case.
+    Otherwise the feeds are a permutation.  A witness is the uniform state
+    when its image fails, else the one
+    ``find_product_witness(op, tol, seed, det_cap=729)`` finds.
     """
-    _check_numbers(tol, seed=seed)
-    n = len(op.in_dims)
-    if n < 2:
+    if len(op.in_dims) < 2:
         raise StructureError("multipartite classification needs at least two factors")
     if op.in_dims != op.out_dims:
         raise StructureError("multipartite classification needs matching input/output dims")
-    dims = op.in_dims
-    hit = _scan(op, dims, _first_not_product(op, tol), _multi_probes(dims))
-    if hit is not None:
+    hit, feeds, slots, cmp = _decide(op, tol, seed, _multi_probes(op.in_dims), 729)
+    if hit:
         return MultiClassification(NOT_PRESERVER, witness=hit[1])
-    feeds, slots = _propose(op)
-    cmp = slots and superop_equal(op, _product_map(op.in_dims, slots), tol)
-    if not (cmp and cmp.equal):
-        return MultiClassification(NOT_PRESERVER, witness=_product_witness(op, tol, seed, 729))
     if [] in feeds:
         return MultiClassification(INSUFFICIENT, detail=(
             f"output slot {feeds.index([]) + 1} is fed by no input factor: "

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 
-from preservers import pure_state, trace_replacer
+from preservers import conjugation, make_superop, pure_state, random_isometry, trace_replacer
 from preservers.cli import main
 from preservers.serialize import dumps, superop_to_json
 
@@ -113,6 +113,18 @@ def test_classify_stdin_and_exit_codes(capsys, monkeypatch):
                                stdin=dumps(superop_to_json(flat)), monkeypatch=monkeypatch)
     assert code == 3
     assert json.loads(rep_out)["form"] == "insufficient"
+
+
+def test_classify_indeterminate_map_exits_3(capsys, monkeypatch):
+    """A noisy 2 -> 2 conjugation that fails the comparison at tol while no
+    scanned image fails purity: no report, an ``indeterminate:`` line."""
+    rng = np.random.default_rng(3)
+    op = conjugation(random_isometry(2, 2, rng))
+    op = make_superop((2,), (2,), op.coeff + 3e-9 * rng.standard_normal(op.coeff.shape))
+    code, out, err = run_cli(capsys, "classify", "-", stdin=dumps(superop_to_json(op)),
+                             monkeypatch=monkeypatch)
+    assert (code, out) == (3, "")
+    assert err.startswith("indeterminate: ") and err.count("\n") == 1
 
 
 def test_classify_malformed_json(capsys, monkeypatch):

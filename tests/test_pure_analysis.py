@@ -10,6 +10,7 @@ from conftest import hidden_bump, leaky_embedding, perturbed
 from preservers import (
     CONJUGATE,
     LINEAR,
+    ClassificationError,
     HermitianOperator,
     StructureError,
     apply,
@@ -329,6 +330,17 @@ def test_classifier_argument_errors():
         classify_pure_preserver(op, tol=0.0)
     with pytest.raises(StructureError):
         classify_pure_preserver(identity_superop((2, 2)))
+
+
+def test_boundary_map_without_witness_is_indeterminate():
+    """A 2 -> 2 conjugation with 3e-9 coefficient noise fails the comparison
+    at ``tol`` while no scanned image fails purity: the classifier raises
+    rather than guess a verdict."""
+    rng = np.random.default_rng(3)
+    op = perturbed(conjugation(random_isometry(2, 2, rng)), 3e-9, rng)
+    with pytest.raises(ClassificationError, match="indeterminate at tol=1e-08"):
+        classify_pure_preserver(op)
+    assert find_impure_witness(op, 1e-8) is None
 
 
 def test_rank_deficient_map_gets_witness():

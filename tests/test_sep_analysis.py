@@ -19,6 +19,7 @@ from conftest import (
 from preservers import (
     CONJUGATE,
     LINEAR,
+    ClassificationError,
     HermitianOperator,
     MultiForm,
     SepForm,
@@ -281,7 +282,7 @@ def test_positive_classifies_one_anchor_per_side(monkeypatch):
     """An exact bipartite positive reads one pivot column of its Choi matrix
     and makes one comparison, whatever its form."""
     reads = _count(monkeypatch, "column", (basis,))
-    comparisons = _count(monkeypatch, "superop_equal", (pure_analysis, sep_analysis))
+    comparisons = _count(monkeypatch, "superop_equal", (pure_analysis,))
     rng = np.random.default_rng(22)
     for tag in range(1, 8):
         for m, n in itertools.product((2, 3), repeat=2):
@@ -335,7 +336,7 @@ def test_product_positive_makes_one_comparison(monkeypatch):
     an exact positive, bipartite or (2,2,2), reads one pivot column and
     makes a single comparison."""
     reads = _count(monkeypatch, "column", (basis,))
-    calls = _count(monkeypatch, "superop_equal", (pure_analysis, sep_analysis))
+    calls = _count(monkeypatch, "superop_equal", (pure_analysis,))
     rng = np.random.default_rng(23)
     for tag in range(1, 8):
         for m, n in itertools.product((2, 3), repeat=2):
@@ -356,8 +357,8 @@ def test_product_positive_makes_one_comparison(monkeypatch):
 
 def test_product_negatives_scan_no_section(monkeypatch):
     """The pivot read only proposes, so a perturbed product map runs no
-    single-factor witness scan: its one scan is the map-level one."""
-    calls = _count(monkeypatch, "_not_preserver", (pure_analysis,))
+    single-factor purity test: its one scan is the map-level one."""
+    calls = _count(monkeypatch, "first_not_pure", (pure_analysis,))
     rng = np.random.default_rng(24)
     for tag in range(1, 8):
         exact = canonical_sep(random_sep_form(tag, 2, 2, rng), (2, 2))
@@ -375,7 +376,7 @@ def test_product_negatives_scan_no_section(monkeypatch):
 def _probe_images(monkeypatch):
     """The images that the product and the single-factor purity tests get,
     one list of stacks each."""
-    return (_count(monkeypatch, "first_not_product_pure", (sep_analysis,)),
+    return (_count(monkeypatch, "first_not_product_pure", (pure_analysis, sep_analysis)),
             _count(monkeypatch, "first_not_pure", (pure_analysis,)))
 
 
@@ -499,18 +500,82 @@ def test_spanning_states_stay_fresh_and_witnesses_share_nothing():
 
 @pytest.mark.parametrize("kwargs", [
     {"tol": float("nan")}, {"tol": -1.0}, {"tol": 1e-8, "seed": -1},
-], ids=["nan_tol", "negative_tol", "negative_seed"])
+    {"tol": 1e-8, "det_cap": -1}, {"tol": 1e-8, "random_tries": -5},
+    {"tol": 1e-8, "det_cap": 2.5}, {"tol": 1e-8, "random_tries": 2.5},
+], ids=["nan_tol", "negative_tol", "negative_seed", "negative_det_cap", "negative_random_tries",
+        "fractional_det_cap", "fractional_random_tries"])
 def test_witness_scans_check_their_arguments(kwargs):
     """A NaN tolerance would read as "no violation", a negative one make
     every candidate a witness, and a negative seed passes unseen when the
-    family holds the witness: all three are refused up front."""
+    family holds the witness.  A negative scan size would scan nothing and
+    read as "no violation", and a fractional one has no meaning.  All are
+    refused up front."""
     rng = np.random.default_rng(31)
     sep = perturbed(canonical_sep(random_sep_form(6, 2, 2, rng), (2, 2)), 1e-3, rng)
     pure = perturbed(conjugation(random_isometry(3, 2, rng)), 1e-3, rng)
     with pytest.raises(StructureError):
         find_product_witness(sep, **kwargs)
-    with pytest.raises(StructureError):
-        find_impure_witness(pure, **kwargs)
+    if "det_cap" not in kwargs:
+        with pytest.raises(StructureError):
+            find_impure_witness(pure, **kwargs)
+
+
+def test_witness_scans_of_size_zero_scan_nothing():
+    """Size 0 stays valid: on a map whose every input is a witness, a scan
+    of no candidates finds none, and one candidate finds one."""
+    op = trace_replacer(random_pure(4, 1), (2, 2), (2, 2))
+    assert find_product_witness(op, 1e-8, det_cap=0, random_tries=0) is None
+    assert find_product_witness(op, 1e-8, det_cap=0, random_tries=1) is not None
+    assert find_product_witness(op, 1e-8, det_cap=np.int64(1), random_tries=0) is not None
+
+
+@pytest.mark.parametrize("tag,seed", [(3, 20), (6, 21), (7, 28)])
+def test_boundary_map_without_witness_is_indeterminate(tag, seed):
+    """(2,2) forms with 2e-9 coefficient noise that fail the comparison at
+    ``tol`` while no scanned image fails product purity: the classifier
+    raises rather than guess a verdict."""
+    rng = np.random.default_rng(seed)
+    op = perturbed(canonical_sep(random_sep_form(tag, 2, 2, rng), (2, 2)), 2e-9, rng)
+    with pytest.raises(ClassificationError, match="indeterminate at tol=1e-08"):
+        classify_sep_preserver(op)
+    assert find_product_witness(op, 1e-8) is None
+
+
+def _two_factor_maps():
+    """Two-factor maps with matching input and output dims: forms 1-7 on
+    {1,2,3}^2, exact and noisy, the bipartite replacers, hidden bumps and
+    random coefficient matrices."""
+    rng = np.random.default_rng(35)
+    for tag in range(1, 8):
+        for m, n in itertools.product((1, 2, 3), repeat=2):
+            if not legal_dims(tag, m, n):
+                continue
+            exact = canonical_sep(random_sep_form(tag, m, n, rng), (m, n))
+            yield exact
+            for noise in (3e-9, 1e-3):
+                yield perturbed(exact, noise, rng)
+            if m * n > 1:
+                yield hidden_bump(exact, 1e-3, rng)
+    for theta in np.linspace(0, np.pi / 2, 7):
+        yield _bipartite_replacer(theta)
+    for m, n in itertools.product((1, 2, 3), repeat=2):
+        for _ in range(4):
+            d = (m * n) ** 2
+            yield make_superop((m, n), (m, n), rng.standard_normal((d, d)))
+
+
+def test_two_factor_proposals_always_name_a_form():
+    """With two factors and matching dims, every proposal's slot sources
+    are a row of ``SEP_SOURCES``: an input feeding two slots or a joint
+    carry wider than its slot gets no slots, so the bipartite classifier
+    needs no tag gate before its comparison."""
+    proposals = 0
+    for op in _two_factor_maps():
+        slots = pure_analysis._propose(op)[1]
+        if slots is not None:
+            assert tuple(src for src, _ in slots) in _SEP_TAGS, (op.in_dims, slots)
+            proposals += 1
+    assert proposals >= 200
 
 
 def test_sep_classifier_argument_errors():
