@@ -17,9 +17,7 @@ from .errors import ClassificationError, StructureError
 from .linalg import as_rng, random_pure
 from .pure_analysis import classify_pure_preserver, mc_verify_pure
 from .sep_analysis import (
-    FORM,
     INSUFFICIENT,
-    MULTI_FORM,
     classify_sep_preserver,
     classify_multi_preserver,
     mc_verify_product,
@@ -27,14 +25,10 @@ from .sep_analysis import (
 from .superop import (
     CONJUGATE,
     LINEAR,
-    SEP_SOURCES,
-    MultiForm,
     SepForm,
-    _sep_form,
+    _product_map,
     _sep_sources,
-    canonical_multi,
     canonical_sep,
-    conjugation,
     random_isometry,
     trace_replacer,
 )
@@ -67,20 +61,11 @@ def _parse_flags(text, count: int, rng) -> list[str]:
     return flags
 
 
-def _random_sep_form(tag: int, m: int, n: int, rng, flags) -> SepForm:
-    """Random parameters drawn slot by slot; the k-th isometry takes flags[k]."""
-    dims = (m, n)
-    sources = SEP_SOURCES[tag]
-    if any(src is not None and dims[src] > dims[j] for j, src in enumerate(sources)):
-        law = {4: "dims m >= n", 5: "dims m <= n", 7: "equal factor dimensions"}[tag]
-        raise StructureError(f"form {tag} requires {law}, got {m},{n}")
-    flag = iter(flags)
-    return _sep_form(tag, [random_pure(d, rng) if src is None
-                           else random_isometry(d, dims[src], rng, next(flag))
-                           for d, src in zip(dims, sources)])
-
-
 def cmd_make(args) -> int:
+    """Write a canonical map named by its input dims, output dims and slot
+    sources (the input factor a slot carries, or None where it writes a pure
+    state).  Draw order: a flag per carried slot unless ``--flags`` gives
+    them, then each slot in turn, a pure state or an isometry."""
     rng = as_rng(args.seed)
     dims = _parse_dims(args.dims)
     if args.multi:
@@ -89,39 +74,24 @@ def cmd_make(args) -> int:
         perm = _parse_dims(args.pi)
         if sorted(perm) != list(range(1, len(dims) + 1)):
             raise StructureError(f"--pi {args.pi!r} is not a permutation of 1..{len(dims)}")
-        for j, p in enumerate(perm):
-            if dims[p - 1] > dims[j]:
-                raise StructureError(
-                    f"slot {j + 1} violates the dimension law: carried factor "
-                    f"dim {dims[p - 1]} > slot dim {dims[j]}"
-                )
-        flags = _parse_flags(args.flags, len(dims), rng)
-        isos = tuple(
-            random_isometry(dims[j], dims[perm[j] - 1], rng, flags[j])
-            for j in range(len(dims))
-        )
-        op = canonical_multi(MultiForm(perm, isos), dims)
+        in_dims, out_dims, sources = dims, dims, [p - 1 for p in perm]
     elif args.pure is not None:
         if len(dims) != 2:
             raise StructureError("--pure expects --dims m,n (input and output dimension)")
-        m, n = dims
-        if args.pure == "trace_replacer":
-            op = trace_replacer(random_pure(n, rng), (m,), (n,))
-        else:
-            if m > n:
-                raise StructureError(f"conjugation requires dims m <= n, got {m},{n}")
-            flags = _parse_flags(args.flags, 1, rng)
-            op = conjugation(random_isometry(n, m, rng, flags[0]))
+        in_dims, out_dims = dims[:1], dims[1:]
+        sources = (0,) if args.pure == "conjugation" else (None,)
     else:
         if args.form is None:
             raise StructureError("make needs one of --form, --pure or --multi")
         sources = _sep_sources(args.form)
         if len(dims) != 2:
             raise StructureError("bipartite forms expect --dims m,n")
-        flags = _parse_flags(args.flags, sum(src is not None for src in sources), rng)
-        form = _random_sep_form(args.form, dims[0], dims[1], rng, flags)
-        op = canonical_sep(form, dims)
-    serialize.write_superop(op, sys.stdout)
+        in_dims, out_dims = dims, dims
+    flags = iter(_parse_flags(args.flags, sum(src is not None for src in sources), rng))
+    slots = [(src, random_pure(d, rng) if src is None
+              else random_isometry(d, in_dims[src], rng, next(flags)))
+             for d, src in zip(out_dims, sources)]
+    serialize.write_superop(_product_map(in_dims, slots), sys.stdout)
     return EXIT_OK
 
 
@@ -154,20 +124,16 @@ def _load_superop(path: str):
 def cmd_classify(args) -> int:
     op = _load_superop(args.path)
     if len(op.in_dims) == 1 and len(op.out_dims) == 1:
-        c = classify_pure_preserver(op, args.tol, args.seed)
-        sys.stdout.write(serialize.dumps(serialize.pure_report(c)))
-        return EXIT_OK if c.positive else EXIT_NEGATIVE
-    if len(op.in_dims) == 2:
-        c = classify_sep_preserver(op, args.tol, args.seed)
-        sys.stdout.write(serialize.dumps(serialize.sep_report(c)))
-        return EXIT_OK if c.kind == FORM else EXIT_NEGATIVE
-    c = classify_multi_preserver(op, args.tol, args.seed)
-    sys.stdout.write(serialize.dumps(serialize.multi_report(c)))
-    if c.kind == MULTI_FORM:
+        classify, report = classify_pure_preserver, serialize.pure_report
+    elif len(op.in_dims) == 2:
+        classify, report = classify_sep_preserver, serialize.sep_report
+    else:
+        classify, report = classify_multi_preserver, serialize.multi_report
+    c = classify(op, args.tol, args.seed)
+    sys.stdout.write(serialize.dumps(report(c)))
+    if c.positive:
         return EXIT_OK
-    if c.kind == INSUFFICIENT:
-        return EXIT_INDETERMINATE
-    return EXIT_NEGATIVE
+    return EXIT_INDETERMINATE if c.kind == INSUFFICIENT else EXIT_NEGATIVE
 
 
 def cmd_verify(args) -> int:

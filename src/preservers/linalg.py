@@ -33,18 +33,21 @@ def _check_seed(seed):
 
 
 def _check_counts(*counts):
-    """Refuse a scan size that is not a nonnegative integer: a negative one
-    scans nothing, which would read as "no violation found"."""
+    """Refuse a scan size or sample count that is not a nonnegative integer:
+    a negative one scans nothing, which would read as "no violation found"."""
     for n in counts:
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-            raise StructureError(f"scan sizes must be nonnegative integers, got {n!r}")
+            raise StructureError(
+                f"scan sizes and sample counts must be nonnegative integers, got {n!r}")
 
 
 def _check_numbers(tol: float, samples: int = 1, seed=0):
     """Refuse a tolerance outside 0 < tol < inf (NaN included), a sample
-    count below one and a seed that :func:`as_rng` refuses."""
+    count that is not an integer of at least one and a seed that
+    :func:`as_rng` refuses."""
     if not 0 < tol < np.inf:
         raise StructureError("tolerance must be positive and finite")
+    _check_counts(samples)
     if samples < 1:
         raise StructureError("sample count must be at least 1")
     _check_seed(seed)

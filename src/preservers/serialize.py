@@ -28,7 +28,7 @@ from .sep_analysis import (
     SepClassification,
     check_both_directions,
 )
-from .superop import Isometry, SepForm, SuperOperator, isometry, make_superop
+from .superop import Isometry, SepForm, SuperOperator, _sep_slots, isometry, make_superop
 
 
 def _need(obj, key, path):
@@ -229,16 +229,10 @@ def pure_report(c: PureClassification) -> dict:
 
 
 def _sep_params(form: SepForm) -> dict:
-    out = {}
-    if form.r1 is not None:
-        out["R1"] = _pure_to_json(form.r1)
-    if form.r2 is not None:
-        out["R2"] = _pure_to_json(form.r2)
-    if form.u1 is not None:
-        out["U1"] = isometry_to_json(form.u1)
-    if form.u2 is not None:
-        out["U2"] = isometry_to_json(form.u2)
-    return out
+    params = {f"R{j + 1}" if src is None else f"U{j + 1}":
+              _pure_to_json(p) if src is None else isometry_to_json(p)
+              for j, (src, p) in enumerate(_sep_slots(form))}
+    return dict(sorted(params.items()))
 
 
 def sep_report(c: SepClassification) -> dict:

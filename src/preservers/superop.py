@@ -202,7 +202,8 @@ def random_unitary(d: int, seed=0) -> np.ndarray:
 
 def random_isometry(d_out: int, d_in: int, seed=0, flag: str = LINEAR) -> Isometry:
     if d_in > d_out:
-        raise StructureError(f"no isometry from dimension {d_in} into {d_out}")
+        raise StructureError(f"no isometry from dimension {d_in} into {d_out}: "
+                             "the dimension law needs d_in <= d_out")
     u = random_unitary(d_out, seed)
     return isometry(u[:, :d_in], flag)
 
@@ -395,16 +396,23 @@ def _sep_form(tag: int, params) -> SepForm:
     return SepForm(tag, **fields)
 
 
+def _canonical_map(dims, slots) -> SuperOperator:
+    """The product map of ``slots`` on ``dims``, once each carried slot's
+    isometry takes its factor's dimension and keeps the dimension law."""
+    for j, (src, u) in enumerate(slots):
+        if src is not None:
+            _require(u.d_in == dims[src],
+                     f"slot {j + 1} isometry input {u.d_in} != carried factor dimension {dims[src]}")
+            _require(u.d_in <= u.d_out,
+                     f"slot {j + 1} violates the dimension law d_in <= d_out")
+    return _product_map(dims, slots)
+
+
 def canonical_sep(form: SepForm, dims) -> SuperOperator:
     """Build the superoperator of a tag 1-7 canonical form on input dims (m, n)."""
     dims = _dims_tuple(dims)
     _require(len(dims) == 2, f"bipartite forms need dims (m, n), got {dims}")
-    slots = _sep_slots(form)
-    for j, (src, p) in enumerate(slots):
-        if src is not None:
-            _require(p.d_in == dims[src],
-                     f"form {form.tag} u{j + 1} input must be {dims[src]}, got {p.d_in}")
-    return _product_map(dims, slots)
+    return _canonical_map(dims, _sep_slots(form))
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +438,7 @@ def canonical_multi(form: MultiForm, dims) -> SuperOperator:
         raise StructureError(f"{perm} is not a permutation of 1..{n}")
     isos = tuple(form.isometries)
     _require(len(isos) == n, f"need {n} isometries, got {len(isos)}")
-    for j, iso in enumerate(isos):
-        src = dims[perm[j] - 1]
-        _require(
-            iso.d_in == src,
-            f"slot {j + 1} isometry input {iso.d_in} != carried factor dimension {src}",
-        )
-        _require(
-            iso.d_in <= iso.d_out,
-            f"slot {j + 1} violates the dimension law dim_in <= dim_out",
-        )
-    return _product_map(dims, tuple((p - 1, iso) for p, iso in zip(perm, isos)))
+    return _canonical_map(dims, tuple((p - 1, iso) for p, iso in zip(perm, isos)))
 
 
 def inverse_isometry(u: Isometry) -> Isometry:

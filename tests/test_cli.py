@@ -4,8 +4,23 @@ import json
 
 import numpy as np
 
-from preservers import conjugation, make_superop, pure_state, random_isometry, trace_replacer
+from preservers import (
+    CONJUGATE,
+    LINEAR,
+    SEP_SOURCES,
+    MultiForm,
+    SepForm,
+    canonical_multi,
+    canonical_sep,
+    conjugation,
+    make_superop,
+    pure_state,
+    random_isometry,
+    random_pure,
+    trace_replacer,
+)
 from preservers.cli import main
+from preservers.linalg import as_rng
 from preservers.serialize import dumps, superop_to_json
 
 
@@ -79,13 +94,50 @@ def test_make_flags_count_follows_form(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "make", "--form", "6", "--dims", "2,2",
                            "--flags", "conjugate")
     assert code == 2 and "--flags expects 2" in err
+    code, _, err = run_cli(capsys, "make", "--pure", "trace_replacer", "--dims", "2,3",
+                           "--flags", "conjugate")
+    assert code == 2 and "--flags expects 0" in err
+
+
+def test_make_draws_flags_then_slots(capsys):
+    """make draws a flag per isometry, then each output slot in order, and
+    writes the map of the public constructor on those parameters."""
+    def draws(seed, d_in, d_out, sources):
+        rng = as_rng(seed)
+        flags = iter([str(rng.choice([LINEAR, CONJUGATE])) for s in sources if s is not None])
+        return [random_pure(d, rng) if s is None
+                else random_isometry(d, d_in[s], rng, next(flags))
+                for d, s in zip(d_out, sources)]
+
+    cases = []
+    for tag in range(1, 8):
+        for dims in ((2, 3), (3, 3)):
+            if (tag, dims) in ((4, (2, 3)), (7, (2, 3))):
+                continue
+            params = draws(tag, dims, dims, SEP_SOURCES[tag])
+            slots = {("r" if s is None else "u") + str(j + 1): p
+                     for j, (s, p) in enumerate(zip(SEP_SOURCES[tag], params))}
+            cases.append((["--form", str(tag), "--dims", "%d,%d" % dims, "--seed", str(tag)],
+                          canonical_sep(SepForm(tag, **slots), dims)))
+    isos = draws(8, (2, 2, 2), (2, 2, 2), (1, 2, 0))
+    cases.append((["--multi", "--pi", "2,3,1", "--dims", "2,2,2", "--seed", "8"],
+                  canonical_multi(MultiForm((2, 3, 1), isos), (2, 2, 2))))
+    (u,) = draws(5, (2,), (4,), (0,))
+    cases.append((["--pure", "conjugation", "--dims", "2,4", "--seed", "5"], conjugation(u)))
+    (r,) = draws(6, (2,), (4,), (None,))
+    cases.append((["--pure", "trace_replacer", "--dims", "2,4", "--seed", "6"],
+                  trace_replacer(r, (2,), (4,))))
+    for argv, op in cases:
+        code, out, err = run_cli(capsys, "make", *argv)
+        assert code == 0, (argv, err)
+        assert out == dumps(superop_to_json(op)), argv
 
 
 def test_make_constraint_violations(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "make", "--form", "7", "--dims", "2,3")
-    assert code == 2 and "equal factor dimensions" in err
+    assert code == 2 and "dimension law" in err
     code, _, err = run_cli(capsys, "make", "--form", "5", "--dims", "3,2")
-    assert code == 2 and "m <= n" in err
+    assert code == 2 and "dimension law" in err
     code, _, err = run_cli(capsys, "make", "--multi", "--pi", "2,1", "--dims", "2,3")
     assert code == 2 and "dimension law" in err
 

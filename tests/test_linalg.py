@@ -25,6 +25,7 @@ from preservers import (
     conjugation,
     eig_hermitian,
     herm,
+    identity_superop,
     is_product_pure,
     is_pure,
     mc_verify_product,
@@ -637,6 +638,16 @@ def test_as_rng_refuses_bad_seeds():
     for seed in (-1, 1.5, "3", None, True):
         with pytest.raises(StructureError, match="seed"):
             as_rng(seed)
+
+
+@pytest.mark.parametrize("samples", [2.5, True], ids=["fractional", "boolean"])
+def test_verifiers_refuse_sample_counts_that_are_not_integers(samples):
+    """A fractional or boolean sample count is malformed input, where 2.5
+    escaped as a NumPy TypeError and True ran one sample."""
+    with pytest.raises(StructureError, match="sample counts"):
+        mc_verify_pure(identity_superop((2,)), samples=samples)
+    with pytest.raises(StructureError, match="sample counts"):
+        mc_verify_product(identity_superop((2, 2)), samples=samples)
 
 
 def test_thresholds_outside_zero_to_inf_are_refused():

@@ -12,6 +12,7 @@ from preservers import (
     LINEAR,
     ContractError,
     HermitianOperator,
+    Isometry,
     MultiForm,
     SepForm,
     StructureError,
@@ -244,6 +245,9 @@ def test_canonical_sep_refuses_patterns_and_bad_dims():
     with pytest.raises(StructureError):
         canonical_sep(SepForm(4, u1=random_isometry(3, 3, rng),
                               r2=random_pure(2, rng)), (3, 2))
+    # a raw isometry wider than its output breaks the dimension law
+    with pytest.raises(StructureError, match="dimension law"):
+        canonical_sep(SepForm(2, u1=Isometry(np.eye(3)[:2]), r2=random_pure(2, rng)), (3, 2))
 
 
 def test_canonical_sep_outputs_product_pure():
