@@ -21,6 +21,26 @@ def _triu(d: int):
     return iu, ju
 
 
+@lru_cache(maxsize=None)
+def _entries(d: int):
+    """(idx, w), read-only (d, d, 2) arrays: entry [r, s] of
+    ``from_coords(vec, d)`` is sum_q w[r, s, q] * vec[idx[r, s, q]], over the
+    at most two basis matrices B_k with B_k[r, s] != 0, weighted by B_k[r, s]
+    (a diagonal entry has weight 0 in its second place)."""
+    idx = np.empty((d, d, 2), dtype=np.intp)
+    w = np.zeros((d, d, 2), dtype=np.complex128)
+    diag = np.arange(d)
+    idx[diag, diag] = diag[:, None]
+    w[diag, diag, 0] = 1.0
+    iu, ju = _triu(d)
+    p = d + 2 * np.arange(len(iu))
+    idx[iu, ju] = idx[ju, iu] = np.column_stack([p, p + 1])
+    w[iu, ju] = (1 / SQRT2, 1j / SQRT2)
+    w[ju, iu] = (1 / SQRT2, -1j / SQRT2)
+    idx.flags.writeable = w.flags.writeable = False
+    return idx, w
+
+
 def basis_elements(d: int, start: int, stop: int) -> np.ndarray:
     """Stack of the basis matrices of dimension d with indices start..stop-1."""
     idx = np.arange(start, stop)
@@ -65,19 +85,6 @@ def coords(matrix: np.ndarray) -> np.ndarray:
     out[..., :d] = np.diagonal(matrix, axis1=-2, axis2=-1).real
     out[..., d::2] = SQRT2 * off.real
     out[..., d + 1::2] = SQRT2 * off.imag
-    return out
-
-
-def column(vec: np.ndarray, d: int, a: int) -> np.ndarray:
-    """Column a of ``from_coords(vec, d)``, of shape (..., d), read off the
-    2d - 1 coordinates that hold it: entry a and the pairs holding a."""
-    iu, ju = _triu(d)
-    p = d + 2 * np.flatnonzero((iu == a) | (ju == a))
-    z = (vec[..., p] + 1j * vec[..., p + 1]) / SQRT2
-    out = np.empty(vec.shape[:-1] + (d,), dtype=np.complex128)
-    out[..., a] = vec[..., a]
-    out[..., :a] = z[..., :a]
-    out[..., a + 1:] = z[..., a:].conj()
     return out
 
 

@@ -6,11 +6,12 @@ A -> VAV+ / V A^t V+.  By the paper's structure theorem a separable-pure-state
 preserver is a product of such slots, each carrying input factors through an
 isometry or writing a fixed pure state, so after a partial transpose on the
 conjugated inputs one column of its Choi matrix holds the whole wiring.
-:func:`_propose` reads that column and proposes the slots, and
-:func:`_decide`, the one verdict path of all three classifiers, compares the
-rebuilt product map with the map at ``tol``; a failure gets an input whose
-image fails (product) purity.  The classification tolerance is the only
-threshold.
+:func:`_propose` gathers the 2 n p reads through that column that it needs
+straight from the coefficient matrix (:func:`_feed_reads`), tests them all
+at once and proposes the slots, and :func:`_decide`, the one verdict path
+of all three classifiers, compares the rebuilt product map with the map at
+``tol``; a failure gets an input whose image fails (product) purity.  The
+classification tolerance is the only threshold.
 """
 
 import itertools
@@ -84,18 +85,30 @@ def _family(dims, stop: int | None = None):
             np.column_stack(np.unravel_index(np.arange(count), shape)))
 
 
+def _positions(family, probes) -> list[int]:
+    """The positions in ``family`` of the candidates of ``probes`` (both as
+    :func:`_scan` takes them), vector for vector."""
+    (stacks, rows), (pstacks, prows) = family, probes
+    out = []
+    for prow in prows:
+        same = [(s == p[i]).all(axis=1)[rows[:, k]]
+                for k, (s, p, i) in enumerate(zip(stacks, pstacks, prow))]
+        out += np.flatnonzero(np.all(same, axis=0)).tolist()
+    return out
+
+
 def _scan(op: SuperOperator, dims, first_bad, family=((), ()), random_tries: int = 0, seed=0,
-          start: int = 0):
+          skip=()):
     """First input, a tuple of pure states on the factors ``dims`` of the
     input space, whose image ``first_bad`` rejects: the candidates of
-    ``family`` from position ``start`` on, then ``random_tries`` seeded
-    draws.  Returns (position, tuple, image of the tuple) or None.
+    ``family`` but those at the positions ``skip``, then ``random_tries``
+    seeded draws.  Returns (position, tuple, image of the tuple) or None.
 
     ``family`` is (stacks, rows): one stack of unit vectors per factor, and
     an integer array whose row i picks candidate i's vector from each stack
     (see :func:`_family`).  Only the returned tuple becomes ``PureState``
     objects, from copies, so no vector is shared with the stacks.  The
-    candidates before ``start`` are ones the caller has tested already.
+    candidates at ``skip`` are ones the caller has tested already.
 
     ``first_bad`` gets a stack of images and returns the index of the first
     rejected one, or None.  Inputs are tested in blocks that double from one
@@ -104,8 +117,7 @@ def _scan(op: SuperOperator, dims, first_bad, family=((), ()), random_tries: int
     of few entries), and of a larger block only the images that their
     certificates cannot clear, at every stage of the product test.  A
     block's images come from one coefficient product.  The family's blocks
-    are those of a scan from position 0, cut at ``start``, so every image is
-    computed as that scan computes it.
+    are those of a scan that skips nothing, less the skipped candidates.
     Each block of draws is one ``standard_normal((t, 2 * sum(dims)))``, the
     stream of ``t`` rounds of ``random_pure`` calls (real then imaginary
     part, factor by factor), so the result is that of a state-by-state scan;
@@ -126,15 +138,18 @@ def _scan(op: SuperOperator, dims, first_bad, family=((), ()), random_tries: int
         return basis.from_coords(basis.coords(projs) @ op.coeff.T, op.out_dim)
 
     stacks, rows = family
+    keep = np.ones(len(rows), dtype=bool)
+    keep[list(skip)] = False
     for lo, stop in blocks(len(rows)):
-        lo = max(lo, start)
-        if lo >= stop:
+        at = lo + np.flatnonzero(keep[lo:stop])
+        if not len(at):
             continue
-        block = rows[lo:stop]
+        block = rows[at]
         imgs = images([s[block[:, k]] for k, s in enumerate(stacks)])
         i = first_bad(imgs)
         if i is not None:
-            return lo + i, tuple(PureState(s[j].copy()) for s, j in zip(stacks, block[i])), imgs[i]
+            found = tuple(PureState(s[j].copy()) for s, j in zip(stacks, block[i]))
+            return int(at[i]), found, imgs[i]
     rng = as_rng(seed)
     offsets = list(itertools.accumulate(dims, initial=0))
     for lo, stop in blocks(random_tries):
@@ -166,89 +181,145 @@ def find_impure_witness(op: SuperOperator, tol: float, seed: int = 0,
     return None if hit is None else (hit[1][0], hit[2])
 
 
-def _pivot_column(op: SuperOperator):
-    """(a, c, t): the largest diagonal entry Phi(E_cc)[a, a] of the Choi
-    matrix as per-factor indices, and its column t[a', x, y] = Phi(E_yx)[a', a]
-    with the axes a'_1 .. a'_p, x_1, y_1 .. x_n, y_n, read off column a of
-    every basis image; None when that entry is not positive."""
-    ins, outs = op.in_dims, op.out_dims
-    din, dout, p = op.in_dim, op.out_dim, len(outs)
-    a, c = np.unravel_index(np.argmax(op.coeff[:dout, :din]), (dout, din))
-    if not op.coeff[a, c] > 0:
-        return None
-    col = basis.column(op.coeff.T, dout, a).T
-    t = basis.from_coords(col.real, din) + 1j * basis.from_coords(col.imag, din)
-    t = t.reshape(outs + ins + ins).transpose(
-        list(range(p)) + [p + i for k in range(len(ins)) for i in (k, len(ins) + k)])
-    return np.unravel_index(a, outs), np.unravel_index(c, ins), t
+@lru_cache(maxsize=None)
+def _lines(dims):
+    """(idx, w), read-only arrays of shape (D, n, 2, d_max, 2) for the
+    factors ``dims`` (D their product, d_max the largest).  With y the flat
+    index c with factor k set to i, [c, k, 0, i] holds the coordinates and
+    weights of entry [c, y] in ``basis._entries(D)``, and [c, k, 1, i] those
+    of entry [y, c]: the same coordinates, conjugate weights.  Weights are 0
+    for i at or beyond dims[k]."""
+    big, i, d = math.prod(dims), np.arange(max(dims)), np.array(dims)[:, None]
+    flat = np.arange(big)[:, None, None]
+    stride = np.array([math.prod(dims[k + 1:]) for k in range(len(dims))])[:, None]
+    valid = i < d
+    line = flat + np.where(valid, i - flat // stride % d, 0) * stride
+    idx, w = basis._entries(big)
+    w = w[flat, line] * valid[..., None]
+    idx, w = np.stack([idx[flat, line]] * 2, axis=2), np.stack([w, w.conj()], axis=2)
+    idx.flags.writeable = w.flags.writeable = False
+    return idx, w
 
 
-def _read(t: np.ndarray, a, c, j: int, inputs, flags) -> np.ndarray:
-    """The (e_j, prod d_k) slice of the pivot column t over output slot j and
-    ``inputs``, each free in y under the linear flag and in x under the
-    conjugate one (the input partial transpose); all else at the pivot."""
-    idx = [slice(None) if i == j else ai for i, ai in enumerate(a)]
-    idx += [ck for ck in c for _ in range(2)]
+def _gather(coeff: np.ndarray, rows, cols) -> np.ndarray:
+    """Entries Phi(E_yx)[a', a] of the Choi matrix straight from ``coeff``,
+    since Phi(E_yx) = sum_k B_k[x, y] Phi(B_k).  rows = (ir, wr) holds the
+    coordinates and weights of the output entries [a', a], and cols =
+    (ic, wc) those of the input entries [x, y], as ``basis._entries`` gives
+    them.  The result has shape ir.shape[:-1] + ic.shape[:-1]: each entry
+    sums wr wc coeff[ir, ic] over its 2 x 2 pairs of coordinates."""
+    (ir, wr), (ic, wc) = rows, cols
+    r, c = ir.reshape(-1, 2), ic.reshape(-1, 2)
+    g = coeff[r[:, :, None, None], c[None, None]]
+    out = np.einsum("rqcs,rq,cs->rc", g, wr.reshape(-1, 2), wc.reshape(-1, 2))
+    return out.reshape(ir.shape[:-1] + ic.shape[:-1])
+
+
+def _pivot(op: SuperOperator):
+    """(a, c): the flat output and input index of the largest diagonal entry
+    Phi(E_cc)[a, a] of the Choi matrix; None when it is not positive."""
+    a, c = divmod(int(np.argmax(op.coeff[:op.out_dim, :op.in_dim])), op.in_dim)
+    return (a, c) if op.coeff[a, c] > 0 else None
+
+
+def _feed_reads(op: SuperOperator, a: int, c: int) -> np.ndarray:
+    """The (n, 2, p, e_max, d_max) stack of every read through the pivot
+    (a, c), zero-padded: [k, f, j, :e_j, :d_k] is Phi(E_yx)[a', a] over
+    output slot j of a' and input k of y (f = 0, linear) or of x (f = 1,
+    conjugate, the input partial transpose), every other index at the
+    pivot.  One gather from ``op.coeff``."""
+    io, wo = _lines(op.out_dims)
+    ii, wi = _lines(op.in_dims)
+    return _gather(op.coeff, (io[a, :, 1], wo[a, :, 1]), (ii[c], wi[c])).transpose(2, 3, 0, 1, 4)
+
+
+def _carry_read(op: SuperOperator, a: int, c: int, j: int, inputs, flags) -> np.ndarray:
+    """The (e_j, prod d_k) read of output slot j over several ``inputs``,
+    each free in y under the linear flag and in x under the conjugate one,
+    in the order of ``inputs``; every other index at the pivot (a, c)."""
+    ins, e = op.in_dims, op.out_dims[j]
+    x = y = np.array(c)
     for k, flag in zip(inputs, flags):
-        idx[len(a) + 2 * k + (flag == LINEAR)] = slice(None)
-    s = t[tuple(idx)]
-    return s.reshape(len(s), -1)
+        stride = math.prod(ins[k + 1:])
+        step = (np.arange(ins[k]) - c // stride % ins[k]) * stride
+        x = x[..., None] + (step if flag == CONJUGATE else 0)
+        y = y[..., None] + (0 if flag == CONJUGATE else step)
+    x, y = np.broadcast_arrays(x, y)
+    idx, w = basis._entries(op.in_dim)
+    io, wo = _lines(op.out_dims)
+    return _gather(op.coeff, (io[a, j, 1, :e], wo[a, j, 1, :e]),
+                   (idx[x, y].reshape(-1, 2), w[x, y].reshape(-1, 2)))
 
 
 def _propose(op: SuperOperator):
     """(feeds, slots): the unverified wiring of ``op``.  feeds[j] lists
     (input, flag) for the inputs feeding output slot j, and slots[j] is the
     slot as ``superop._product_map`` takes it.  Both are None when the pivot
-    (:func:`_pivot_column`) is not positive or an input feeds two slots, and
-    slots alone when a fed slot is wider than its output.
+    (:func:`_pivot`) is not positive or an input feeds two slots, and slots
+    alone when a fed slot is wider than its output.
 
-    Where slot j carries input k through V, the read (:func:`_read`) under
-    its flag is V up to scale and phase, and a slot that does not vary with
-    input k has rank-one reads.  Scaled to Frobenius norm sqrt(d), a read v
-    has the isometry defect ||v+v - I||_F / sqrt(d (d - 1)), 0 for a feed and
-    1 at rank one, and the off-pivot share ||v without column c_k||_F /
-    sqrt(d), at least sqrt(1 - 1/d) for a feed and at most that at rank one.
-    So input k feeds slot j when the smaller defect of its two reads is below
-    the larger share, under the flag of that defect (linear on a tie); a
-    dimension-1 input feeds nothing.  A fed slot carries the polar factor of
-    its read over all its inputs, phased as :func:`pure_state` phases its
-    first column; an unfed slot writes the top eigenvector of its reduction
-    of Phi(I).
+    Where slot j carries input k through V, the read (:func:`_feed_reads`)
+    under its flag is V up to scale and phase, and a slot that does not vary
+    with input k has rank-one reads.  Scaled to Frobenius norm sqrt(d), a
+    read v has the isometry defect ||v+v - I||_F / sqrt(d (d - 1)), 0 for a
+    feed and 1 at rank one, and the off-pivot share ||v without column
+    c_k||_F / sqrt(d), at least sqrt(1 - 1/d) for a feed and at most that at
+    rank one.  So input k feeds slot j when the smaller defect of its two
+    reads is below the larger share, under the flag of that defect (linear
+    on a tie); a dimension-1 input feeds nothing.  All 2 n p reads are
+    tested at once, on their squares: with v+v scaled to trace d,
+    ||v+v - I||_F^2 = ||v+v||_F^2 - d.  A fed slot carries the polar factor
+    of its read over all its inputs (:func:`_carry_read` for several), from
+    one stacked SVD per shape, phased as :func:`pure_state` phases its first
+    column; an unfed slot writes the top eigenvector of its reduction of
+    Phi(I).
     """
-    pivot = _pivot_column(op)
+    pivot = _pivot(op)
     if pivot is None:
         return None, None
-    a, c, t = pivot
-    feeds = [[] for _ in op.out_dims]
-    for (k, d), j in itertools.product(enumerate(op.in_dims), range(len(feeds))):
-        if d == 1:
-            continue
-        s = np.stack([_read(t, a, c, j, (k,), (f,)) for f in (LINEAR, CONJUGATE)])
-        g = s.conj().swapaxes(1, 2) @ s  # v+v, once scaled
-        g *= (d / np.trace(g, axis1=1, axis2=2).real)[:, None, None]
-        defect = np.linalg.norm(g - np.eye(d), axis=(1, 2))
-        share = np.sqrt(np.maximum(1.0 - g[:, c[k], c[k]].real / d, 0.0))
-        if defect.min() / np.sqrt(d * (d - 1)) < share.max():
-            if any(k == q for pairs in feeds for q, _ in pairs):
-                return None, None
-            feeds[j].append((k, (LINEAR, CONJUGATE)[int(defect[1] < defect[0])]))
+    a, c = pivot
+    ins, outs = op.in_dims, op.out_dims
+    s = _feed_reads(op, a, c)
+    g = s.conj().swapaxes(-1, -2) @ s  # v+v
+    tr = np.trace(g, axis1=-2, axis2=-1).real
+    d = np.array(ins)[:, None]
+    gv = g.view(np.float64)
+    # squared defect times d (d - 1), and squared share, of every read
+    defect = np.einsum("...ij,...ij->...", gv, gv) * (d[:, None] / tr) ** 2 - d[:, None]
+    ck = np.unravel_index(c, ins)
+    share = 1.0 - g[np.arange(len(ins)), :, :, ck, ck].real / tr
+    fed = (defect.min(axis=1) < share.max(axis=1) * (d * (d - 1))) & (d > 1)
+    ks, js = (x.tolist() for x in np.nonzero(fed))
+    if len(set(ks)) < len(ks):
+        return None, None
+    feeds = [[] for _ in outs]
+    for k, j, conj in zip(ks, js, (defect[ks, 1, js] < defect[ks, 0, js]).tolist()):
+        feeds[j].append((k, CONJUGATE if conj else LINEAR))
+    if any(math.prod(ins[k] for k, _ in pairs) > e for pairs, e in zip(feeds, outs)):
+        return feeds, None
+    reads = {}  # by shape
+    for j, pairs in enumerate(feeds):
+        if pairs:
+            inputs, flags = zip(*pairs)
+            read = (_carry_read(op, a, c, j, inputs, flags) if len(pairs) > 1 else
+                    s[inputs[0], int(flags[0] == CONJUGATE), j, :outs[j], :ins[inputs[0]]])
+            reads.setdefault(read.shape, []).append((j, read))
+    polar = {}
+    for group in reads.values():
+        u, _, vh = np.linalg.svd(np.stack([read for _, read in group]), full_matrices=False)
+        for (j, _), w in zip(group, u @ vh):
+            polar[j] = w * canonical_phase(w[:, 0]).conjugate()
     slots = []
     if [] in feeds:
         phi_i = basis.from_coords(op.coeff[:, :op.in_dim].sum(axis=1), op.out_dim)[None]
     for j, pairs in enumerate(feeds):
         if not pairs:
-            top = np.linalg.eigh(_reduced(phi_i, op.out_dims, j)[0])[1][:, -1]
+            top = np.linalg.eigh(_reduced(phi_i, outs, j)[0])[1][:, -1]
             slots.append((None, pure_state(top)))
             continue
         inputs, flags = zip(*pairs)
-        s = _read(t, a, c, j, inputs, flags)
-        if s.shape[1] > s.shape[0]:
-            return feeds, None
-        u, _, vh = np.linalg.svd(s, full_matrices=False)
-        w = u @ vh
-        w *= canonical_phase(w[:, 0]).conjugate()
-        slots.append((inputs[0], Isometry(w, flags[0])) if len(pairs) == 1
-                     else (inputs, Isometry(w, flags)))
+        slots.append((inputs[0], Isometry(polar[j], flags[0])) if len(pairs) == 1
+                     else (inputs, Isometry(polar[j], flags)))
     return feeds, slots
 
 
@@ -259,13 +330,15 @@ def _decide(op: SuperOperator, tol: float, seed, probes=None, det_cap: int | Non
     is ``op.coeff[:, 0]``; the extra ``probes`` (a :func:`_scan` family), if
     any; the wiring that :func:`_propose` reads; the one comparison ``cmp``
     at ``tol`` against the rebuilt product map; and, when that fails or no
-    map was rebuilt, the witness scan from candidate 1 over the first
-    ``det_cap`` (all, if None) products of the spanning families and 1000
-    seeded draws, so no candidate is tested twice.  Images are tested with
-    spectral purity for one input factor, product purity on ``op.out_dims``
-    otherwise.  ``hit`` is a failing probe or the scan's witness, as
-    :func:`_scan` returns it, and None after a passed comparison; a probe
-    that decides leaves the rest None.  A scan that finds no witness raises
+    map was rebuilt, the witness scan over the first ``det_cap`` (all, if
+    None) products of the spanning families and 1000 seeded draws.  The scan
+    skips candidate 0 and every probe the family holds (on all-qubit maps
+    the uniform product state is candidate (2, ..., 2)), so no candidate is
+    tested twice.  Images are tested with spectral purity for one input
+    factor, product purity on ``op.out_dims`` otherwise.  ``hit`` is a
+    failing probe or the scan's witness, as :func:`_scan` returns it, and
+    None after a passed comparison; a probe that decides leaves the rest
+    None.  A scan that finds no witness raises
     ``ClassificationError``, the one indeterminate outcome.
     """
     _check_numbers(tol, seed=seed)
@@ -285,7 +358,9 @@ def _decide(op: SuperOperator, tol: float, seed, probes=None, det_cap: int | Non
     cmp = slots and superop_equal(op, _product_map(op.in_dims, slots), tol)
     if cmp and cmp.equal:
         return None, feeds, slots, cmp
-    hit = _scan(op, op.in_dims, first_bad, _family(op.in_dims, det_cap), 1000, seed, start=1)
+    family = _family(op.in_dims, det_cap)
+    skip = [0] if probes is None else [0] + _positions(family, probes)
+    hit = _scan(op, op.in_dims, first_bad, family, 1000, seed, skip)
     if hit is None:
         raise ClassificationError(
             "map fails reconstruction but no witness was found; "

@@ -30,7 +30,7 @@ from preservers import (
     trace_replacer,
 )
 from preservers.linalg import as_rng, canonical_phase, purity_defect, spectral_defect
-from preservers.pure_analysis import _pivot_column, _propose, _read, find_impure_witness
+from preservers.pure_analysis import _feed_reads, _pivot, _propose, find_impure_witness
 
 
 def test_trace_replacer_round_trip_exact():
@@ -172,10 +172,11 @@ def test_structured_isometries_recovered_up_to_phase(flag):
 
 @pytest.mark.parametrize("flag", [LINEAR, CONJUGATE])
 def test_proposed_isometry_is_the_pivot_column_of_the_choi_matrix(flag):
-    """Independent of the basis-image read: the raw read of the proposal is
-    the column of the Choi matrix (of its input partial transpose under the
-    conjugate flag) at the largest diagonal entry, and the proposed V is its
-    polar factor with the canonical phase of its first column."""
+    """Checked against ``to_choi``, not the gather: the raw read of the
+    proposal is the column of the Choi matrix (of its input partial
+    transpose under the conjugate flag) at the largest diagonal entry, and
+    the proposed V is its polar factor with the canonical phase of its first
+    column."""
     rng = np.random.default_rng(9)
     for n in range(1, 6):
         for m in range(1, n + 1):
@@ -194,9 +195,9 @@ def test_proposed_isometry_is_the_pivot_column_of_the_choi_matrix(flag):
                     choi = choi.swapaxes(1, 3)
                 choi = choi.reshape(n * m, n * m)
                 pivot = int(np.argmax(np.diagonal(choi).real))
-                a, c, t = _pivot_column(op)
-                assert (a[0] * m + c[0]) == pivot, (m, n, noise)
-                raw = _read(t, a, c, 0, (0,), (flag,))
+                a, c = _pivot(op)
+                assert (a * m + c) == pivot, (m, n, noise)
+                raw = _feed_reads(op, a, c)[0, int(flag == CONJUGATE), 0]
                 assert np.max(np.abs(raw - choi[:, pivot].reshape(n, m))) <= 1e-12, (m, n, noise)
                 u, _, vh = np.linalg.svd(raw, full_matrices=False)
                 ref = (u @ vh) * canonical_phase((u @ vh)[:, 0]).conjugate()

@@ -1,10 +1,13 @@
 """Bipartite and multipartite separable-preserver classification."""
 
 import itertools
+import math
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     EXPECTED_GRID,
@@ -55,7 +58,7 @@ from preservers import (
     uniform_state,
 )
 from preservers.linalg import as_rng, spanning_states
-from preservers.pure_analysis import _pivot_column, _read, find_impure_witness
+from preservers.pure_analysis import _carry_read, _feed_reads, _pivot, find_impure_witness
 from preservers.sep_analysis import (
     _SEP_TAGS,
     _grid,
@@ -279,9 +282,9 @@ def test_rebuild_check_rejects_maps_hidden_from_the_anchor_slices():
 
 
 def test_positive_classifies_one_anchor_per_side(monkeypatch):
-    """An exact bipartite positive reads one pivot column of its Choi matrix
-    and makes one comparison, whatever its form."""
-    reads = _count(monkeypatch, "column", (basis,))
+    """An exact bipartite positive gathers its reads through the pivot of
+    its Choi matrix once and makes one comparison, whatever its form."""
+    reads = _count(monkeypatch, "_gather", (pure_analysis,))
     comparisons = _count(monkeypatch, "superop_equal", (pure_analysis,))
     rng = np.random.default_rng(22)
     for tag in range(1, 8):
@@ -333,9 +336,9 @@ def _count(monkeypatch, name, modules):
 
 def test_product_positive_makes_one_comparison(monkeypatch):
     """The rebuilt map's comparison is the one check of a product verdict:
-    an exact positive, bipartite or (2,2,2), reads one pivot column and
+    an exact positive, bipartite or (2,2,2), gathers its reads once and
     makes a single comparison."""
-    reads = _count(monkeypatch, "column", (basis,))
+    reads = _count(monkeypatch, "_gather", (pure_analysis,))
     calls = _count(monkeypatch, "superop_equal", (pure_analysis,))
     rng = np.random.default_rng(23)
     for tag in range(1, 8):
@@ -468,6 +471,36 @@ def test_multi_witness_is_the_scan_witness():
                 assert _same_states(c.witness, find_product_witness(op, 1e-8, 3, det_cap=729))
                 later += not _is_first_candidate(c.witness)
     assert later == 6
+
+
+def test_multi_scan_tests_no_input_twice(monkeypatch):
+    """On qubits the uniform probe is spanning candidate (2,2,2), at
+    position 42, so the scan skips it.  A (2,2,2) permutation form with a
+    bump on the Y coordinate of the input pair (0, 4), which only inputs
+    mixing e_0 and i e_1 in factor 1 see, fails its comparison and finds
+    its witness at candidate (3,0,0); no image on the way is tested twice."""
+    tested = []
+    inner = pure_analysis.first_not_product_pure
+
+    def record(images, dims, tol):
+        tested.extend(images)
+        return inner(images, dims, tol)
+
+    monkeypatch.setattr(pure_analysis, "first_not_product_pure", record)
+    rng = np.random.default_rng(31)
+    isos = tuple(random_isometry(2, 2, rng, random_flag(rng)) for _ in range(3))
+    exact = canonical_multi(MultiForm((2, 3, 1), isos), (2, 2, 2))
+    coeff = exact.coeff.copy()
+    coeff[:, 15] += 1e-3 * basis.coords(random_hermitian(8, rng).matrix)
+    c = classify_multi_preserver(make_superop((2, 2, 2), (2, 2, 2), coeff), 1e-8)
+    assert c.kind == "not_preserver"
+    family = spanning_states(2)
+    assert _same_states(c.witness, (family[3], family[0], family[0]))
+    images = np.array(tested).reshape(len(tested), -1)
+    assert len(images) > 43
+    gaps = np.abs(images[:, None] - images[None]).max(axis=2)
+    gaps += np.diag(np.full(len(images), np.inf))
+    assert gaps.min() > 1e-6, np.unravel_index(np.argmin(gaps), gaps.shape)
 
 
 def test_spanning_states_stay_fresh_and_witnesses_share_nothing():
@@ -890,16 +923,21 @@ def _noisy_sep(seed: int, m: int, n: int, noise: float):
 def _pivot_cases():
     """Maps with all isometries under one flag, both flags, and noise from 0
     to 1e-3: single-factor m -> n conjugations (m <= n <= 5, m = 1
-    included), form 6 on (2,3) and multipartite forms on (2,2,2)."""
+    included), form 6 on (2,3), multipartite forms on (2,2,2), and maps
+    whose stacked reads are padded: factors (2,3,2), a dimension-1 factor
+    in (2,1,3), and a rectangular (2,3) -> (3,4) map."""
     rng = np.random.default_rng(42)
     for flag, noise in itertools.product((LINEAR, CONJUGATE), (0.0, 1e-9, 1e-6, 1e-3)):
         maps = [conjugation(random_isometry(n, m, rng, flag))
                 for n in range(1, 6) for m in range(1, n + 1)]
         maps.append(canonical_sep(SepForm(6, u1=random_isometry(2, 2, rng, flag),
                                           u2=random_isometry(3, 3, rng, flag)), (2, 3)))
-        perm = tuple(int(p) + 1 for p in rng.permutation(3))
-        isos = tuple(random_isometry(2, 2, rng, flag) for _ in range(3))
-        maps.append(canonical_multi(MultiForm(perm, isos), (2, 2, 2)))
+        for dims in ((2, 2, 2), (2, 3, 2), (2, 1, 3)):
+            perm = tuple(int(p) + 1 for p in rng.permutation(3))
+            isos = tuple(random_isometry(dims[p - 1], dims[p - 1], rng, flag) for p in perm)
+            maps.append(canonical_multi(MultiForm(perm, isos), dims))
+        maps.append(canonical_multi(MultiForm((1, 2), (random_isometry(3, 2, rng, flag),
+                                                       random_isometry(4, 3, rng, flag))), (2, 3)))
         for op in maps:
             yield make_superop(op.in_dims, op.out_dims,
                                op.coeff + noise * rng.standard_normal(op.coeff.shape))
@@ -910,52 +948,108 @@ def _choi_reference(op, a, c):
     the pivot (a, c) is its largest diagonal entry."""
     choi = to_choi(op)
     diag = np.diagonal(choi).real
-    pivot = np.ravel_multi_index(a, op.out_dims) * op.in_dim + np.ravel_multi_index(c, op.in_dims)
-    assert diag[pivot] >= diag.max() - 1e-12
+    assert diag[a * op.in_dim + c] >= diag.max() - 1e-12
     return choi.reshape(op.out_dims + op.in_dims + op.out_dims + op.in_dims)
 
 
+def _pivot_slices(op, a, c):
+    """The pivot as per-factor indices, and for each output slot j the index
+    of the Choi column over slot j with every other output at the pivot."""
+    a, c = np.unravel_index(a, op.out_dims), np.unravel_index(c, op.in_dims)
+    slots = [tuple(slice(None) if i == j else ai for i, ai in enumerate(a))
+             for j in range(len(a))]
+    return tuple(a) + tuple(c), tuple(c), slots
+
+
 def test_pivot_column_matches_the_choi_matrix():
-    """The pivot column t, read off 2D - 1 coordinates of each basis image,
-    is the column of ``to_choi(op)`` at its largest diagonal entry, and each
-    linear read is the slice of that column over one input and one output
-    slot, every other index at the pivot."""
+    """The reads gathered through the pivot are slices of the column of
+    ``to_choi(op)`` at its largest diagonal entry, every other index at the
+    pivot: each linear read over one input and one output slot, with zero
+    padding in the stack, and each slot's joint read over all inputs."""
     for op in _pivot_cases():
         outs, ins = op.out_dims, op.in_dims
-        p, n = len(outs), len(ins)
-        a, c, t = _pivot_column(op)
-        choi = _choi_reference(op, a, c)
-        ref = choi[(Ellipsis,) + tuple(a) + tuple(c)]  # axes (out, in)
-        got = t[(slice(None),) * p + tuple(x for ck in c for x in (ck, slice(None)))]
-        assert np.max(np.abs(got - ref)) <= 1e-12, (ins, outs)
-        for k in range(n):
-            for j in range(p):
-                idx = tuple(slice(None) if i == j else ai for i, ai in enumerate(a))
-                idx += tuple(slice(None) if i == k else ci for i, ci in enumerate(c))
-                read = _read(t, a, c, j, (k,), (LINEAR,))
-                assert np.max(np.abs(read - ref[idx])) <= 1e-12, (ins, outs, k, j)
+        n = len(ins)
+        a, c = _pivot(op)
+        pivot, cm, slots = _pivot_slices(op, a, c)
+        ref = _choi_reference(op, a, c)[(Ellipsis,) + pivot]  # axes (out, in)
+        reads = _feed_reads(op, a, c)
+        for j, idx in enumerate(slots):
+            joint = _carry_read(op, a, c, j, range(n), (LINEAR,) * n)
+            assert np.max(np.abs(joint - ref[idx].reshape(outs[j], -1))) <= 1e-12, (ins, outs, j)
+            for k in range(n):
+                read = reads[k, 0, j]
+                free = idx + tuple(slice(None) if i == k else ci for i, ci in enumerate(cm))
+                assert np.max(np.abs(read[:outs[j], :ins[k]] - ref[free])) <= 1e-12, (ins, k, j)
+                assert not read[outs[j]:].any() and not read[:, ins[k]:].any(), (ins, outs, k, j)
 
 
 def test_conjugate_reads_match_the_partial_transpose():
     """Each conjugate read of input k is the slice of the pivot column of
     the Choi matrix's partial transpose on input k, every other index at the
-    pivot; the whole of that column is t with x_k and y_k exchanged."""
+    pivot; a slot's joint read, conjugate in input k and linear in the
+    others, is that column over the slot."""
     for op in _pivot_cases():
         outs, ins = op.out_dims, op.in_dims
         p, n = len(outs), len(ins)
-        a, c, t = _pivot_column(op)
+        a, c = _pivot(op)
+        pivot, cm, slots = _pivot_slices(op, a, c)
         choi = _choi_reference(op, a, c)
+        reads = _feed_reads(op, a, c)
         for k in range(n):
-            gamma = choi.swapaxes(p + k, 2 * p + n + k)[(Ellipsis,) + tuple(a) + tuple(c)]
-            whole = tuple(x for i, ci in enumerate(c)
-                          for x in ((slice(None), ci) if i == k else (ci, slice(None))))
-            got = t[(slice(None),) * p + whole]
-            assert np.max(np.abs(got - gamma)) <= 1e-12, (ins, outs, k)
-            for j in range(p):
-                idx = tuple(slice(None) if i == j else ai for i, ai in enumerate(a))
-                idx += tuple(slice(None) if i == k else ci for i, ci in enumerate(c))
-                read = _read(t, a, c, j, (k,), (CONJUGATE,))
-                assert np.max(np.abs(read - gamma[idx])) <= 1e-12, (ins, outs, k, j)
+            gamma = choi.swapaxes(p + k, 2 * p + n + k)[(Ellipsis,) + pivot]
+            flags = tuple(CONJUGATE if i == k else LINEAR for i in range(n))
+            for j, idx in enumerate(slots):
+                joint = _carry_read(op, a, c, j, range(n), flags)
+                assert np.max(np.abs(joint - gamma[idx].reshape(outs[j], -1))) <= 1e-12, (ins, k, j)
+                read = reads[k, 1, j]
+                free = idx + tuple(slice(None) if i == k else ci for i, ci in enumerate(cm))
+                assert np.max(np.abs(read[:outs[j], :ins[k]] - gamma[free])) <= 1e-12, (ins, k, j)
+                assert not read[outs[j]:].any() and not read[:, ins[k]:].any(), (ins, outs, k, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_gathered_reads_match_the_choi_matrix_on_random_maps(ins, outs, seed):
+    """On a random coefficient matrix with 1 to 3 input and output factors
+    of dims 1 to 4, every read of the stack and every joint read, at any
+    pivot, is the matching slice of ``to_choi(op)`` or of its partial
+    transpose on the conjugated inputs."""
+    ins, outs = tuple(ins), tuple(outs)
+    assume(math.prod(ins) <= 16 and math.prod(outs) <= 16)
+    rng = np.random.default_rng(seed)
+    op = make_superop(ins, outs, rng.standard_normal((math.prod(outs) ** 2, math.prod(ins) ** 2)))
+    p, n = len(outs), len(ins)
+    a, c = int(rng.integers(op.out_dim)), int(rng.integers(op.in_dim))
+    pivot, cm, slots = _pivot_slices(op, a, c)
+    choi = to_choi(op).reshape(outs + ins + outs + ins)
+    reads = _feed_reads(op, a, c)
+    flags = tuple(rng.choice([LINEAR, CONJUGATE], size=n).tolist())
+    gamma = choi
+    for k, flag in enumerate(flags):
+        if flag == CONJUGATE:
+            gamma = gamma.swapaxes(p + k, 2 * p + n + k)
+    gamma = gamma[(Ellipsis,) + pivot]
+    for j, idx in enumerate(slots):
+        joint = _carry_read(op, a, c, j, range(n), flags)
+        assert np.max(np.abs(joint - gamma[idx].reshape(outs[j], -1))) <= 1e-12
+        for k, f in itertools.product(range(n), (0, 1)):
+            ref = choi.swapaxes(p + k, 2 * p + n + k) if f else choi
+            free = idx + tuple(slice(None) if i == k else ci for i, ci in enumerate(cm))
+            read = reads[k, f, j]
+            assert np.max(np.abs(read[:outs[j], :ins[k]] - ref[(Ellipsis,) + pivot][free])) <= 1e-12
+            assert not read[outs[j]:].any() and not read[:, ins[k]:].any()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_entry_table_reproduces_from_coords(d, seed):
+    """``basis._entries(d)`` gives every entry of ``basis.from_coords``."""
+    vec = np.random.default_rng(seed).standard_normal((3, d * d))
+    idx, w = basis._entries(d)
+    got = np.einsum("rsq,trsq->trs", w, vec[:, idx])
+    assert np.max(np.abs(got - basis.from_coords(vec, d))) <= 1e-12
 
 
 def _witness_reference(op, tol, seed=0, random_tries=1000):
