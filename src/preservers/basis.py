@@ -88,6 +88,28 @@ def coords(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _pairs(d: int):
+    """Row and column indices of the diagonal, then of the ``_triu`` pairs."""
+    iu, ju = _triu(d)
+    return np.concatenate([np.arange(d), iu]), np.concatenate([np.arange(d), ju])
+
+
+def projection_coords(psi: np.ndarray) -> np.ndarray:
+    """Coordinates of the outer products psi psi+ of the vectors stacked as
+    ``psi`` (..., d), without building them.  Each is the same complex
+    product that :func:`coords` reads off an outer product, so on stacks
+    of up to 8192 products (a scan block) the two agree bit for bit."""
+    d = psi.shape[-1]
+    i, j = _pairs(d)
+    prod = np.empty(psi.shape[:-1] + i.shape, dtype=np.complex128)
+    np.multiply(psi[..., i], psi[..., j].conj(), out=prod)
+    out = np.empty(psi.shape[:-1] + (d * d,), dtype=np.float64)
+    out[..., :d] = prod.real[..., :d]
+    np.multiply(prod.view(np.float64)[..., 2 * d:], SQRT2, out=out[..., d:])  # re, im interleaved
+    return out
+
+
 def from_coords(vec: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`coords`; a stack of shape (..., d*d) gives (..., d, d)."""
     m = np.zeros(vec.shape[:-1] + (d, d), dtype=np.complex128)

@@ -336,72 +336,11 @@ def _first_true(bad: np.ndarray, limit: int) -> int:
     return int(hits[0]) if hits.size else limit
 
 
-# Slack of the purity certificates per unit of dimension and of norm: it covers
-# LAPACK's eigenvalue and eigenvector error and the rounding of the bounds.
-_CERT_SLACK = 64 * np.finfo(np.float64).eps
-# Stacks of one image or of fewer entries go straight to the solver: their
-# eigensolve costs less than the certificate's fixed overhead.
-_CERT_MIN_ENTRIES = 128
-
-
-def _column(stack: np.ndarray):
-    """(w, b) per matrix A of the Hermitian stack (t, d, d): w = v / |v| for
-    the column v = A[:, c] / sqrt(A[c, c]) at the largest diagonal entry, and
-    b = ||A - vv+||_F + |v+v - 1| >= ||A - ww+||_2, which bounds A's purity
-    defect by Weyl's inequality.  Both are NaN where A[c, c] <= 0."""
-    t, d = stack.shape[:2]
-    diag = np.diagonal(stack, axis1=1, axis2=2).real
-    rows, c = np.arange(t), diag.argmax(axis=1)
-    top = diag[rows, c]
-    v = stack[rows, :, c] * (1.0 / np.sqrt(np.where(top > 0, top, np.nan)))[:, None]
-    e = (stack - v[:, :, None] * v[:, None, :].conj()).reshape(t, d * d).view(np.float64)
-    nv = np.einsum("ti,ti->t", v.view(np.float64), v.view(np.float64))
-    return v * (1.0 / np.sqrt(nv))[:, None], np.sqrt(np.einsum("ti,ti->t", e, e)) + np.abs(nv - 1.0)
-
-
-def _certified(stack: np.ndarray) -> bool:
-    return len(stack) > 1 and stack[0].size * len(stack) >= _CERT_MIN_ENTRIES
-
-
-def _not_pure(images: np.ndarray, tol: float, eigenvalues) -> np.ndarray:
-    """Mask of the Hermitian stack ``images`` (t, D, D) whose purity defect,
-    read off the ascending spectra ``eigenvalues(stack)``, exceeds ``tol``.
-    In a certified stack, an image whose :func:`_column` bound b plus a slack
-    for LAPACK's error is at most ``tol`` is pure for the solver too; only the
-    others, NaN bounds (a top diagonal <= 0) included, are eigensolved."""
-    if not _certified(images):
-        return spectral_defect(eigenvalues(images)) > tol
-    b = _column(images)[1]
-    todo = np.flatnonzero(~(b + _CERT_SLACK * images.shape[1] * (2.0 + b) <= tol))
-    bad = np.zeros(len(images), dtype=bool)
-    if todo.size:
-        bad[todo] = spectral_defect(eigenvalues(images[todo])) > tol
-    return bad
-
-
-def _product_cleared(images: np.ndarray, dims, tol: float) -> np.ndarray:
-    """Mask of the images (t, D, D) on the factors ``dims`` that one bound
-    clears of the reduction and rebuild stages of :func:`_product_pure_prefix`.
-    With (w_f, b_f) the :func:`_column` of reduction R_f and r_f = b_f + slack,
-    r_f bounds R_f's defect and, by the residual form of Davis-Kahan, the sine
-    of the angle of w_f to R_f's top eigenvector by r_f / (1 - 2 b_f) if
-    b_f < 1/2.  So max|(x)_f w_f w_f+ - A| + sum_f r_f / (1 - 2 b_f) + slack
-    bounds the solver's rebuild deviation and each r_f; NaN clears nothing."""
-    bound, ws = _CERT_SLACK * images.shape[1], []
-    for f in range(len(dims)):
-        w, b = _column(_reduced(images, dims, f))
-        bound = bound + np.divide(b + _CERT_SLACK * dims[f] * (2.0 + b), 1.0 - 2.0 * b,
-                                  out=np.full_like(b, np.inf), where=b < 0.5)
-        ws.append(w[:, :, None])
-    return _rebuild_deviation(ws, images) + bound <= tol
-
-
 def first_not_pure(images: np.ndarray, tol: float = PURITY_TOL):
     """Index of the first matrix of the Hermitian stack ``images`` (t, D, D)
-    whose purity defect exceeds ``tol``, or None.  The verdicts are those of
-    a stacked ``eigvalsh``, which runs only on the images that the Weyl
-    certificate of :func:`_not_pure` cannot clear."""
-    first = _first_true(_not_pure(images, tol, np.linalg.eigvalsh), len(images))
+    whose purity defect, read off one stacked ``eigvalsh``, exceeds ``tol``,
+    or None."""
+    first = _first_true(spectral_defect(np.linalg.eigvalsh(images)) > tol, len(images))
     return first if first < len(images) else None
 
 
@@ -415,22 +354,17 @@ def _rebuild_deviation(vectors, images: np.ndarray) -> np.ndarray:
 def _product_pure_prefix(images: np.ndarray, dims, tol: float):
     """(limit, tops): the index of the first image of the stack (t, D, D)
     that :func:`first_not_product_pure` rejects, or t, and in ``tops[f]`` the
-    factor-f top eigenvectors of the images before it that were eigensolved:
-    all but those :func:`_product_cleared` clears in a certified stack."""
+    factor-f top eigenvectors of the images before it."""
     # eigh, not eigvalsh: a single image's spectrum is then that of is_pure
-    limit = _first_true(_not_pure(images, tol, lambda a: np.linalg.eigh(a)[0]), len(images))
-    todo = np.arange(limit)
-    if limit and _certified(images):
-        todo = todo[~_product_cleared(images[:limit], dims, tol)]
-    n, tops = len(todo), []
+    n, tops = _first_true(spectral_defect(np.linalg.eigh(images)[0]) > tol, len(images)), []
     for f in range(len(dims)):
         if n:
-            w, v = np.linalg.eigh(_reduced(images[todo[:n]], dims, f))
+            w, v = np.linalg.eigh(_reduced(images[:n], dims, f))
             n = _first_true(spectral_defect(w) > tol, n)
             tops.append(v[:n, :, -1:])
     if n:
-        n = _first_true(_rebuild_deviation([v[:n] for v in tops], images[todo[:n]]) > tol, n)
-    return (int(todo[n]) if n < len(todo) else limit), [v[:n, :, 0] for v in tops]
+        n = _first_true(_rebuild_deviation([v[:n] for v in tops], images[:n]) > tol, n)
+    return n, [v[:n, :, 0] for v in tops]
 
 
 def first_not_product_pure(images: np.ndarray, dims, tol: float = PURITY_TOL):
@@ -440,10 +374,8 @@ def first_not_product_pure(images: np.ndarray, dims, tol: float = PURITY_TOL):
     An image is product pure when it is pure, every factor reduction is pure
     and the tensor product of their top eigenvectors rebuilds it within
     ``tol``, the one threshold of all three checks.  The verdicts are those
-    of ``eigh``, which in a large stack runs only on the images (NaN bounds
-    included) that the certificates of :func:`_not_pure` and
-    :func:`_product_cleared` cannot clear, and each stage only up to the
-    first failure so far.
+    of stacked ``eigh`` calls, each stage run only up to the first failure
+    so far.
     """
     limit = _product_pure_prefix(images, dims, tol)[0]
     return limit if limit < len(images) else None

@@ -97,12 +97,87 @@ def _positions(family, probes) -> list[int]:
     return out
 
 
-def _scan(op: SuperOperator, dims, first_bad, family=((), ()), random_tries: int = 0, seed=0,
-          skip=()):
+def _products(vectors) -> np.ndarray:
+    """Tensor products (t, prod d_f) of the stacked factor vectors (t, d_f)."""
+    return reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(len(a), -1), vectors)
+
+
+# Slack of the purity certificate per unit of dimension and of norm: it covers
+# LAPACK's eigenvalue and eigenvector error and the rounding of the bounds.
+_CERT_SLACK = 64 * np.finfo(np.float64).eps
+
+
+@lru_cache(maxsize=256)
+def _eps_limit(dims, tol: float, product: bool) -> float:
+    """The square of the largest eps whose bound (:func:`_cleared`) is within
+    ``tol``, found by bisection since the bound grows with eps; -1 if none is."""
+    big = math.prod(dims)
+    roots = [math.sqrt(big / d) for d in dims] if product else []
+
+    def within(eps):
+        slack = _CERT_SLACK * big * (2.0 + eps)
+        r = [root * eps + slack for root in roots]
+        return max(r, default=0.0) < 0.5 and eps + slack + sum(x / (1 - 2 * x) for x in r) <= tol
+
+    lo, hi = 0.0, tol
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if within(mid) else (lo, mid)
+    return lo * lo if within(lo) else -1.0
+
+
+def _cleared(y: np.ndarray, dims, tol: float, product: bool) -> np.ndarray:
+    """Mask of the images A, given by their coordinates y (t, D*D) on the
+    factors ``dims``, that pass the solver's purity test at ``tol`` (product
+    purity if ``product``, else spectral) by the certificate alone.
+
+    The entries A[x, c] of column c, the largest diagonal entry, with x
+    running over factor f and the rest at c, normalise to unit vectors w_f
+    (:func:`_lines`), and psi = (x)_f w_f.  The direct difference eps =
+    ||y - coords(psi psi+)|| = ||A - psi psi+||_F bounds A's purity defect
+    (Weyl); reduction f is within r_f = sqrt(D / d_f) eps of w_f w_f+, and
+    its top eigenvector within a sine of r_f / (1 - 2 r_f) of w_f
+    (Davis-Kahan), so the solver's rebuild is within eps plus those sines.
+    With a slack on each step, that bound within ``tol`` clears an image
+    (:func:`_eps_limit`).  A zero fibre makes eps NaN, which clears nothing;
+    a top diagonal <= 0 means Tr A <= 0, so eps >= 1/sqrt(D)."""
+    rows, big = np.arange(len(y)), math.prod(dims)
+    c = y[:, :big].argmax(axis=1)
+    idx, w = _lines(dims)
+    fibres = np.einsum("tkiq,tkiq->tki", y[rows[:, None, None, None], idx[c, :, 1]], w[c, :, 1])
+    f = fibres.view(np.float64)
+    squares = np.einsum("tki,tki->tk", f, f)
+    fibres *= (1.0 / np.sqrt(np.where(squares > 0, squares, np.nan)))[:, :, None]
+    e = y - basis.projection_coords(_products([fibres[:, k, :d] for k, d in enumerate(dims)]))
+    return np.einsum("ti,ti->t", e, e) <= _eps_limit(dims, tol, product)
+
+
+def _rejected(y: np.ndarray, dims, tol: float, product: bool):
+    """(i, A): the first image, given by its coordinates y (t, D*D) on the
+    factors ``dims``, that fails purity at ``tol`` (product purity if
+    ``product``, else spectral), and its matrix; None if all pass.  Of a
+    block of two images or more, only those that :func:`_cleared` cannot
+    clear become matrices; a lone image goes straight to the solver, whose
+    eigensolve costs about what the certificate does and is needed anyway
+    when the image fails.  The verdicts are those of ``first_not_pure`` and
+    ``first_not_product_pure``."""
+    big, todo = math.prod(dims), np.arange(len(y))
+    if len(y) > 1:
+        todo = todo[~_cleared(y, dims if product else (big,), tol, product)]
+    if not todo.size:
+        return None
+    images = basis.from_coords(y[todo], big)
+    i = first_not_product_pure(images, dims, tol) if product else first_not_pure(images, tol)
+    return None if i is None else (int(todo[i]), images[i])
+
+
+def _scan(op: SuperOperator, dims, tol: float, product: bool, family=((), ()),
+          random_tries: int = 0, seed=0, skip=()):
     """First input, a tuple of pure states on the factors ``dims`` of the
-    input space, whose image ``first_bad`` rejects: the candidates of
-    ``family`` but those at the positions ``skip``, then ``random_tries``
-    seeded draws.  Returns (position, tuple, image of the tuple) or None.
+    input space, whose image fails purity at ``tol`` (:func:`_rejected`):
+    the candidates of ``family`` but those at the positions ``skip``, then
+    ``random_tries`` seeded draws.  Returns (position, tuple, image of the
+    tuple) or None.
 
     ``family`` is (stacks, rows): one stack of unit vectors per factor, and
     an integer array whose row i picks candidate i's vector from each stack
@@ -110,18 +185,18 @@ def _scan(op: SuperOperator, dims, first_bad, family=((), ()), random_tries: int
     objects, from copies, so no vector is shared with the stacks.  The
     candidates at ``skip`` are ones the caller has tested already.
 
-    ``first_bad`` gets a stack of images and returns the index of the first
-    rejected one, or None.  Inputs are tested in blocks that double from one
-    input up to ``BLOCK_ENTRIES // D**2`` inputs, so an early failure costs
-    one small block: the purity kernels eigensolve a block of one image (or
-    of few entries), and of a larger block only the images that their
-    certificates cannot clear, at every stage of the product test.  A
-    block's images come from one coefficient product.  The family's blocks
-    are those of a scan that skips nothing, less the skipped candidates.
-    Each block of draws is one ``standard_normal((t, 2 * sum(dims)))``, the
-    stream of ``t`` rounds of ``random_pure`` calls (real then imaginary
-    part, factor by factor), so the result is that of a state-by-state scan;
-    a Generator passed as ``seed`` advances by whole blocks.
+    Inputs are tested in blocks that double from one input up to
+    ``BLOCK_ENTRIES // D**2`` inputs, so an early failure costs one small
+    block.  A block is tested in coordinates: those of the inputs come
+    straight from their vectors, one coefficient product gives those of
+    the images, and in blocks of two or more only the images that the
+    certificate of :func:`_cleared` cannot clear become matrices and are
+    eigensolved (:func:`_rejected`).  The family's blocks are those of a
+    scan that skips nothing, less the skipped candidates.  Each block of
+    draws is one ``standard_normal((t, 2 * sum(dims)))``, the stream of
+    ``t`` rounds of ``random_pure`` calls (real then imaginary part, factor
+    by factor), so the result is that of a state-by-state scan; a Generator
+    passed as ``seed`` advances by whole blocks.
     """
     cap = max(1, BLOCK_ENTRIES // max(op.in_dim, op.out_dim) ** 2)
 
@@ -132,10 +207,9 @@ def _scan(op: SuperOperator, dims, first_bad, family=((), ()), random_tries: int
             yield start, stop
             start, size = stop, min(2 * size, cap)
 
-    def images(vectors):
-        psi = reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(len(a), -1), vectors)
-        projs = psi[:, :, None] * psi[:, None, :].conj()
-        return basis.from_coords(basis.coords(projs) @ op.coeff.T, op.out_dim)
+    def rejected(vectors):
+        y = basis.projection_coords(_products(vectors)) @ op.coeff.T
+        return _rejected(y, op.out_dims, tol, product)
 
     stacks, rows = family
     keep = np.ones(len(rows), dtype=bool)
@@ -145,21 +219,21 @@ def _scan(op: SuperOperator, dims, first_bad, family=((), ()), random_tries: int
         if not len(at):
             continue
         block = rows[at]
-        imgs = images([s[block[:, k]] for k, s in enumerate(stacks)])
-        i = first_bad(imgs)
-        if i is not None:
+        hit = rejected([s[block[:, k]] for k, s in enumerate(stacks)])
+        if hit is not None:
+            i, image = hit
             found = tuple(PureState(s[j].copy()) for s, j in zip(stacks, block[i]))
-            return int(at[i]), found, imgs[i]
+            return int(at[i]), found, image
     rng = as_rng(seed)
     offsets = list(itertools.accumulate(dims, initial=0))
     for lo, stop in blocks(random_tries):
         g = rng.standard_normal((stop - lo, 2 * offsets[-1]))
         raw = [g[:, 2 * o:2 * o + d] + 1j * g[:, 2 * o + d:2 * (o + d)]
                for o, d in zip(offsets, dims)]
-        imgs = images([v / np.linalg.norm(v, axis=1, keepdims=True) for v in raw])
-        i = first_bad(imgs)
-        if i is not None:
-            return len(rows) + lo + i, tuple(pure_state(v[i]) for v in raw), imgs[i]
+        hit = rejected([v / np.linalg.norm(v, axis=1, keepdims=True) for v in raw])
+        if hit is not None:
+            i, image = hit
+            return len(rows) + lo + i, tuple(pure_state(v[i]) for v in raw), image
     return None
 
 
@@ -176,8 +250,7 @@ def find_impure_witness(op: SuperOperator, tol: float, seed: int = 0,
     _check_numbers(tol, seed=seed)
     _check_counts(random_tries)
     dims = (op.in_dim,)
-    hit = _scan(op, dims, lambda images: first_not_pure(images, tol), _family(dims),
-                random_tries, seed)
+    hit = _scan(op, dims, tol, False, _family(dims), random_tries, seed)
     return None if hit is None else (hit[1][0], hit[2])
 
 
@@ -343,15 +416,11 @@ def _decide(op: SuperOperator, tol: float, seed, probes=None, det_cap: int | Non
     """
     _check_numbers(tol, seed=seed)
 
-    def first_bad(images):
-        if len(op.in_dims) == 1:
-            return first_not_pure(images, tol)
-        return first_not_product_pure(images, op.out_dims, tol)
-
-    first = basis.from_coords(op.coeff[:, :1].T, op.out_dim)
-    if first_bad(first) is not None:
-        return (0, tuple(basis_state(d, 0) for d in op.in_dims), first[0]), None, None, None
-    hit = None if probes is None else _scan(op, op.in_dims, first_bad, probes)
+    product = len(op.in_dims) > 1
+    first = _rejected(op.coeff[:, :1].T, op.out_dims, tol, product)
+    if first is not None:
+        return (0, tuple(basis_state(d, 0) for d in op.in_dims), first[1]), None, None, None
+    hit = None if probes is None else _scan(op, op.in_dims, tol, product, probes)
     if hit is not None:
         return hit, None, None, None
     feeds, slots = _propose(op)
@@ -360,7 +429,7 @@ def _decide(op: SuperOperator, tol: float, seed, probes=None, det_cap: int | Non
         return None, feeds, slots, cmp
     family = _family(op.in_dims, det_cap)
     skip = [0] if probes is None else [0] + _positions(family, probes)
-    hit = _scan(op, op.in_dims, first_bad, family, 1000, seed, skip)
+    hit = _scan(op, op.in_dims, tol, product, family, 1000, seed, skip)
     if hit is None:
         raise ClassificationError(
             "map fails reconstruction but no witness was found; "
@@ -407,8 +476,7 @@ def mc_verify_pure(op: SuperOperator, samples: int = 500, seed: int = 0,
     Generator passed as ``seed`` advances by whole blocks.
     """
     _check_numbers(tol, samples, seed)
-    hit = _scan(op, (op.in_dim,), lambda images: first_not_pure(images, tol),
-                random_tries=samples, seed=seed)
+    hit = _scan(op, (op.in_dim,), tol, False, random_tries=samples, seed=seed)
     if hit is None:
         return MCResult(True, samples)
     i, (p,), image = hit

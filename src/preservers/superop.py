@@ -517,4 +517,5 @@ def to_choi(op: SuperOperator) -> np.ndarray:
     din, dout = op.in_dim, op.out_dim
     units = basis.basis_elements(din, 0, din * din)
     images = basis.from_coords(op.coeff.T, dout)
-    return np.einsum("kab,kcd->acbd", images, units.conj()).reshape(dout * din, dout * din)
+    choi = np.tensordot(images, units.conj(), axes=(0, 0))  # axes (a, b, c, d)
+    return choi.transpose(0, 2, 1, 3).reshape(dout * din, dout * din)

@@ -1,5 +1,7 @@
 """Core kernel tests: tensor structure, partial operations, spectra, purity."""
 
+import itertools
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -45,17 +47,17 @@ from preservers import (
     tensor_all,
     trace_norm,
 )
+from preservers import basis, pure_analysis
 from preservers.linalg import (
     _kron,
-    _not_pure,
     _rebuild_deviation,
     _reduced,
     as_rng,
     first_not_product_pure,
-    first_not_pure,
     purity_defect,
     spectral_defect,
 )
+from preservers.pure_analysis import _cleared, _rejected
 
 BELL = pure_state(np.array([1, 0, 0, 1]) / np.sqrt(2)).projection.with_dims((2, 2))
 
@@ -433,27 +435,35 @@ def _first(mask):
     return mask.index(True) if True in mask else None
 
 
+def _first_rejected(y, dims, tol, product):
+    """The index that :func:`_rejected` reports for the coordinates y, after
+    checking that its matrix is the image at that index."""
+    hit = _rejected(y, dims, tol, product)
+    if hit is None:
+        return None
+    assert np.array_equal(hit[1], basis.from_coords(y[hit[0]], hit[1].shape[0]))
+    return hit[0]
+
+
 @pytest.mark.parametrize("d", range(1, 10))
 def test_purity_certificate_keeps_the_solver_verdicts(d):
-    """The certificate only skips eigensolves: the masks, first rejected
-    indices and single-image verdicts of both kernels are those of the
-    spectrum alone, and it clears some images but not all."""
+    """The coordinate certificate only skips eigensolves: no image that it
+    clears fails the solver's test, spectral or product, it clears some
+    images but not all, and the first rejected index of every suffix is the
+    solver's."""
     dims = _FACTORS[d]
     rng = np.random.default_rng(30 + d)
     for tol in (1e-8, 0.1, 0.3):
-        stack = _rank_one_plus_noise(rng, dims, tol, 160)
-        want = list(spectral_defect(np.linalg.eigvalsh(stack)) > tol)
-        solved = []
-        got = _not_pure(stack, tol, lambda a: solved.append(len(a)) or np.linalg.eigvalsh(a))
-        assert list(got) == want
-        assert 0 < solved[0] < len(stack)
-        assert [first_not_pure(m[None], tol) == 0 for m in stack] == want
-        for start in (0, 7, 90):
-            assert first_not_pure(stack[start:], tol) == _first(want[start:])
-        want = [not is_product_pure(HermitianOperator(m, dims), tol)[0] for m in stack]
-        assert [first_not_product_pure(m[None], dims, tol) == 0 for m in stack] == want
-        for start in (0, 7, 90):
-            assert first_not_product_pure(stack[start:], dims, tol) == _first(want[start:])
+        y = basis.coords(_rank_one_plus_noise(rng, dims, tol, 160))
+        stack = basis.from_coords(y, d)
+        spectral = spectral_defect(np.linalg.eigvalsh(stack)) > tol
+        product = np.array([not is_product_pure(HermitianOperator(m, dims), tol)[0] for m in stack])
+        for kind, want in ((False, spectral), (True, product)):
+            cleared = _cleared(y, dims if kind else (d,), tol, kind)
+            assert not (cleared & want).any(), (tol, kind)
+            assert 0 < cleared.sum() < len(stack), (tol, kind)
+            for start in (0, 7, 90):
+                assert _first_rejected(y[start:], dims, tol, kind) == _first(list(want[start:]))
 
 
 def test_purity_certificate_leaves_room_for_solver_error():
@@ -461,41 +471,48 @@ def test_purity_certificate_leaves_room_for_solver_error():
     image is rejected: the certificate's bound exceeds the computed defect
     by its slack, even where the two agree to rounding.  (The product
     kernel's solver is eigh, whose last bits may differ from eigvalsh's.)
-    The stacks are large enough for the certificate to run."""
+    The 128 copies make a block that the certificate takes."""
     rng = np.random.default_rng(40)
     for d in (1, 2, 3, 9):
         for _ in range(100):
             v = random_pure(d, rng).vector * np.sqrt(1 + rng.uniform(-1e-7, 1e-7))
-            stack = np.array([np.outer(v, v.conj())] * 128)
-            tol = np.nextafter(spectral_defect(np.linalg.eigvalsh(stack[0])), 0)
-            assert first_not_pure(stack, tol) == 0
-            tol = np.nextafter(spectral_defect(np.linalg.eigh(stack[0])[0]), 0)
-            assert first_not_product_pure(stack, (d,), tol) == 0
+            y = np.repeat(basis.coords(np.outer(v, v.conj()))[None], 128, axis=0)
+            image = basis.from_coords(y[:1], d)
+            tol = np.nextafter(spectral_defect(np.linalg.eigvalsh(image))[0], 0)
+            assert _first_rejected(y, (d,), tol, False) == 0
+            tol = np.nextafter(spectral_defect(np.linalg.eigh(image)[0])[0], 0)
+            assert _first_rejected(y, (d,), tol, True) == 0
 
 
-def test_purity_certificate_falls_back_on_degenerate_images():
-    """A zero image and one with a negative top diagonal give a NaN bound,
-    and a diagonal image whose top column is a unit vector a large one: all
-    go to the solver, which rejects them.  Fifteen pure images before
-    them make the stack large enough for the certificate to run."""
+def test_purity_certificate_falls_back_on_degenerate_images(monkeypatch):
+    """A zero image has a zero fibre and so a NaN bound, one with a negative
+    top diagonal a trace <= 0 and so eps >= 1/sqrt(3), and a diagonal image
+    whose top column is a unit vector a large eps, all without a
+    RuntimeWarning: each becomes the one matrix that goes to the solver,
+    which rejects it.  Fifteen pure images come before it."""
+    solved = []
+    for name in ("first_not_pure", "first_not_product_pure"):
+        monkeypatch.setattr(pure_analysis, name, lambda a, *args, _inner=getattr(pure_analysis, name):
+                            solved.append(a) or _inner(a, *args))
     pure = np.outer([1, 0, 0], [1, 0, 0]).astype(complex)
     for bad in (np.zeros((3, 3)), -np.diag([1.0, 2.0, 3.0]),
                 np.diag([1.0, 0.5, 0.0]), np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])):
-        stack = np.array([pure] * 15 + [bad], dtype=complex)
-        for tol in (1e-8, 0.1, 0.3):
-            solved = []
-            got = _not_pure(stack, tol, lambda a: solved.append(a) or np.linalg.eigvalsh(a))
-            assert list(got) == [False] * 15 + [True]
-            assert len(solved) == 1 and np.array_equal(solved[0], stack[15:])
-            assert first_not_pure(stack, tol) == 15
-            assert first_not_product_pure(stack, (3,), tol) == 15
+        y = basis.coords(np.array([pure] * 15 + [bad], dtype=complex))
+        for tol, product in itertools.product((1e-8, 0.1, 0.3), (False, True)):
+            solved.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert list(_cleared(y, (3,), tol, product)) == [True] * 15 + [False]
+                assert _first_rejected(y, (3,), tol, product) == 15
+            assert len(solved) == 1 and np.array_equal(solved[0], basis.from_coords(y[15:], 3))
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (1, 3), (2, 2, 2)])
 def test_stacked_product_purity_agrees_with_brute_force_oracle(dims):
     """Stacks of exact products with a few entangled pure and mixed states
     among them, all far from ``tol``: the first rejected index of every
-    suffix long enough to take the certificates is the projector-identity
+    suffix, by the solver alone and through :func:`_rejected`, which
+    certifies every suffix of two images or more, is the projector-identity
     oracle's."""
     rng = np.random.default_rng(17)
     d = int(np.prod(dims))
@@ -513,9 +530,10 @@ def test_stacked_product_purity_agrees_with_brute_force_oracle(dims):
     stack = np.array(mats)
     want = [not product_pure_oracle(m, dims) for m in stack]
     assert 0 < sum(want) < len(want)
-    shortest = -(-128 // (d * d))
-    for start in range(len(stack) - max(2, shortest) + 1):
+    y = basis.coords(stack)
+    for start in range(len(stack)):
         assert first_not_product_pure(stack[start:], dims) == _first(want[start:]), start
+        assert _first_rejected(y[start:], dims, 1e-8, True) == _first(want[start:]), start
 
 
 def _entangled_by(rng, dims, tol, count):
@@ -537,9 +555,8 @@ def _entangled_by(rng, dims, tol, count):
 
 def _mixed_reductions(dims, shifts):
     """Images (1 + s) |B><B| - s I for the shifts s, B entangling factor 1
-    with the others: the spectrum is off pure by s, the factor-1 reduction
-    is a multiple of the identity, and where s >= 1/(D - 1) it has no
-    positive diagonal entry, so its certificate bound is NaN."""
+    with the others: the spectrum is off pure by s, and the factor-1
+    reduction is a multiple of the identity."""
     d = int(np.prod(dims))
     b = np.zeros(d)
     b[::d // dims[0] + 1] = 1 / np.sqrt(dims[0])
@@ -547,38 +564,35 @@ def _mixed_reductions(dims, shifts):
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
-def test_product_certificate_keeps_the_solver_verdicts(dims, monkeypatch):
-    """The reduction and rebuild certificates only skip eigensolves: on
-    states where the reductions and the rebuild decide, the single-image
-    verdicts (the solver's) and the first rejected index of every suffix of
-    a large stack agree, and on the accepted images the certificates clear
-    some but not all."""
+def test_product_certificate_keeps_the_solver_verdicts(dims):
+    """The certificate only skips eigensolves: on states where the
+    reductions and the rebuild decide, the single-image verdicts (the
+    solver's) and the first rejected index of every suffix of a large stack
+    agree, and of the accepted images the certificate clears some but not
+    all."""
     rng = np.random.default_rng(60 + len(dims))
-    solved = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.shape) or eigh(a))
-    for tol in (1e-8, 0.1, 0.3):
-        stack = np.concatenate([_entangled_by(rng, dims, tol, 60),
-                                _near_product_states(rng, dims, 40),
-                                _rank_one_plus_noise(rng, dims, tol, 40),
-                                _mixed_reductions(dims, np.linspace(tol / 3, 0.99 * tol, 4))])
-        stack = stack[rng.permutation(len(stack))]
-        want = [first_not_product_pure(m[None], dims, tol) == 0 for m in stack]
-        assert 0 < sum(want) < len(want)
-        for start in range(len(stack) - 2):
-            assert first_not_product_pure(stack[start:], dims, tol) == _first(want[start:])
-        accepted = stack[~np.array(want)]
-        solved.clear()
-        assert first_not_product_pure(accepted, dims, tol) is None
-        reductions = [s[0] for s in solved if s[1] == dims[0]]
-        assert reductions and 0 < reductions[0] < len(accepted), (tol, reductions)
-    # past 30 products that the certificates clear, the images whose spectra
-    # pass but whose factor-1 reductions have NaN bounds go to the solver
     d = int(np.prod(dims))
+    for tol in (1e-8, 0.1, 0.3):
+        y = basis.coords(np.concatenate([_entangled_by(rng, dims, tol, 60),
+                                         _near_product_states(rng, dims, 40),
+                                         _rank_one_plus_noise(rng, dims, tol, 40),
+                                         _mixed_reductions(dims, np.linspace(tol / 3, 0.99 * tol, 4))]))
+        y = y[rng.permutation(len(y))]
+        want = np.array([first_not_product_pure(m[None], dims, tol) == 0
+                         for m in basis.from_coords(y, d)])
+        assert 0 < want.sum() < len(want)
+        for start in range(len(y) - 2):
+            assert _first_rejected(y[start:], dims, tol, True) == _first(list(want[start:]))
+        cleared = _cleared(y, dims, tol, True)
+        assert not (cleared & want).any()
+        assert 0 < cleared.sum() < (~want).sum(), tol
+    # past 30 products that the certificate clears, the images whose spectra
+    # pass but whose factor-1 reductions are maximally mixed go to the solver
     for tol in [t for t in (0.25, 0.3) if 1 / (d - 1) < t]:
-        stack = np.concatenate([_entangled_by(rng, dims, 1e-12, 30),
-                                _mixed_reductions(dims, np.linspace(1 / (d - 1), 0.99 * tol, 3))])
-        assert first_not_product_pure(stack, dims, tol) == 30
+        y = basis.coords(np.concatenate([_entangled_by(rng, dims, 1e-12, 30),
+                                         _mixed_reductions(dims, np.linspace(1 / (d - 1), 0.99 * tol, 3))]))
+        assert _cleared(y, dims, tol, True)[:30].all()
+        assert _first_rejected(y, dims, tol, True) == 30
 
 
 def test_product_certificate_leaves_room_for_solver_error():
@@ -592,13 +606,63 @@ def test_product_certificate_leaves_room_for_solver_error():
         exact = np.array([tensor_all([random_pure(k, rng).projection for k in dims]).matrix
                           for _ in range(300)])
         images = exact if 1 in dims else np.concatenate([exact, _entangled_by(rng, dims, 1e-9, 60)])
-        for img in images:
+        for y in basis.coords(images):
+            img = basis.from_coords(y, int(np.prod(dims)))
             solved = [np.linalg.eigh(_reduced(img[None], dims, f)) for f in range(len(dims))]
             tol = np.nextafter(_rebuild_deviation([v[:, :, -1:] for _, v in solved], img[None])[0], 0)
             if max(spectral_defect(w)[0] for w in [np.linalg.eigh(img[None])[0]] + [w for w, _ in solved]) > tol:
                 continue
-            assert first_not_product_pure(img[None], dims, tol) == 0
-            assert first_not_product_pure(np.array([img] * 16), dims, tol) == 0
+            assert _first_rejected(y[None], dims, tol, True) == 0
+            assert _first_rejected(np.repeat(y[None], 16, axis=0), dims, tol, True) == 0
+
+
+def test_product_certificate_scales_the_reductions_by_the_traced_dimension():
+    """A = psi psi+ + delta (e_0 e_0+ (x) I) on dims (1, 16) and (2, 16) has
+    eps = 4 delta, but its factor-1 reduction is off pure by 16 delta: the
+    partial trace over 16 dimensions grows the residual by sqrt(16).  Between
+    the bound without that factor (about 3 eps) and the true defect, the
+    solver rejects every image, and the certificate clears none."""
+    rng = np.random.default_rng(62)
+    delta = 1e-9
+    for dims in ((1, 16), (2, 16)):
+        head = np.zeros((dims[0], dims[0]))
+        head[0, 0] = 1.0
+        bump = delta * np.kron(head, np.eye(16))
+        y = basis.coords(np.array([np.outer(psi, psi.conj()) + bump for psi in
+                                   (np.kron(np.eye(dims[0])[0], random_pure(16, rng).vector)
+                                    for _ in range(8))]))
+        images = basis.from_coords(y, int(np.prod(dims)))
+        for tol in delta * np.linspace(13, 15.5, 6):
+            assert all(first_not_product_pure(m[None], dims, tol) == 0 for m in images)
+            assert not _cleared(y, dims, tol, True).any()
+
+
+_NEAR_TOL_DIMS = [(2, 3), (3, 3), (1, 3), (2, 2, 2), (1,), (2,), (3,), (5,), (9,)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_NEAR_TOL_DIMS), st.floats(-10, np.log10(0.3)), st.integers(0, 2**32 - 1))
+def test_certificate_near_tol_clears_nothing_the_solver_rejects(dims, log_tol, seed):
+    """Images within a few ``tol`` of product pure states, entangled ones
+    whose rebuild decides, exact products and degenerate images: no image
+    that the certificate clears fails the solver's test, spectral or
+    product, every exact product is cleared, and a zero or negative-top
+    image raises no RuntimeWarning."""
+    tol, rng, d = 10.0 ** log_tol, np.random.default_rng(seed), int(np.prod(dims))
+    exact = basis.coords(np.array([tensor_all([random_pure(k, rng).projection for k in dims]).matrix
+                                   for _ in range(8)]))
+    near = [_rank_one_plus_noise(rng, dims, tol, 24)]
+    if min(dims) > 1:
+        near.append(_entangled_by(rng, dims, tol, 12))
+    y = np.concatenate([basis.coords(np.concatenate(near)), exact, -exact[:2], 0 * exact[:1]])
+    images = basis.from_coords(y, d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spectral, product = _cleared(y, (d,), tol, False), _cleared(y, dims, tol, True)
+    assert spectral[-11:-3].all() and product[-11:-3].all()
+    assert not spectral[-3:].any() and not product[-3:].any()
+    assert (spectral_defect(np.linalg.eigvalsh(images[spectral])) <= tol).all()
+    assert all(first_not_product_pure(m[None], dims, tol) is None for m in images[product])
 
 
 def test_exact_forms_make_no_stacked_image_eigensolve(monkeypatch):

@@ -65,7 +65,7 @@ from preservers.sep_analysis import (
     find_product_witness,
 )
 from preservers.superop import SEP_SOURCES, conjugation, isometry, random_unitary
-from preservers import basis, pure_analysis, sep_analysis
+from preservers import basis, pure_analysis
 
 
 def test_slice_phi_identity_form1_swap():
@@ -360,8 +360,9 @@ def test_product_positive_makes_one_comparison(monkeypatch):
 
 def test_product_negatives_scan_no_section(monkeypatch):
     """The pivot read only proposes, so a perturbed product map runs no
-    single-factor purity test: its one scan is the map-level one."""
-    calls = _count(monkeypatch, "first_not_pure", (pure_analysis,))
+    single-factor purity test: every image it tests, in its one map-level
+    scan, is tested for product purity."""
+    calls = _count(monkeypatch, "_rejected", (pure_analysis,))
     rng = np.random.default_rng(24)
     for tag in range(1, 8):
         exact = canonical_sep(random_sep_form(tag, 2, 2, rng), (2, 2))
@@ -373,14 +374,13 @@ def test_product_negatives_scan_no_section(monkeypatch):
         op = make_superop((2, 2, 2), (2, 2, 2),
                           exact.coeff + 1e-3 * rng.standard_normal(exact.coeff.shape))
         assert classify_multi_preserver(op).kind == "not_preserver", seed
-    assert calls == []
+    assert calls and all(args[3] for args in calls)
 
 
-def _probe_images(monkeypatch):
-    """The images that the product and the single-factor purity tests get,
-    one list of stacks each."""
-    return (_count(monkeypatch, "first_not_product_pure", (pure_analysis, sep_analysis)),
-            _count(monkeypatch, "first_not_pure", (pure_analysis,)))
+def _tested_images(monkeypatch):
+    """The arguments of every purity test of a stack of images, the
+    coordinates of the images first: the certificate sees them all."""
+    return _count(monkeypatch, "_rejected", (pure_analysis,))
 
 
 def _witness(c):
@@ -395,7 +395,7 @@ def _is_first_candidate(witness):
 def test_probe_failing_negatives_test_one_image(monkeypatch):
     """A negative whose probe image fails returns the probe as its witness:
     candidate 0 of the family, and the only image tested."""
-    prod, pure = _probe_images(monkeypatch)
+    tested = _tested_images(monkeypatch)
     rng = np.random.default_rng(25)
     cases = [(perturbed(canonical_sep(random_sep_form(tag, 2, 2, rng), (2, 2)), 1e-3, rng),
               classify_sep_preserver) for tag in range(1, 8)]
@@ -403,18 +403,17 @@ def test_probe_failing_negatives_test_one_image(monkeypatch):
                classify_pure_preserver),
               (_bipartite_replacer(np.pi / 4), classify_sep_preserver)]
     for i, (op, classify) in enumerate(cases):
-        prod.clear()
-        pure.clear()
+        tested.clear()
         c = classify(op)
         assert c.kind == "not_preserver", i
-        assert sum(len(args[0]) for args in prod + pure) == 1, i
+        assert sum(len(args[0]) for args in tested) == 1, i
         assert _is_first_candidate(_witness(c)), i
 
 
 def test_witness_scans_after_a_passed_probe_skip_it(monkeypatch):
     """A negative whose probe passes scans for its witness from candidate 1:
     the image of e_0 (x) ... (x) e_0 is tested once, by the probe."""
-    prod, pure = _probe_images(monkeypatch)
+    tested = _tested_images(monkeypatch)
     rng = np.random.default_rng(26)
     isos = tuple(random_isometry(2, 2, rng) for _ in range(3))
     cases = [(_noisy_sep(0, 2, 2, 3e-9), classify_sep_preserver),   # family, candidate 6
@@ -427,14 +426,12 @@ def test_witness_scans_after_a_passed_probe_skip_it(monkeypatch):
              (hidden_bump(conjugation(random_isometry(3, 3, rng)), 1e-3, rng),
               classify_pure_preserver)]
     for i, (op, classify) in enumerate(cases):
-        prod.clear()
-        pure.clear()
+        tested.clear()
         c = classify(op)
         assert c.kind == "not_preserver", i
         assert not _is_first_candidate(_witness(c)), i
-        probe = basis.from_coords(op.coeff[:, 0], op.out_dim)
-        tested = [img for args in prod + pure for img in args[0]]
-        assert sum(np.array_equal(img, probe) for img in tested) == 1, i
+        images = [y for args in tested for y in args[0]]
+        assert sum(np.array_equal(y, op.coeff[:, 0]) for y in images) == 1, i
 
 
 @pytest.mark.parametrize("noise", [1e-3, 3e-9])
@@ -478,15 +475,9 @@ def test_multi_scan_tests_no_input_twice(monkeypatch):
     position 42, so the scan skips it.  A (2,2,2) permutation form with a
     bump on the Y coordinate of the input pair (0, 4), which only inputs
     mixing e_0 and i e_1 in factor 1 see, fails its comparison and finds
-    its witness at candidate (3,0,0); no image on the way is tested twice."""
-    tested = []
-    inner = pure_analysis.first_not_product_pure
-
-    def record(images, dims, tol):
-        tested.extend(images)
-        return inner(images, dims, tol)
-
-    monkeypatch.setattr(pure_analysis, "first_not_product_pure", record)
+    its witness at candidate (3,0,0); no image on the way is tested twice
+    (the certificate sees every image, as coordinates)."""
+    calls = _tested_images(monkeypatch)
     rng = np.random.default_rng(31)
     isos = tuple(random_isometry(2, 2, rng, random_flag(rng)) for _ in range(3))
     exact = canonical_multi(MultiForm((2, 3, 1), isos), (2, 2, 2))
@@ -496,7 +487,7 @@ def test_multi_scan_tests_no_input_twice(monkeypatch):
     assert c.kind == "not_preserver"
     family = spanning_states(2)
     assert _same_states(c.witness, (family[3], family[0], family[0]))
-    images = np.array(tested).reshape(len(tested), -1)
+    images = np.concatenate([args[0] for args in calls])
     assert len(images) > 43
     gaps = np.abs(images[:, None] - images[None]).max(axis=2)
     gaps += np.diag(np.full(len(images), np.inf))
@@ -924,7 +915,7 @@ def _pivot_cases():
     """Maps with all isometries under one flag, both flags, and noise from 0
     to 1e-3: single-factor m -> n conjugations (m <= n <= 5, m = 1
     included), form 6 on (2,3), multipartite forms on (2,2,2), and maps
-    whose stacked reads are padded: factors (2,3,2), a dimension-1 factor
+    whose stacked reads are padded: factors (2,3,4), a dimension-1 factor
     in (2,1,3), and a rectangular (2,3) -> (3,4) map."""
     rng = np.random.default_rng(42)
     for flag, noise in itertools.product((LINEAR, CONJUGATE), (0.0, 1e-9, 1e-6, 1e-3)):
@@ -932,7 +923,7 @@ def _pivot_cases():
                 for n in range(1, 6) for m in range(1, n + 1)]
         maps.append(canonical_sep(SepForm(6, u1=random_isometry(2, 2, rng, flag),
                                           u2=random_isometry(3, 3, rng, flag)), (2, 3)))
-        for dims in ((2, 2, 2), (2, 3, 2), (2, 1, 3)):
+        for dims in ((2, 2, 2), (2, 3, 4), (2, 1, 3)):
             perm = tuple(int(p) + 1 for p in rng.permutation(3))
             isos = tuple(random_isometry(dims[p - 1], dims[p - 1], rng, flag) for p in perm)
             maps.append(canonical_multi(MultiForm(perm, isos), dims))

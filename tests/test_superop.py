@@ -47,7 +47,7 @@ from preservers import (
     trace_replacer,
 )
 from preservers import basis_state
-from preservers.basis import basis_element, basis_label, coords, from_coords
+from preservers.basis import basis_element, basis_label, coords, from_coords, projection_coords
 from preservers.superop import BLOCK_ENTRIES, conjugate_operator
 
 
@@ -83,6 +83,23 @@ def test_stacked_coords_match_per_matrix_calls():
         back = from_coords(c, d)
         assert back.shape == (4, 3, d, d)
         assert np.array_equal(back, np.array([[from_coords(v, d) for v in row] for row in c]))
+
+
+def test_projection_coords_are_coords_of_the_outer_products():
+    """On every block size a scan uses (up to ``BLOCK_ENTRIES // d**2``
+    vectors), the coordinates of psi psi+ taken from the vectors are bit
+    for bit those of the outer products, also for a reversed, strided
+    stack; a stack with two leading axes keeps its shape."""
+    rng = np.random.default_rng(31)
+    for d in range(1, 17):
+        cap = max(1, BLOCK_ENTRIES // d ** 2)
+        for t in sorted({1, 2, 3, cap // 2 or 1, cap}):
+            psi = rng.standard_normal((t, d)) + 1j * rng.standard_normal((t, d))
+            for v in (psi, psi[::-1, ::-1]):
+                want = coords(v[:, :, None] * v[:, None, :].conj())
+                assert np.array_equal(projection_coords(v), want), (d, t)
+    psi = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+    assert np.array_equal(projection_coords(psi), coords(psi[..., :, None] * psi[..., None, :].conj()))
 
 
 def test_from_action_identity_transpose_and_trace():
