@@ -39,13 +39,13 @@ EXIT_BAD_INPUT = 2
 EXIT_INDETERMINATE = 3
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
+def _parse_dims(text: str, flag: str = "--dims") -> tuple[int, ...]:
     try:
         dims = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise StructureError(f"--dims expects comma-separated integers, got {text!r}")
+        raise StructureError(f"{flag} expects comma-separated integers, got {text!r}")
     if not dims or any(d < 1 for d in dims):
-        raise StructureError(f"--dims entries must be positive, got {text!r}")
+        raise StructureError(f"{flag} entries must be positive, got {text!r}")
     return dims
 
 
@@ -68,10 +68,12 @@ def cmd_make(args) -> int:
     them, then each slot in turn, a pure state or an isometry."""
     rng = as_rng(args.seed)
     dims = _parse_dims(args.dims)
+    if args.pi is not None and not args.multi:
+        raise StructureError("--pi applies to --multi only")
     if args.multi:
         if args.pi is None:
             raise StructureError("--multi requires --pi")
-        perm = _parse_dims(args.pi)
+        perm = _parse_dims(args.pi, "--pi")
         if sorted(perm) != list(range(1, len(dims) + 1)):
             raise StructureError(f"--pi {args.pi!r} is not a permutation of 1..{len(dims)}")
         in_dims, out_dims, sources = dims, dims, [p - 1 for p in perm]
@@ -192,10 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_make = sub.add_parser("make", help="emit a canonical map as JSON")
-    p_make.add_argument("--form", type=int, help="bipartite canonical form tag 1..7")
-    p_make.add_argument("--pure", choices=["trace_replacer", "conjugation"],
-                        help="single-factor map kind")
-    p_make.add_argument("--multi", action="store_true", help="multipartite form")
+    kind = p_make.add_mutually_exclusive_group()
+    kind.add_argument("--form", type=int, help="bipartite canonical form tag 1..7")
+    kind.add_argument("--pure", choices=["trace_replacer", "conjugation"],
+                      help="single-factor map kind")
+    kind.add_argument("--multi", action="store_true", help="multipartite form")
     p_make.add_argument("--pi", help="factor permutation for --multi, e.g. 2,3,1")
     p_make.add_argument("--dims", required=True, help="factor dimensions, e.g. 2,3")
     p_make.add_argument("--flags", help="conjugation flags, one per isometry, e.g. linear,conjugate")

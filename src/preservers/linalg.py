@@ -336,14 +336,6 @@ def _first_true(bad: np.ndarray, limit: int) -> int:
     return int(hits[0]) if hits.size else limit
 
 
-def first_not_pure(images: np.ndarray, tol: float = PURITY_TOL):
-    """Index of the first matrix of the Hermitian stack ``images`` (t, D, D)
-    whose purity defect, read off one stacked ``eigvalsh``, exceeds ``tol``,
-    or None."""
-    first = _first_true(spectral_defect(np.linalg.eigvalsh(images)) > tol, len(images))
-    return first if first < len(images) else None
-
-
 def _rebuild_deviation(vectors, images: np.ndarray) -> np.ndarray:
     """max|psi psi+ - A| per image A, psi the tensor product of the (t, d_f, 1)
     factor vectors."""
@@ -354,9 +346,14 @@ def _rebuild_deviation(vectors, images: np.ndarray) -> np.ndarray:
 def _product_pure_prefix(images: np.ndarray, dims, tol: float):
     """(limit, tops): the index of the first image of the stack (t, D, D)
     that :func:`first_not_product_pure` rejects, or t, and in ``tops[f]`` the
-    factor-f top eigenvectors of the images before it."""
+    factor-f top eigenvectors of the images before it.  One factor stops at
+    the image's spectrum: the image is its own reduction, and its rebuild
+    deviation ||A - vv+||_max <= ||A - vv+||_2 is at most its defect."""
     # eigh, not eigvalsh: a single image's spectrum is then that of is_pure
-    n, tops = _first_true(spectral_defect(np.linalg.eigh(images)[0]) > tol, len(images)), []
+    w, v = np.linalg.eigh(images)
+    n, tops = _first_true(spectral_defect(w) > tol, len(images)), []
+    if len(dims) == 1:
+        return n, [v[:n, :, -1]]
     for f in range(len(dims)):
         if n:
             w, v = np.linalg.eigh(_reduced(images[:n], dims, f))

@@ -33,7 +33,6 @@ from .linalg import (
     basis_state,
     canonical_phase,
     first_not_product_pure,
-    first_not_pure,
     pure_state,
     spanning_states,
     spectral_defect,
@@ -108,11 +107,12 @@ _CERT_SLACK = 64 * np.finfo(np.float64).eps
 
 
 @lru_cache(maxsize=256)
-def _eps_limit(dims, tol: float, product: bool) -> float:
+def _eps_limit(dims, tol: float) -> float:
     """The square of the largest eps whose bound (:func:`_cleared`) is within
-    ``tol``, found by bisection since the bound grows with eps; -1 if none is."""
+    ``tol``, found by bisection since the bound grows with eps; -1 if none is.
+    One factor has no reductions to bound, as in the solver."""
     big = math.prod(dims)
-    roots = [math.sqrt(big / d) for d in dims] if product else []
+    roots = [math.sqrt(big / d) for d in dims] if len(dims) > 1 else []
 
     def within(eps):
         slack = _CERT_SLACK * big * (2.0 + eps)
@@ -126,10 +126,10 @@ def _eps_limit(dims, tol: float, product: bool) -> float:
     return lo * lo if within(lo) else -1.0
 
 
-def _cleared(y: np.ndarray, dims, tol: float, product: bool) -> np.ndarray:
+def _cleared(y: np.ndarray, dims, tol: float) -> np.ndarray:
     """Mask of the images A, given by their coordinates y (t, D*D) on the
     factors ``dims``, that pass the solver's purity test at ``tol`` (product
-    purity if ``product``, else spectral) by the certificate alone.
+    purity, spectral on one factor) by the certificate alone.
 
     The entries A[x, c] of column c, the largest diagonal entry, with x
     running over factor f and the rest at c, normalise to unit vectors w_f
@@ -149,35 +149,35 @@ def _cleared(y: np.ndarray, dims, tol: float, product: bool) -> np.ndarray:
     squares = np.einsum("tki,tki->tk", f, f)
     fibres *= (1.0 / np.sqrt(np.where(squares > 0, squares, np.nan)))[:, :, None]
     e = y - basis.projection_coords(_products([fibres[:, k, :d] for k, d in enumerate(dims)]))
-    return np.einsum("ti,ti->t", e, e) <= _eps_limit(dims, tol, product)
+    return np.einsum("ti,ti->t", e, e) <= _eps_limit(dims, tol)
 
 
-def _rejected(y: np.ndarray, dims, tol: float, product: bool):
+def _rejected(y: np.ndarray, dims, tol: float):
     """(i, A): the first image, given by its coordinates y (t, D*D) on the
-    factors ``dims``, that fails purity at ``tol`` (product purity if
-    ``product``, else spectral), and its matrix; None if all pass.  Of a
+    factors ``dims``, that fails purity at ``tol`` (product purity,
+    spectral on one factor), and its matrix; None if all pass.  Of a
     block of two images or more, only those that :func:`_cleared` cannot
     clear become matrices; a lone image goes straight to the solver, whose
     eigensolve costs about what the certificate does and is needed anyway
-    when the image fails.  The verdicts are those of ``first_not_pure`` and
+    when the image fails.  The verdicts are those of
     ``first_not_product_pure``."""
     big, todo = math.prod(dims), np.arange(len(y))
     if len(y) > 1:
-        todo = todo[~_cleared(y, dims if product else (big,), tol, product)]
+        todo = todo[~_cleared(y, dims, tol)]
     if not todo.size:
         return None
     images = basis.from_coords(y[todo], big)
-    i = first_not_product_pure(images, dims, tol) if product else first_not_pure(images, tol)
+    i = first_not_product_pure(images, dims, tol)
     return None if i is None else (int(todo[i]), images[i])
 
 
-def _scan(op: SuperOperator, dims, tol: float, product: bool, family=((), ()),
-          random_tries: int = 0, seed=0, skip=()):
-    """First input, a tuple of pure states on the factors ``dims`` of the
-    input space, whose image fails purity at ``tol`` (:func:`_rejected`):
-    the candidates of ``family`` but those at the positions ``skip``, then
-    ``random_tries`` seeded draws.  Returns (position, tuple, image of the
-    tuple) or None.
+def _scan(op: SuperOperator, tol: float, family=((), ()), random_tries: int = 0, seed=0,
+          skip=()):
+    """First input, a tuple of pure states on the factors ``op.in_dims``,
+    whose image on the factors ``op.out_dims`` fails purity at ``tol``
+    (:func:`_rejected`): the candidates of ``family`` but those at the
+    positions ``skip``, then ``random_tries`` seeded draws.  Returns
+    (position, tuple, image of the tuple) or None.
 
     ``family`` is (stacks, rows): one stack of unit vectors per factor, and
     an integer array whose row i picks candidate i's vector from each stack
@@ -193,7 +193,7 @@ def _scan(op: SuperOperator, dims, tol: float, product: bool, family=((), ()),
     certificate of :func:`_cleared` cannot clear become matrices and are
     eigensolved (:func:`_rejected`).  The family's blocks are those of a
     scan that skips nothing, less the skipped candidates.  Each block of
-    draws is one ``standard_normal((t, 2 * sum(dims)))``, the stream of
+    draws is one ``standard_normal((t, 2 * sum(op.in_dims)))``, the stream of
     ``t`` rounds of ``random_pure`` calls (real then imaginary part, factor
     by factor), so the result is that of a state-by-state scan; a Generator
     passed as ``seed`` advances by whole blocks.
@@ -209,7 +209,7 @@ def _scan(op: SuperOperator, dims, tol: float, product: bool, family=((), ()),
 
     def rejected(vectors):
         y = basis.projection_coords(_products(vectors)) @ op.coeff.T
-        return _rejected(y, op.out_dims, tol, product)
+        return _rejected(y, op.out_dims, tol)
 
     stacks, rows = family
     keep = np.ones(len(rows), dtype=bool)
@@ -225,11 +225,11 @@ def _scan(op: SuperOperator, dims, tol: float, product: bool, family=((), ()),
             found = tuple(PureState(s[j].copy()) for s, j in zip(stacks, block[i]))
             return int(at[i]), found, image
     rng = as_rng(seed)
-    offsets = list(itertools.accumulate(dims, initial=0))
+    offsets = list(itertools.accumulate(op.in_dims, initial=0))
     for lo, stop in blocks(random_tries):
         g = rng.standard_normal((stop - lo, 2 * offsets[-1]))
         raw = [g[:, 2 * o:2 * o + d] + 1j * g[:, 2 * o + d:2 * (o + d)]
-               for o, d in zip(offsets, dims)]
+               for o, d in zip(offsets, op.in_dims)]
         hit = rejected([v / np.linalg.norm(v, axis=1, keepdims=True) for v in raw])
         if hit is not None:
             i, image = hit
@@ -249,8 +249,8 @@ def find_impure_witness(op: SuperOperator, tol: float, seed: int = 0,
     """
     _check_numbers(tol, seed=seed)
     _check_counts(random_tries)
-    dims = (op.in_dim,)
-    hit = _scan(op, dims, tol, False, _family(dims), random_tries, seed)
+    hit = _scan(SuperOperator((op.in_dim,), (op.out_dim,), op.coeff), tol,
+                _family((op.in_dim,)), random_tries, seed)
     return None if hit is None else (hit[1][0], hit[2])
 
 
@@ -407,8 +407,8 @@ def _decide(op: SuperOperator, tol: float, seed, probes=None, det_cap: int | Non
     None) products of the spanning families and 1000 seeded draws.  The scan
     skips candidate 0 and every probe the family holds (on all-qubit maps
     the uniform product state is candidate (2, ..., 2)), so no candidate is
-    tested twice.  Images are tested with spectral purity for one input
-    factor, product purity on ``op.out_dims`` otherwise.  ``hit`` is a
+    tested twice.  Images are tested for purity on the factors
+    ``op.out_dims`` (:func:`_rejected`), spectral on one.  ``hit`` is a
     failing probe or the scan's witness, as :func:`_scan` returns it, and
     None after a passed comparison; a probe that decides leaves the rest
     None.  A scan that finds no witness raises
@@ -416,11 +416,10 @@ def _decide(op: SuperOperator, tol: float, seed, probes=None, det_cap: int | Non
     """
     _check_numbers(tol, seed=seed)
 
-    product = len(op.in_dims) > 1
-    first = _rejected(op.coeff[:, :1].T, op.out_dims, tol, product)
+    first = _rejected(op.coeff[:, :1].T, op.out_dims, tol)
     if first is not None:
         return (0, tuple(basis_state(d, 0) for d in op.in_dims), first[1]), None, None, None
-    hit = None if probes is None else _scan(op, op.in_dims, tol, product, probes)
+    hit = None if probes is None else _scan(op, tol, probes)
     if hit is not None:
         return hit, None, None, None
     feeds, slots = _propose(op)
@@ -429,7 +428,7 @@ def _decide(op: SuperOperator, tol: float, seed, probes=None, det_cap: int | Non
         return None, feeds, slots, cmp
     family = _family(op.in_dims, det_cap)
     skip = [0] if probes is None else [0] + _positions(family, probes)
-    hit = _scan(op, op.in_dims, tol, product, family, 1000, seed, skip)
+    hit = _scan(op, tol, family, 1000, seed, skip)
     if hit is None:
         raise ClassificationError(
             "map fails reconstruction but no witness was found; "
@@ -476,7 +475,8 @@ def mc_verify_pure(op: SuperOperator, samples: int = 500, seed: int = 0,
     Generator passed as ``seed`` advances by whole blocks.
     """
     _check_numbers(tol, samples, seed)
-    hit = _scan(op, (op.in_dim,), tol, False, random_tries=samples, seed=seed)
+    hit = _scan(SuperOperator((op.in_dim,), (op.out_dim,), op.coeff), tol,
+                random_tries=samples, seed=seed)
     if hit is None:
         return MCResult(True, samples)
     i, (p,), image = hit

@@ -104,7 +104,7 @@ def find_product_witness(op: SuperOperator, tol: float, seed: int = 0,
     """
     _check_numbers(tol, seed=seed)
     _check_counts(random_tries, 0 if det_cap is None else det_cap)
-    hit = _scan(op, op.in_dims, tol, True, _family(op.in_dims, det_cap), random_tries, seed)
+    hit = _scan(op, tol, _family(op.in_dims, det_cap), random_tries, seed)
     return None if hit is None else hit[1]
 
 
@@ -262,7 +262,7 @@ def mc_verify_product(op: SuperOperator, samples: int = 500, seed: int = 0,
     blocks.
     """
     _check_numbers(tol, samples, seed)
-    hit = _scan(op, op.in_dims, tol, True, random_tries=samples, seed=seed)
+    hit = _scan(op, tol, random_tries=samples, seed=seed)
     if hit is None:
         return MCProductResult(True, samples)
     return MCProductResult(False, hit[0] + 1, witness=hit[1])

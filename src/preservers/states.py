@@ -75,9 +75,12 @@ def separable_from_mixed(weights, factor_matrices, tol: float = 1e-12) -> Separa
     factor; each is eigendecomposed and the eigen-branches multiply out into
     pure product terms (eigenvalues below ``tol`` are dropped).
     """
+    weights = [float(w) for w in weights]
+    if not all(0 < w < math.inf for w in weights):  # NaN fails every comparison
+        raise StructureError("weights must be positive and finite")
     out_w, out_t = [], []
     for w, mats in zip(weights, factor_matrices):
-        branches = [(float(w), [])]
+        branches = [(w, [])]
         for mat in mats:
             op = herm(mat)
             vals, vecs = eig_hermitian(op)

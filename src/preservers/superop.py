@@ -463,6 +463,16 @@ def inverse_sep_form(form: SepForm) -> SepForm:
 # ---------------------------------------------------------------------------
 # affine extension
 
+def _action_image(state_action, rho: np.ndarray, size: int | None) -> np.ndarray:
+    """The image of ``rho`` under ``state_action`` as a complex array; a
+    ContractError unless it is a square matrix, of side ``size`` if given."""
+    img = np.asarray(state_action(rho), dtype=np.complex128)
+    if img.ndim != 2 or img.shape[0] != img.shape[1] or size not in (None, img.shape[0]):
+        raise ContractError("state action does not map to square matrices of one size: "
+                            f"an image has shape {img.shape}")
+    return img
+
+
 def affine_to_linear(state_action, dim: int, tol: float = 1e-8, seed: int = 7) -> SuperOperator:
     """Extend an affine map on density matrices to a real-linear superoperator.
 
@@ -477,9 +487,8 @@ def affine_to_linear(state_action, dim: int, tol: float = 1e-8, seed: int = 7) -
     outs = []
     out_dim = None
     for s in states:
-        img = np.asarray(state_action(s.projection.matrix), dtype=np.complex128)
-        if out_dim is None:
-            out_dim = img.shape[0]
+        img = _action_image(state_action, s.projection.matrix, out_dim)
+        out_dim = img.shape[0]
         outs.append(basis.coords(img))
     cols_out = np.column_stack(outs)
     if not np.isfinite(cols_out).all():
@@ -492,7 +501,7 @@ def affine_to_linear(state_action, dim: int, tol: float = 1e-8, seed: int = 7) -
         w = rng.dirichlet(np.ones(dim))
         u = random_unitary(dim, rng)
         rho = HermitianOperator(u @ np.diag(w).astype(np.complex128) @ u.conj().T, (dim,))
-        direct = np.asarray(state_action(rho.matrix), dtype=np.complex128)
+        direct = _action_image(state_action, rho.matrix, out_dim)
         lifted = apply(op, rho).matrix
         dev = np.max(np.abs(direct - lifted))
         if not dev <= tol:

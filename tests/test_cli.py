@@ -140,6 +140,19 @@ def test_make_constraint_violations(capsys, monkeypatch):
     assert code == 2 and "dimension law" in err
     code, _, err = run_cli(capsys, "make", "--multi", "--pi", "2,1", "--dims", "2,3")
     assert code == 2 and "dimension law" in err
+    # one kind flag at most, and --pi only with --multi: none is dropped
+    for kinds in (("--form", "6", "--multi", "--pi", "2,1"),
+                  ("--form", "6", "--pure", "conjugation"),
+                  ("--pure", "conjugation", "--multi", "--pi", "2,1")):
+        code, out, err = run_cli(capsys, "make", *kinds, "--dims", "2,2")
+        assert code == 2 and not out and "not allowed with argument" in err, kinds
+    code, out, err = run_cli(capsys, "make", "--form", "6", "--pi", "2,1", "--dims", "2,2")
+    assert code == 2 and not out and "--pi" in err
+    # a malformed --pi is named as --pi, not --dims
+    for pi, what in (("2,x", "expects comma-separated integers"),
+                     ("2,0", "entries must be positive")):
+        code, out, err = run_cli(capsys, "make", "--multi", "--pi", pi, "--dims", "2,2")
+        assert code == 2 and not out and f"--pi {what}" in err and "--dims" not in err
 
 
 def test_classify_stdin_and_exit_codes(capsys, monkeypatch):

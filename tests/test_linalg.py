@@ -1,6 +1,5 @@
 """Core kernel tests: tensor structure, partial operations, spectra, purity."""
 
-import itertools
 import warnings
 from functools import reduce
 
@@ -435,10 +434,10 @@ def _first(mask):
     return mask.index(True) if True in mask else None
 
 
-def _first_rejected(y, dims, tol, product):
+def _first_rejected(y, dims, tol):
     """The index that :func:`_rejected` reports for the coordinates y, after
     checking that its matrix is the image at that index."""
-    hit = _rejected(y, dims, tol, product)
+    hit = _rejected(y, dims, tol)
     if hit is None:
         return None
     assert np.array_equal(hit[1], basis.from_coords(y[hit[0]], hit[1].shape[0]))
@@ -448,9 +447,9 @@ def _first_rejected(y, dims, tol, product):
 @pytest.mark.parametrize("d", range(1, 10))
 def test_purity_certificate_keeps_the_solver_verdicts(d):
     """The coordinate certificate only skips eigensolves: no image that it
-    clears fails the solver's test, spectral or product, it clears some
-    images but not all, and the first rejected index of every suffix is the
-    solver's."""
+    clears fails the solver's test, spectral on (d,) or product on the
+    factors of d, it clears some images but not all, and the first rejected
+    index of every suffix is the solver's."""
     dims = _FACTORS[d]
     rng = np.random.default_rng(30 + d)
     for tol in (1e-8, 0.1, 0.3):
@@ -458,20 +457,21 @@ def test_purity_certificate_keeps_the_solver_verdicts(d):
         stack = basis.from_coords(y, d)
         spectral = spectral_defect(np.linalg.eigvalsh(stack)) > tol
         product = np.array([not is_product_pure(HermitianOperator(m, dims), tol)[0] for m in stack])
-        for kind, want in ((False, spectral), (True, product)):
-            cleared = _cleared(y, dims if kind else (d,), tol, kind)
-            assert not (cleared & want).any(), (tol, kind)
-            assert 0 < cleared.sum() < len(stack), (tol, kind)
+        for on, want in (((d,), spectral), (dims, product)):
+            cleared = _cleared(y, on, tol)
+            assert not (cleared & want).any(), (tol, on)
+            assert 0 < cleared.sum() < len(stack), (tol, on)
             for start in (0, 7, 90):
-                assert _first_rejected(y[start:], dims, tol, kind) == _first(list(want[start:]))
+                assert _first_rejected(y[start:], on, tol) == _first(list(want[start:]))
 
 
 def test_purity_certificate_leaves_room_for_solver_error():
     """At a tolerance just below the solver's own defect of an image, the
     image is rejected: the certificate's bound exceeds the computed defect
-    by its slack, even where the two agree to rounding.  (The product
-    kernel's solver is eigh, whose last bits may differ from eigvalsh's.)
-    The 128 copies make a block that the certificate takes."""
+    by its slack, even where the two agree to rounding.  The solver is eigh;
+    the certificate leaves the same room below eigvalsh's defect, whose last
+    bits may differ.  The 128 copies make a block that the certificate
+    takes."""
     rng = np.random.default_rng(40)
     for d in (1, 2, 3, 9):
         for _ in range(100):
@@ -479,9 +479,10 @@ def test_purity_certificate_leaves_room_for_solver_error():
             y = np.repeat(basis.coords(np.outer(v, v.conj()))[None], 128, axis=0)
             image = basis.from_coords(y[:1], d)
             tol = np.nextafter(spectral_defect(np.linalg.eigvalsh(image))[0], 0)
-            assert _first_rejected(y, (d,), tol, False) == 0
+            assert not _cleared(y, (d,), tol).any()
             tol = np.nextafter(spectral_defect(np.linalg.eigh(image)[0])[0], 0)
-            assert _first_rejected(y, (d,), tol, True) == 0
+            assert not _cleared(y, (d,), tol).any()
+            assert _first_rejected(y, (d,), tol) == 0
 
 
 def test_purity_certificate_falls_back_on_degenerate_images(monkeypatch):
@@ -491,19 +492,19 @@ def test_purity_certificate_falls_back_on_degenerate_images(monkeypatch):
     RuntimeWarning: each becomes the one matrix that goes to the solver,
     which rejects it.  Fifteen pure images come before it."""
     solved = []
-    for name in ("first_not_pure", "first_not_product_pure"):
-        monkeypatch.setattr(pure_analysis, name, lambda a, *args, _inner=getattr(pure_analysis, name):
-                            solved.append(a) or _inner(a, *args))
+    solve = pure_analysis.first_not_product_pure
+    monkeypatch.setattr(pure_analysis, "first_not_product_pure",
+                        lambda a, *args: solved.append(a) or solve(a, *args))
     pure = np.outer([1, 0, 0], [1, 0, 0]).astype(complex)
     for bad in (np.zeros((3, 3)), -np.diag([1.0, 2.0, 3.0]),
                 np.diag([1.0, 0.5, 0.0]), np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])):
         y = basis.coords(np.array([pure] * 15 + [bad], dtype=complex))
-        for tol, product in itertools.product((1e-8, 0.1, 0.3), (False, True)):
+        for tol in (1e-8, 0.1, 0.3):
             solved.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert list(_cleared(y, (3,), tol, product)) == [True] * 15 + [False]
-                assert _first_rejected(y, (3,), tol, product) == 15
+                assert list(_cleared(y, (3,), tol)) == [True] * 15 + [False]
+                assert _first_rejected(y, (3,), tol) == 15
             assert len(solved) == 1 and np.array_equal(solved[0], basis.from_coords(y[15:], 3))
 
 
@@ -533,7 +534,7 @@ def test_stacked_product_purity_agrees_with_brute_force_oracle(dims):
     y = basis.coords(stack)
     for start in range(len(stack)):
         assert first_not_product_pure(stack[start:], dims) == _first(want[start:]), start
-        assert _first_rejected(y[start:], dims, 1e-8, True) == _first(want[start:]), start
+        assert _first_rejected(y[start:], dims, 1e-8) == _first(want[start:]), start
 
 
 def _entangled_by(rng, dims, tol, count):
@@ -582,8 +583,8 @@ def test_product_certificate_keeps_the_solver_verdicts(dims):
                          for m in basis.from_coords(y, d)])
         assert 0 < want.sum() < len(want)
         for start in range(len(y) - 2):
-            assert _first_rejected(y[start:], dims, tol, True) == _first(list(want[start:]))
-        cleared = _cleared(y, dims, tol, True)
+            assert _first_rejected(y[start:], dims, tol) == _first(list(want[start:]))
+        cleared = _cleared(y, dims, tol)
         assert not (cleared & want).any()
         assert 0 < cleared.sum() < (~want).sum(), tol
     # past 30 products that the certificate clears, the images whose spectra
@@ -591,8 +592,8 @@ def test_product_certificate_keeps_the_solver_verdicts(dims):
     for tol in [t for t in (0.25, 0.3) if 1 / (d - 1) < t]:
         y = basis.coords(np.concatenate([_entangled_by(rng, dims, 1e-12, 30),
                                          _mixed_reductions(dims, np.linspace(1 / (d - 1), 0.99 * tol, 3))]))
-        assert _cleared(y, dims, tol, True)[:30].all()
-        assert _first_rejected(y, dims, tol, True) == 30
+        assert _cleared(y, dims, tol)[:30].all()
+        assert _first_rejected(y, dims, tol) == 30
 
 
 def test_product_certificate_leaves_room_for_solver_error():
@@ -612,8 +613,8 @@ def test_product_certificate_leaves_room_for_solver_error():
             tol = np.nextafter(_rebuild_deviation([v[:, :, -1:] for _, v in solved], img[None])[0], 0)
             if max(spectral_defect(w)[0] for w in [np.linalg.eigh(img[None])[0]] + [w for w, _ in solved]) > tol:
                 continue
-            assert _first_rejected(y[None], dims, tol, True) == 0
-            assert _first_rejected(np.repeat(y[None], 16, axis=0), dims, tol, True) == 0
+            assert _first_rejected(y[None], dims, tol) == 0
+            assert _first_rejected(np.repeat(y[None], 16, axis=0), dims, tol) == 0
 
 
 def test_product_certificate_scales_the_reductions_by_the_traced_dimension():
@@ -634,7 +635,7 @@ def test_product_certificate_scales_the_reductions_by_the_traced_dimension():
         images = basis.from_coords(y, int(np.prod(dims)))
         for tol in delta * np.linspace(13, 15.5, 6):
             assert all(first_not_product_pure(m[None], dims, tol) == 0 for m in images)
-            assert not _cleared(y, dims, tol, True).any()
+            assert not _cleared(y, dims, tol).any()
 
 
 _NEAR_TOL_DIMS = [(2, 3), (3, 3), (1, 3), (2, 2, 2), (1,), (2,), (3,), (5,), (9,)]
@@ -658,11 +659,35 @@ def test_certificate_near_tol_clears_nothing_the_solver_rejects(dims, log_tol, s
     images = basis.from_coords(y, d)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        spectral, product = _cleared(y, (d,), tol, False), _cleared(y, dims, tol, True)
+        spectral, product = _cleared(y, (d,), tol), _cleared(y, dims, tol)
     assert spectral[-11:-3].all() and product[-11:-3].all()
     assert not spectral[-3:].any() and not product[-3:].any()
     assert (spectral_defect(np.linalg.eigvalsh(images[spectral])) <= tol).all()
     assert all(first_not_product_pure(m[None], dims, tol) is None for m in images[product])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.floats(-10, np.log10(0.3)), st.integers(0, 2**32 - 1))
+def test_one_factor_product_purity_is_the_spectral_test(d, log_tol, seed):
+    """On one factor the image is its own reduction, so product purity is
+    the spectral test: over stacks within a few ``tol`` of pure states,
+    with exact, negated and zero images among them, the first image that
+    ``first_not_product_pure`` rejects on (d,) is the first that ``is_pure``
+    rejects, ``is_product_pure`` agrees image by image, and the
+    certificate clears no image that ``is_pure`` rejects."""
+    tol, rng = 10.0 ** log_tol, np.random.default_rng(seed)
+    exact = np.array([random_pure(d, rng).projection.matrix for _ in range(4)])
+    stack = np.concatenate([_rank_one_plus_noise(rng, (d,), tol, 36), exact, -exact[:1],
+                            0 * exact[:1]])
+    stack = stack[rng.permutation(len(stack))]
+    want = [not is_pure(HermitianOperator(m), tol)[0] for m in stack]
+    assert [not is_product_pure(HermitianOperator(m, (d,)), tol)[0] for m in stack] == want
+    for start in (0, 5, 23):
+        assert first_not_product_pure(stack[start:], (d,), tol) == _first(want[start:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cleared = _cleared(basis.coords(stack), (d,), tol)
+    assert cleared.any() and not (cleared & np.array(want)).any()
 
 
 def test_exact_forms_make_no_stacked_image_eigensolve(monkeypatch):

@@ -374,7 +374,7 @@ def test_product_negatives_scan_no_section(monkeypatch):
         op = make_superop((2, 2, 2), (2, 2, 2),
                           exact.coeff + 1e-3 * rng.standard_normal(exact.coeff.shape))
         assert classify_multi_preserver(op).kind == "not_preserver", seed
-    assert calls and all(args[3] for args in calls)
+    assert calls and all(len(args[1]) > 1 for args in calls)
 
 
 def _tested_images(monkeypatch):
@@ -1246,6 +1246,36 @@ def test_multi_product_scans_match_reference(make, det_caps):
     got = mc_verify_product(op, 1000, 2)
     assert (got.passed, got.samples) == want[:2]
     assert _same_states(got.witness, want[2])
+
+
+@pytest.mark.parametrize("seed, noise, where", [
+    (0, 2e-9, "none"), (4, 3e-9, "random"), (4, 4e-9, "family"),
+])
+def test_product_scans_onto_one_factor_take_the_spectral_test(seed, noise, where):
+    """A noisy (2,2) -> (4,) conjugation has its images on one factor, where
+    product purity is the spectral test: the witness of
+    ``find_product_witness`` and the result of ``mc_verify_product`` are
+    those of a state-by-state scan that tests every image with ``is_pure``."""
+    rng = np.random.default_rng(seed)
+    op = perturbed(make_superop((2, 2), (4,), conjugation(random_isometry(4, 4, rng)).coeff),
+                   noise, rng)
+
+    def first_impure(combos):
+        for i, combo in enumerate(combos):
+            img = apply(op, tensor_all([s.projection for s in combo]).with_dims(op.in_dims))
+            if not is_pure(img, 1e-8)[0]:
+                return i, combo
+        return None, None
+
+    family = list(itertools.product(spanning_states(2), repeat=2))
+    want = first_impure(family)[1] or first_impure(_random_combos(op, 0, 1000))[1]
+    assert where == ("none" if want is None else
+                     "family" if any(_same_states(want, c) for c in family) else "random")
+    assert _same_states(find_product_witness(op, 1e-8), want)
+    i, want = first_impure(_random_combos(op, 1, 1000))
+    got = mc_verify_product(op, 1000, 1)
+    assert (got.passed, got.samples) == (i is None, 1000 if i is None else i + 1)
+    assert _same_states(got.witness, want)
 
 
 def test_slot_table_matches_grid():

@@ -181,6 +181,12 @@ def test_separable_from_mixed_decomposition():
             assert abs(np.trace(f.projection.matrix).real - 1.0) < 1e-10
     with pytest.raises(StructureError):
         separable_from_mixed([1.0], [[np.diag([1.0, -0.5]), rho2]])
+    # a negative weight cancelled in the normalisation, and 0 divided by zero
+    for w in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(StructureError, match="weights must be positive and finite"):
+            separable_from_mixed([w], [[rho1, rho2]])
+    with pytest.raises(StructureError, match="weights must be positive and finite"):
+        separable_from_mixed([0.5, -0.5], [[rho1, rho2], [rho1, rho2]])
 
 
 def test_convex_mix_validation():

@@ -409,6 +409,22 @@ def test_affine_to_linear_rejects_nonaffine():
         affine_to_linear(squared, 2)
 
 
+def test_affine_to_linear_refuses_images_that_are_not_square_of_one_size():
+    """An action whose images change size, or are not square matrices, is
+    not a map on density matrices, on the spanning states or only on the
+    mixed states of the cross-check: a ContractError, where NumPy's
+    ValueError (sizes) or IndexError (a 1-d image) escaped."""
+    def growing(rho):  # e_0 e_0+ maps to a 3 x 3 image, e_1 e_1+ to 2 x 2
+        return np.eye(3 if rho[0, 0].real > 0.5 else 2) / 2
+
+    def growing_on_mixed(rho):
+        return rho if abs(np.trace(rho @ rho).real - 1) < 1e-9 else np.eye(3) / 3
+
+    for action in (growing, growing_on_mixed, np.diag, lambda rho: rho[:, :1], np.trace):
+        with pytest.raises(ContractError, match="square matrices of one size"):
+            affine_to_linear(action, 2)
+
+
 def test_affine_to_linear_refuses_invalid_tolerance():
     """A tolerance outside 0 < tol < inf would let the cross-check pass a
     non-affine action (NaN and inf) or fail an affine one (0), so it is
