@@ -126,13 +126,13 @@ def _load_superop(path: str):
 def cmd_classify(args) -> int:
     op = _load_superop(args.path)
     if len(op.in_dims) == 1 and len(op.out_dims) == 1:
-        classify, report = classify_pure_preserver, serialize.pure_report
+        classify = classify_pure_preserver
     elif len(op.in_dims) == 2:
-        classify, report = classify_sep_preserver, serialize.sep_report
+        classify = classify_sep_preserver
     else:
-        classify, report = classify_multi_preserver, serialize.multi_report
+        classify = classify_multi_preserver
     c = classify(op, args.tol, args.seed)
-    sys.stdout.write(serialize.dumps(report(c)))
+    sys.stdout.write(serialize.dumps(serialize.report(c)))
     if c.positive:
         return EXIT_OK
     return EXIT_INDETERMINATE if c.kind == INSUFFICIENT else EXIT_NEGATIVE
@@ -140,18 +140,9 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     op = _load_superop(args.path)
-    if len(op.in_dims) == 1:
-        res = mc_verify_pure(op, args.samples, args.seed, args.tol)
-        witness = (serialize.matrix_to_json(res.witness.projection.with_dims(op.in_dims))
-                   if res.witness is not None else None)
-    else:
-        res = mc_verify_product(op, args.samples, args.seed, args.tol)
-        witness = None
-        if res.witness is not None:
-            witness = {"factors": [serialize.matrix_to_json(p.projection)
-                                   for p in res.witness]}
-    report = {"passed": bool(res.passed), "samples": int(res.samples), "witness": witness}
-    sys.stdout.write(serialize.dumps(report))
+    verify = mc_verify_pure if len(op.in_dims) == 1 else mc_verify_product
+    res = verify(op, args.samples, args.seed, args.tol)
+    sys.stdout.write(serialize.dumps(serialize.report(res)))
     return EXIT_OK if res.passed else EXIT_NEGATIVE
 
 

@@ -1,4 +1,8 @@
-"""JSON interchange for matrices, maps, states and classification reports.
+"""JSON interchange for matrices, maps, states and reports.
+
+:func:`report` writes every classification and Monte-Carlo verification
+result in the schema of its kind, with one witness encoding: a pure state is
+its projection's matrix, a tuple of factor states ``{"factors": [...]}``.
 
 Validation errors carry the offending field path so command-line users can
 locate the problem; unknown basis tags are rejected rather than guessed at,
@@ -19,16 +23,16 @@ import numpy as np
 from . import basis
 from .errors import StructureError
 from .linalg import HermitianOperator, PureState, herm, pure_state
-from .pure_analysis import PureClassification
+from .pure_analysis import MCResult, PureClassification
 from .sep_analysis import (
     FORM,
     INSUFFICIENT,
     MULTI_FORM,
-    MultiClassification,
+    MCProductResult,
     SepClassification,
     check_both_directions,
 )
-from .superop import Isometry, SepForm, SuperOperator, _sep_slots, isometry, make_superop
+from .superop import Isometry, SuperOperator, _sep_slots, isometry, make_superop
 
 
 def _need(obj, key, path):
@@ -209,75 +213,57 @@ def isometry_from_json(obj, path: str = "$") -> Isometry:
         raise StructureError(f"{path}: {exc}") from exc
 
 
-def _pure_to_json(p: PureState, dims=None) -> dict:
-    proj = p.projection if dims is None else p.projection.with_dims(dims)
-    return matrix_to_json(proj)
+def _pure_to_json(p: PureState) -> dict:
+    return matrix_to_json(p.projection)
+
+
+def _witness_to_json(w) -> dict | None:
+    """A witness of any result: a pure state as its projection, a tuple of
+    factor states as ``{"factors": [...]}``."""
+    if isinstance(w, PureState):
+        return _pure_to_json(w)
+    return {"factors": [_pure_to_json(p) for p in w]} if w is not None else None
 
 
 # ---------------------------------------------------------------------------
-# classification reports
+# classification and verification reports
 
-def pure_report(c: PureClassification) -> dict:
-    return {
-        "kind": c.kind,
-        "R": _pure_to_json(c.replacement) if c.replacement is not None else None,
-        "V": isometry_to_json(c.isometry) if c.isometry is not None else None,
-        "flag": c.isometry.flag if c.isometry is not None else None,
-        "witness": _pure_to_json(c.witness) if c.witness is not None else None,
-        "residual": float(c.residual),
-    }
-
-
-def _sep_params(form: SepForm) -> dict:
-    params = {f"R{j + 1}" if src is None else f"U{j + 1}":
-              _pure_to_json(p) if src is None else isometry_to_json(p)
-              for j, (src, p) in enumerate(_sep_slots(form))}
-    return dict(sorted(params.items()))
-
-
-def sep_report(c: SepClassification) -> dict:
-    if c.kind == FORM:
-        form_field = c.form.tag
-        params = _sep_params(c.form)
-    else:
-        form_field = "none"
-        params = {}
-    witness = None
-    if c.witness is not None:
-        p, q = c.witness
-        witness = {"factors": [_pure_to_json(p), _pure_to_json(q)]}
-    return {
-        "form": form_field,
-        "params": params,
-        "witness": witness,
-        "grid": list(c.grid) if c.grid is not None else None,
-        "residual": float(c.residual),
-        "both_directions": check_both_directions(c),
-    }
-
-
-def multi_report(c: MultiClassification) -> dict:
-    if c.kind == MULTI_FORM:
-        form_field = "multi"
-        params = {
-            "pi": list(c.form.perm),
-            "isometries": [isometry_to_json(u) for u in c.form.isometries],
+def report(r) -> dict:
+    """The report of a classification or a Monte-Carlo verification, in the
+    schema of its kind."""
+    witness = _witness_to_json(r.witness)
+    if isinstance(r, (MCResult, MCProductResult)):
+        return {"passed": bool(r.passed), "samples": int(r.samples), "witness": witness}
+    if isinstance(r, PureClassification):
+        return {
+            "kind": r.kind,
+            "R": _pure_to_json(r.replacement) if r.replacement is not None else None,
+            "V": isometry_to_json(r.isometry) if r.isometry is not None else None,
+            "flag": r.isometry.flag if r.isometry is not None else None,
+            "witness": witness,
+            "residual": float(r.residual),
         }
-    elif c.kind == INSUFFICIENT:
-        form_field = "insufficient"
-        params = {"detail": c.detail}
+    if isinstance(r, SepClassification):
+        slots = _sep_slots(r.form) if r.kind == FORM else ()
+        params = {f"R{j + 1}" if src is None else f"U{j + 1}":
+                  _pure_to_json(p) if src is None else isometry_to_json(p)
+                  for j, (src, p) in enumerate(slots)}
+        return {
+            "form": r.form.tag if r.kind == FORM else "none",
+            "params": dict(sorted(params.items())),
+            "witness": witness,
+            "grid": list(r.grid) if r.grid is not None else None,
+            "residual": float(r.residual),
+            "both_directions": check_both_directions(r),
+        }
+    if r.kind == MULTI_FORM:
+        form, params = "multi", {"pi": list(r.form.perm),
+                                 "isometries": [isometry_to_json(u) for u in r.form.isometries]}
+    elif r.kind == INSUFFICIENT:
+        form, params = "insufficient", {"detail": r.detail}
     else:
-        form_field = "none"
-        params = {}
-    witness = None
-    if c.witness is not None:
-        witness = {"factors": [_pure_to_json(p) for p in c.witness]}
-    return {
-        "form": form_field,
-        "params": params,
-        "witness": witness,
-        "residual": float(c.residual),
-    }
+        form, params = "none", {}
+    return {"form": form, "params": params, "witness": witness, "residual": float(r.residual)}
 
 
 def dumps(obj) -> str:

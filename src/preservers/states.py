@@ -7,6 +7,7 @@ canonical form.  PPT is shipped only to falsify separability (a negative
 partial transpose certifies entanglement; a positive one proves nothing).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ from .linalg import (
     PPT_TOL,
     HermitianOperator,
     PureState,
+    _check_counts,
     _check_tol,
     as_rng,
     eig_hermitian,
@@ -47,17 +49,25 @@ class SeparableState:
         return len(self.weights)
 
 
-def separable_state(weights, terms) -> SeparableState:
-    """Validate weights and assemble the density matrix."""
-    weights = tuple(float(w) for w in weights)
-    terms = tuple(tuple(t) for t in terms)
+def _check_weights(weights, terms):
+    """Refuse weights that are not one positive finite number per term, or
+    that do not sum to 1."""
     if len(weights) != len(terms) or not weights:
         raise StructureError("need one factor list per weight")
     if not all(0 < w < math.inf for w in weights):  # NaN fails every comparison
         raise StructureError("weights must be positive and finite")
     if abs(sum(weights) - 1.0) > 1e-12:
         raise StructureError(f"weights sum to {sum(weights)!r}, not 1")
+
+
+def separable_state(weights, terms) -> SeparableState:
+    """Validate weights and assemble the density matrix."""
+    weights = tuple(float(w) for w in weights)
+    terms = tuple(tuple(t) for t in terms)
+    _check_weights(weights, terms)
     dims = tuple(f.dim for f in terms[0])
+    if not dims:
+        raise StructureError("a term needs at least one factor")
     for t in terms:
         if tuple(f.dim for f in t) != dims:
             raise StructureError("all terms must share the same factor dimensions")
@@ -73,16 +83,19 @@ def separable_from_mixed(weights, factor_matrices, tol: float = 1e-12) -> Separa
 
     ``factor_matrices`` holds, per term, one positive unit-trace matrix per
     factor; each is eigendecomposed and the eigen-branches multiply out into
-    pure product terms (eigenvalues below ``tol`` are dropped).
+    pure product terms (eigenvalues below ``tol`` are dropped).  The weights
+    and the factor traces are checked first, to 1e-12, not normalised away.
     """
     weights = [float(w) for w in weights]
-    if not all(0 < w < math.inf for w in weights):  # NaN fails every comparison
-        raise StructureError("weights must be positive and finite")
+    factor_ops = [[herm(mat) for mat in mats] for mats in factor_matrices]
+    _check_weights(weights, factor_ops)
+    for op in itertools.chain.from_iterable(factor_ops):
+        if abs(op.trace() - 1.0) > 1e-12:
+            raise StructureError(f"a factor matrix has trace {op.trace()!r}, not 1")
     out_w, out_t = [], []
-    for w, mats in zip(weights, factor_matrices):
+    for w, ops in zip(weights, factor_ops):
         branches = [(w, [])]
-        for mat in mats:
-            op = herm(mat)
+        for op in ops:
             vals, vecs = eig_hermitian(op)
             new_branches = []
             for bw, states in branches:
@@ -102,6 +115,7 @@ def separable_from_mixed(weights, factor_matrices, tol: float = 1e-12) -> Separa
 
 def sample_separable(dims, k_terms: int, seed=0) -> SeparableState:
     """Dirichlet weights over random product pure terms; deterministic per seed."""
+    _check_counts(k_terms)
     if k_terms < 1:
         raise StructureError("need at least one term")
     rng = as_rng(seed)

@@ -100,6 +100,10 @@ def from_action(in_dims, out_dims, action) -> SuperOperator:
     for idx in range(din * din):
         b = HermitianOperator(basis.basis_element(din, idx), in_dims)
         out = action(b)
+        if not isinstance(out, HermitianOperator):
+            raise StructureError(
+                f"action returned {type(out).__name__}, expected a HermitianOperator"
+            )
         if out.dim != dout:
             raise StructureError(
                 f"action returned dimension {out.dim}, expected {dout}"
@@ -482,6 +486,8 @@ def affine_to_linear(state_action, dim: int, tol: float = 1e-8, seed: int = 7) -
     and raises ContractError, so ``tol`` must satisfy 0 < tol < inf.
     """
     _check_numbers(tol, seed=seed)
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise StructureError(f"dimension must be a positive integer, got {dim!r}")
     states = spanning_states(dim)
     cols_in = np.column_stack([basis.coords(s.projection.matrix) for s in states])
     outs = []

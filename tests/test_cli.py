@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 
+from conftest import perturbed, random_multiform_setup, random_sep_form
 from preservers import (
     CONJUGATE,
     LINEAR,
@@ -294,6 +295,55 @@ def test_verify_pass_fail_and_witness(capsys, monkeypatch):
     assert code == 1
     rep = json.loads(rep_out)
     assert rep["passed"] is False and rep["witness"] is not None
+
+
+PURE_KEYS = ["kind", "R", "V", "flag", "witness", "residual"]
+SEP_KEYS = ["form", "params", "witness", "grid", "residual", "both_directions"]
+MULTI_KEYS = ["form", "params", "witness", "residual"]
+VERIFY_KEYS = ["passed", "samples", "witness"]
+MATRIX_KEYS = ["dims", "re", "im"]
+
+
+def test_report_schemas(capsys, monkeypatch):
+    """Every report keeps its kind's key order; a one-factor witness is a
+    bare matrix of the input dims, a product witness one matrix per factor."""
+    rng = np.random.default_rng(28)
+    conj = conjugation(random_isometry(3, 2, rng, CONJUGATE))
+    sep = canonical_sep(random_sep_form(6, 2, 3, rng), (2, 3))
+    dims, perm, flags = random_multiform_setup(rng)
+    multi = canonical_multi(MultiForm(perm, tuple(
+        random_isometry(d, dims[p - 1], rng, f) for d, p, f in zip(dims, perm, flags))), dims)
+    replacer = trace_replacer(pure_state(np.kron(np.kron([1, 0], [0, 1]), [1, 1])),
+                              (2, 2, 2), (2, 2, 2))
+    cases = [  # command, map, exit code, keys, witness: None, "matrix" or a factor count
+        ("classify", trace_replacer(random_pure(3, rng), (2,), (3,)), 0, PURE_KEYS, None),
+        ("classify", conj, 0, PURE_KEYS, None),
+        ("classify", perturbed(conj, 1e-2, rng), 1, PURE_KEYS, "matrix"),
+        ("classify", sep, 0, SEP_KEYS, None),
+        ("classify", perturbed(sep, 1e-2, rng), 1, SEP_KEYS, 2),
+        ("classify", multi, 0, MULTI_KEYS, None),
+        ("classify", perturbed(multi, 1e-2, rng), 1, MULTI_KEYS, 3),
+        ("classify", replacer, 3, MULTI_KEYS, None),
+        ("verify", conj, 0, VERIFY_KEYS, None),
+        ("verify", perturbed(conj, 1e-2, rng), 1, VERIFY_KEYS, "matrix"),
+        ("verify", sep, 0, VERIFY_KEYS, None),
+        ("verify", perturbed(sep, 1e-2, rng), 1, VERIFY_KEYS, 2),
+    ]
+    for cmd, op, exit_code, keys, witness in cases:
+        code, out, err = run_cli(capsys, cmd, "-", stdin=dumps(superop_to_json(op)),
+                                 monkeypatch=monkeypatch)
+        assert (code, err) == (exit_code, ""), (cmd, op.in_dims, err)
+        rep = json.loads(out)
+        assert list(rep) == keys, (cmd, op.in_dims)
+        w = rep["witness"]
+        if witness is None:
+            assert w is None
+        elif witness == "matrix":
+            assert list(w) == MATRIX_KEYS and w["dims"] == list(op.in_dims)
+        else:
+            assert list(w) == ["factors"] and len(w["factors"]) == witness
+            assert [f["dims"] for f in w["factors"]] == [[d] for d in op.in_dims]
+            assert all(list(f) == MATRIX_KEYS for f in w["factors"])
 
 
 def test_tolerance_and_samples_must_be_valid_numbers(capsys, monkeypatch):

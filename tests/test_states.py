@@ -44,6 +44,12 @@ def test_sample_separable_contracts():
     assert np.array_equal(a.density.matrix, b.density.matrix)
     with pytest.raises(StructureError):
         sample_separable((2, 2), 0, 0)
+    # a term with no factors, and a term count that is not an integer
+    with pytest.raises(StructureError, match="at least one factor"):
+        sample_separable((), 1)
+    for k in (True, 2.5):
+        with pytest.raises(StructureError, match="nonnegative integers"):
+            sample_separable((2,), k)
 
 
 def test_separable_state_validation():
@@ -53,6 +59,8 @@ def test_separable_state_validation():
         separable_state([0.5, 0.4], [(p, q), (p, q)])
     with pytest.raises(StructureError):
         separable_state([0.5, 0.5], [(p, q), (p, random_pure(3, 2))])
+    with pytest.raises(StructureError, match="at least one factor"):
+        separable_state([1.0], [()])
     st = separable_state([0.25, 0.75], [(p, q), (q, p)])
     w, _ = eig_hermitian(st.density)
     assert w[-1] >= -1e-12
@@ -187,6 +195,19 @@ def test_separable_from_mixed_decomposition():
             separable_from_mixed([w], [[rho1, rho2]])
     with pytest.raises(StructureError, match="weights must be positive and finite"):
         separable_from_mixed([0.5, -0.5], [[rho1, rho2], [rho1, rho2]])
+    with pytest.raises(StructureError, match="not positive semidefinite"):
+        separable_from_mixed([1.0], [[np.diag([1.5, -0.5]), rho2]])
+    # a count mismatch, a trace off 1 (a zero matrix too) and weights off 1
+    # are refused, not dropped or normalised away
+    for weights, mats in (([0.5, 0.5], [[rho1, rho2]]),
+                          ([1.0], [[rho1, rho2], [rho1, rho2]])):
+        with pytest.raises(StructureError, match="one factor list per weight"):
+            separable_from_mixed(weights, mats)
+    for mat in (2 * np.eye(2), np.zeros((2, 2)), np.eye(2) / 2 + 1e-11 * np.eye(2)):
+        with pytest.raises(StructureError, match="trace"):
+            separable_from_mixed([1.0], [[mat, rho2]])
+    with pytest.raises(StructureError, match="weights sum to"):
+        separable_from_mixed([0.5, 0.6], [[rho1, rho2], [rho1, rho2]])
 
 
 def test_convex_mix_validation():

@@ -117,6 +117,11 @@ def test_from_action_output_dim_mismatch():
         from_action((2,), (3,), lambda a: a)
 
 
+def test_from_action_refuses_images_that_are_not_operators():
+    with pytest.raises(StructureError, match="action returned ndarray, expected a HermitianOperator"):
+        from_action((2,), (2,), lambda a: a.matrix)
+
+
 def test_apply_contracts():
     rng = np.random.default_rng(1)
     ident = identity_superop((2, 2))
@@ -407,6 +412,12 @@ def test_affine_to_linear_rejects_nonaffine():
 
     with pytest.raises(ContractError):
         affine_to_linear(squared, 2)
+
+
+def test_affine_to_linear_refuses_bad_dims():
+    for dim in (0, -1, 2.5, True):
+        with pytest.raises(StructureError, match="positive integer"):
+            affine_to_linear(lambda rho: rho, dim)
 
 
 def test_affine_to_linear_refuses_images_that_are_not_square_of_one_size():
