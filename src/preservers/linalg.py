@@ -24,11 +24,16 @@ SUPEROP_TOL = 1e-9   # default max-norm tolerance for superoperator equality
 PPT_TOL = 1e-10      # eigenvalue floor below which a partial transpose counts as negative
 
 
+def _is_index(k) -> bool:
+    """An int or NumPy integer, not a bool: 2.0, 2.9 and "2" are not."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+
+
 def _check_seed(seed):
     """Refuse a seed that is neither a Generator nor a nonnegative integer."""
     if isinstance(seed, np.random.Generator):
         return
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_index(seed) or seed < 0:
         raise StructureError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
@@ -36,7 +41,7 @@ def _check_counts(*counts):
     """Refuse a scan size or sample count that is not a nonnegative integer:
     a negative one scans nothing, which would read as "no violation found"."""
     for n in counts:
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        if not _is_index(n) or n < 0:
             raise StructureError(
                 f"scan sizes and sample counts must be nonnegative integers, got {n!r}")
 
@@ -88,22 +93,32 @@ class HermitianOperator:
         return self.dims
 
     def with_dims(self, dims) -> "HermitianOperator":
-        dims = _check_dims(dims, self.dim)
+        dims = _check_dims(dims, self.dim) if dims is not None else None
         return HermitianOperator(self.matrix, dims)
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
 
-def _check_dims(dims, total: int) -> tuple[int, ...] | None:
-    if dims is None:
-        return None
+def _check_dims(dims, total: int | None = None) -> tuple[int, ...]:
+    """The factor dims as a nonempty tuple of positive ints whose product is
+    ``total``, if given; a non-integer entry is refused, not truncated."""
+    dims = tuple(dims)
+    if not dims or not all(_is_index(d) and d >= 1 for d in dims):
+        raise StructureError(f"factor dimensions must be positive integers, got {dims!r}")
     dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise StructureError(f"factor dimensions must be positive, got {dims}")
-    if math.prod(dims) != total:
-        raise StructureError(f"product of factor dims {dims} != matrix dimension {total}")
+    if total is not None and math.prod(dims) != total:
+        raise StructureError(f"product of factor dims {dims} != dimension {total}")
     return dims
+
+
+def _check_perm(perm, n: int) -> tuple[int, ...]:
+    """``perm`` as a tuple of ints, refused unless it permutes 1..n; a
+    non-integer entry is refused, not truncated."""
+    perm = tuple(perm)
+    if not all(map(_is_index, perm)) or sorted(perm) != list(range(1, n + 1)):
+        raise StructureError(f"{perm!r} is not a permutation of 1..{n}")
+    return tuple(int(p) for p in perm)
 
 
 def herm(matrix, dims=None, tol: float = EPS_HERM) -> HermitianOperator:
@@ -121,7 +136,7 @@ def herm(matrix, dims=None, tol: float = EPS_HERM) -> HermitianOperator:
     if dev > tol * scale:
         raise StructureError(f"matrix is not Hermitian: ||A - A+||_F = {dev:.3e}")
     sym = (m + m.conj().T) / 2.0
-    return HermitianOperator(sym, _check_dims(dims, m.shape[0]))
+    return HermitianOperator(sym, _check_dims(dims, m.shape[0]) if dims is not None else None)
 
 
 def _wrap(matrix: np.ndarray, dims) -> HermitianOperator:
@@ -172,12 +187,16 @@ def canonical_phase(v: np.ndarray) -> complex:
 
 
 def basis_state(dim: int, k: int) -> PureState:
+    dim, = _check_dims((dim,))
+    if not (_is_index(k) and 0 <= k < dim):
+        raise StructureError(f"basis index {k!r} out of range 0..{dim - 1}")
     v = np.zeros(dim, dtype=np.complex128)
     v[k] = 1.0
     return PureState(v)
 
 
 def uniform_state(dim: int) -> PureState:
+    dim, = _check_dims((dim,))
     return PureState(np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128))
 
 
@@ -242,9 +261,7 @@ def permute_factors(a: HermitianOperator, perm) -> HermitianOperator:
     """Factor rearrangement: output slot j carries input factor perm[j-1]
     (1-based), so on products the result is A_{p_1} (x) ... (x) A_{p_n}."""
     t, dims, n = _reshaped(a)
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise StructureError(f"{perm} is not a permutation of 1..{n}")
+    perm = _check_perm(perm, n)
     axes = [p - 1 for p in perm] + [n + p - 1 for p in perm]
     out = np.transpose(t, axes)
     new_dims = tuple(dims[p - 1] for p in perm)
@@ -389,19 +406,18 @@ def purity_defect(a: HermitianOperator) -> float:
 
 def random_pure(dim: int, seed=0) -> PureState:
     """Normalized standard complex Gaussian vector (unitarily invariant)."""
-    if dim < 1:
-        raise StructureError("dimension must be >= 1")
+    dim, = _check_dims((dim,))
     rng = as_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return pure_state(v)
 
 
 def random_hermitian(dim: int, seed=0, dims=None) -> HermitianOperator:
-    if dim < 1:
-        raise StructureError("dimension must be >= 1")
+    dim, = _check_dims((dim,))
     rng = as_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianOperator((g + g.conj().T) / 2.0, _check_dims(dims, dim))
+    return HermitianOperator((g + g.conj().T) / 2.0,
+                             _check_dims(dims, dim) if dims is not None else None)
 
 
 def spanning_states(dim: int) -> list[PureState]:
@@ -409,16 +425,11 @@ def spanning_states(dim: int) -> list[PureState]:
     basis projections, then real superpositions (e_k + e_l)/sqrt(2), then
     complex ones (e_k + i e_l)/sqrt(2), pairs in lexicographic order."""
     out = [basis_state(dim, k) for k in range(dim)]
-    for k in range(dim):
-        for l in range(k + 1, dim):
-            v = np.zeros(dim, dtype=np.complex128)
-            v[k] = 1.0
-            v[l] = 1.0
-            out.append(pure_state(v))
-    for k in range(dim):
-        for l in range(k + 1, dim):
-            v = np.zeros(dim, dtype=np.complex128)
-            v[k] = 1.0
-            v[l] = 1.0j
-            out.append(pure_state(v))
+    for phase in (1.0, 1.0j):
+        for k in range(dim):
+            for l in range(k + 1, dim):
+                v = np.zeros(dim, dtype=np.complex128)
+                v[k] = 1.0
+                v[l] = phase
+                out.append(pure_state(v))
     return out

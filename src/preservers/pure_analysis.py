@@ -343,9 +343,8 @@ def _propose(op: SuperOperator):
     tested at once, on their squares: with v+v scaled to trace d,
     ||v+v - I||_F^2 = ||v+v||_F^2 - d.  A fed slot carries the polar factor
     of its read over all its inputs (:func:`_carry_read` for several), from
-    one stacked SVD per shape, phased as :func:`pure_state` phases its first
-    column; an unfed slot writes the top eigenvector of its reduction of
-    Phi(I).
+    one SVD, phased as :func:`pure_state` phases its first column; an unfed
+    slot writes the top eigenvector of its reduction of Phi(I).
     """
     pivot = _pivot(op)
     if pivot is None:
@@ -370,18 +369,6 @@ def _propose(op: SuperOperator):
         feeds[j].append((k, CONJUGATE if conj else LINEAR))
     if any(math.prod(ins[k] for k, _ in pairs) > e for pairs, e in zip(feeds, outs)):
         return feeds, None
-    reads = {}  # by shape
-    for j, pairs in enumerate(feeds):
-        if pairs:
-            inputs, flags = zip(*pairs)
-            read = (_carry_read(op, a, c, j, inputs, flags) if len(pairs) > 1 else
-                    s[inputs[0], int(flags[0] == CONJUGATE), j, :outs[j], :ins[inputs[0]]])
-            reads.setdefault(read.shape, []).append((j, read))
-    polar = {}
-    for group in reads.values():
-        u, _, vh = np.linalg.svd(np.stack([read for _, read in group]), full_matrices=False)
-        for (j, _), w in zip(group, u @ vh):
-            polar[j] = w * canonical_phase(w[:, 0]).conjugate()
     slots = []
     if [] in feeds:
         phi_i = basis.from_coords(op.coeff[:, :op.in_dim].sum(axis=1), op.out_dim)[None]
@@ -391,8 +378,13 @@ def _propose(op: SuperOperator):
             slots.append((None, pure_state(top)))
             continue
         inputs, flags = zip(*pairs)
-        slots.append((inputs[0], Isometry(polar[j], flags[0])) if len(pairs) == 1
-                     else (inputs, Isometry(polar[j], flags)))
+        read = (_carry_read(op, a, c, j, inputs, flags) if len(pairs) > 1 else
+                s[inputs[0], int(flags[0] == CONJUGATE), j, :outs[j], :ins[inputs[0]]])
+        u, _, vh = np.linalg.svd(read, full_matrices=False)
+        w = u @ vh
+        w *= canonical_phase(w[:, 0]).conjugate()
+        slots.append((inputs[0], Isometry(w, flags[0])) if len(pairs) == 1
+                     else (inputs, Isometry(w, flags)))
     return feeds, slots
 
 

@@ -94,21 +94,16 @@ def separable_from_mixed(weights, factor_matrices, tol: float = 1e-12) -> Separa
             raise StructureError(f"a factor matrix has trace {op.trace()!r}, not 1")
     out_w, out_t = [], []
     for w, ops in zip(weights, factor_ops):
-        branches = [(w, [])]
+        kept = []
         for op in ops:
             vals, vecs = eig_hermitian(op)
-            new_branches = []
-            for bw, states in branches:
-                for i, lam in enumerate(vals):
-                    if lam < -1e-10:
-                        raise StructureError("factor matrix is not positive semidefinite")
-                    if lam <= tol:
-                        continue
-                    new_branches.append((bw * float(lam), states + [pure_state(vecs[:, i])]))
-            branches = new_branches
-        for bw, states in branches:
-            out_w.append(bw)
-            out_t.append(tuple(states))
+            if vals[-1] < -1e-10:
+                raise StructureError("factor matrix is not positive semidefinite")
+            kept.append([(float(lam), pure_state(vecs[:, i])) for i, lam in enumerate(vals)
+                         if lam > tol])
+        for branch in itertools.product(*kept):
+            out_w.append(math.prod([w] + [lam for lam, _ in branch]))
+            out_t.append(tuple(p for _, p in branch))
     total = sum(out_w)
     return separable_state([w / total for w in out_w], out_t)
 

@@ -27,7 +27,10 @@ from .linalg import (
     SUPEROP_TOL,
     HermitianOperator,
     PureState,
+    _check_dims,
     _check_numbers,
+    _check_perm,
+    _check_tol,
     _kron,
     as_rng,
     spanning_states,
@@ -35,13 +38,6 @@ from .linalg import (
 
 LINEAR = "linear"
 CONJUGATE = "conjugate"
-
-
-def _dims_tuple(dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise StructureError(f"invalid factor dimension list {dims}")
-    return dims
 
 
 @dataclass(frozen=True)
@@ -62,8 +58,8 @@ class SuperOperator:
 
 
 def make_superop(in_dims, out_dims, coeff) -> SuperOperator:
-    in_dims = _dims_tuple(in_dims)
-    out_dims = _dims_tuple(out_dims)
+    in_dims = _check_dims(in_dims)
+    out_dims = _check_dims(out_dims)
     coeff = np.asarray(coeff, dtype=np.float64)
     din = math.prod(in_dims)
     dout = math.prod(out_dims)
@@ -78,7 +74,7 @@ def make_superop(in_dims, out_dims, coeff) -> SuperOperator:
 
 
 def identity_superop(dims) -> SuperOperator:
-    dims = _dims_tuple(dims)
+    dims = _check_dims(dims)
     d = math.prod(dims)
     return SuperOperator(dims, dims, np.eye(d * d))
 
@@ -92,8 +88,8 @@ def apply(op: SuperOperator, a: HermitianOperator) -> HermitianOperator:
 
 def from_action(in_dims, out_dims, action) -> SuperOperator:
     """Coordinatize a real-linear action by evaluating it on every basis element."""
-    in_dims = _dims_tuple(in_dims)
-    out_dims = _dims_tuple(out_dims)
+    in_dims = _check_dims(in_dims)
+    out_dims = _check_dims(out_dims)
     din = math.prod(in_dims)
     dout = math.prod(out_dims)
     coeff = np.empty((dout * dout, din * din), dtype=np.float64)
@@ -135,7 +131,9 @@ class SuperopComparison:
 
 def superop_equal(a: SuperOperator, b: SuperOperator,
                  tol: float = SUPEROP_TOL) -> SuperopComparison:
-    """Max-norm comparison of coefficient matrices (same basis, same dims)."""
+    """Max-norm comparison of coefficient matrices (same basis, same dims)
+    at a ``tol`` with 0 <= tol < inf."""
+    _check_tol(tol)
     if a.in_dims != b.in_dims or a.out_dims != b.out_dims:
         raise StructureError("cannot compare maps with different factor dimensions")
     diff = a.coeff - b.coeff
@@ -196,6 +194,7 @@ def conjugate_operator(iso: Isometry, a: np.ndarray) -> np.ndarray:
 
 def random_unitary(d: int, seed=0) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR."""
+    d, = _check_dims((d,))
     rng = as_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
@@ -205,6 +204,7 @@ def random_unitary(d: int, seed=0) -> np.ndarray:
 
 
 def random_isometry(d_out: int, d_in: int, seed=0, flag: str = LINEAR) -> Isometry:
+    d_out, d_in = _check_dims((d_out, d_in))
     if d_in > d_out:
         raise StructureError(f"no isometry from dimension {d_in} into {d_out}: "
                              "the dimension law needs d_in <= d_out")
@@ -322,19 +322,15 @@ def _product_map(in_dims, slots) -> SuperOperator:
 
 def trace_replacer(r: PureState, in_dims, out_dims=None) -> SuperOperator:
     """The map A -> Tr(A) R for a fixed pure state R."""
-    in_dims = _dims_tuple(in_dims)
-    out_dims = _dims_tuple(out_dims) if out_dims is not None else (r.dim,)
-    if math.prod(out_dims) != r.dim:
-        raise StructureError("output dims do not match the replacement state")
+    in_dims = _check_dims(in_dims)
+    out_dims = _check_dims(out_dims, r.dim) if out_dims is not None else (r.dim,)
     return SuperOperator(in_dims, out_dims, _product_coeff(in_dims, ((None, r),)))
 
 
 def conjugation(u: Isometry, in_dims=None, out_dims=None) -> SuperOperator:
     """The map A -> VAV+ (or V A^t V+ under the conjugate flag)."""
-    in_dims = _dims_tuple(in_dims) if in_dims is not None else (u.d_in,)
-    out_dims = _dims_tuple(out_dims) if out_dims is not None else (u.d_out,)
-    if math.prod(in_dims) != u.d_in or math.prod(out_dims) != u.d_out:
-        raise StructureError("isometry shape does not match the requested dims")
+    in_dims = _check_dims(in_dims, u.d_in) if in_dims is not None else (u.d_in,)
+    out_dims = _check_dims(out_dims, u.d_out) if out_dims is not None else (u.d_out,)
     return SuperOperator(in_dims, out_dims, _product_coeff((u.d_in,), ((0, u),)))
 
 
@@ -414,7 +410,7 @@ def _canonical_map(dims, slots) -> SuperOperator:
 
 def canonical_sep(form: SepForm, dims) -> SuperOperator:
     """Build the superoperator of a tag 1-7 canonical form on input dims (m, n)."""
-    dims = _dims_tuple(dims)
+    dims = _check_dims(dims)
     _require(len(dims) == 2, f"bipartite forms need dims (m, n), got {dims}")
     return _canonical_map(dims, _sep_slots(form))
 
@@ -435,11 +431,9 @@ class MultiForm:
 
 
 def canonical_multi(form: MultiForm, dims) -> SuperOperator:
-    dims = _dims_tuple(dims)
+    dims = _check_dims(dims)
     n = len(dims)
-    perm = tuple(int(p) for p in form.perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise StructureError(f"{perm} is not a permutation of 1..{n}")
+    perm = _check_perm(form.perm, n)
     isos = tuple(form.isometries)
     _require(len(isos) == n, f"need {n} isometries, got {len(isos)}")
     return _canonical_map(dims, tuple((p - 1, iso) for p, iso in zip(perm, isos)))
@@ -486,8 +480,7 @@ def affine_to_linear(state_action, dim: int, tol: float = 1e-8, seed: int = 7) -
     and raises ContractError, so ``tol`` must satisfy 0 < tol < inf.
     """
     _check_numbers(tol, seed=seed)
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise StructureError(f"dimension must be a positive integer, got {dim!r}")
+    dim, = _check_dims((dim,))
     states = spanning_states(dim)
     cols_in = np.column_stack([basis.coords(s.projection.matrix) for s in states])
     outs = []

@@ -154,6 +154,15 @@ def test_make_constraint_violations(capsys, monkeypatch):
                      ("2,0", "entries must be positive")):
         code, out, err = run_cli(capsys, "make", "--multi", "--pi", pi, "--dims", "2,2")
         assert code == 2 and not out and f"--pi {what}" in err and "--dims" not in err
+    # each kind names what its --pi or --dims lacks
+    for argv, what in ((("--multi",), "--multi requires --pi"),
+                       (("--multi", "--pi", "1,1"), "not a permutation of 1..2"),
+                       (("--pure", "conjugation", "--dims", "2,3,4"), "--pure expects --dims m,n"),
+                       (("--form", "6", "--dims", "2,2,2"), "bipartite forms expect --dims m,n")):
+        if "--dims" not in argv:
+            argv += ("--dims", "2,2")
+        code, out, err = run_cli(capsys, "make", *argv)
+        assert code == 2 and not out and what in err, argv
 
 
 def test_classify_stdin_and_exit_codes(capsys, monkeypatch):

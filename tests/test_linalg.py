@@ -41,10 +41,12 @@ from preservers import (
     random_pure,
     reduce_to_factor,
     sample_separable,
+    superop_equal,
     swap_theta,
     tensor,
     tensor_all,
     trace_norm,
+    uniform_state,
 )
 from preservers import basis, pure_analysis
 from preservers.linalg import (
@@ -148,6 +150,58 @@ def test_partial_trace_requires_structure():
         partial_trace(herm(np.eye(4), (2, 2)), 3)
 
 
+def test_kernel_refusals_and_the_one_factor_partial_trace():
+    """A non-square matrix is not an operator, and tracing out the only
+    factor leaves the 1 x 1 matrix [[Tr A]] on dims (1,)."""
+    with pytest.raises(StructureError, match="square matrix"):
+        herm(np.ones((2, 3)))
+    traced = partial_trace(herm(np.diag([1.0, 2.0, 3.0]), (3,)), 1)
+    assert traced.dims == (1,)
+    assert np.array_equal(traced.matrix, [[6.0]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: herm(np.eye(4), dims=(2.0, 2)),
+    lambda: herm(np.eye(2)).with_dims([True, 2.2]),
+    lambda: herm(np.eye(2)).with_dims(()),
+    lambda: herm(np.eye(2)).with_dims(("2",)),
+    lambda: random_pure(2.5),
+    lambda: random_pure(0),
+    lambda: random_hermitian(0),
+    lambda: random_hermitian(4, 0, dims=(2, 2.0)),
+    lambda: uniform_state(0),
+    lambda: basis_state(0, 0),
+    lambda: basis_state(2.0, 0),
+], ids=["herm-float", "with_dims-bool-float", "with_dims-empty", "with_dims-string",
+        "random_pure-float", "random_pure-zero", "random_hermitian-zero",
+        "random_hermitian-dims-float", "uniform_state-zero", "basis_state-zero",
+        "basis_state-float"])
+def test_dims_that_are_not_positive_integers_are_refused(make):
+    """One validator checks every factor dimension: a bool, a float or a
+    string is refused, not truncated, where with_dims([True, 2.2]) gave
+    (1, 2), random_pure(2.5) escaped as NumPy's TypeError and
+    uniform_state(0) returned an empty state with a RuntimeWarning."""
+    with pytest.raises(StructureError, match="positive integers"):
+        make()
+
+
+def test_dims_keep_numpy_integers_as_ints():
+    a = herm(np.eye(4)).with_dims(np.array([2, 2]))
+    assert a.dims == (2, 2) and all(type(d) is int for d in a.dims)
+    assert herm(np.eye(4)).with_dims(None).dims is None
+    with pytest.raises(StructureError, match="product of factor dims"):
+        herm(np.eye(4)).with_dims((2, 3))
+
+
+@pytest.mark.parametrize("k", [-1, 3, True, 1.0])
+def test_basis_index_out_of_range_is_refused(k):
+    """basis_state(3, -1) returned e_2, and basis_state(3, 3) raised a bare
+    IndexError."""
+    with pytest.raises(StructureError, match="basis index"):
+        basis_state(3, k)
+    assert basis_state(3, np.int64(2)).vector[2] == 1.0
+
+
 def test_partial_transpose_involution_and_symmetric_case():
     rng = np.random.default_rng(3)
     a_real = np.array([[1.0, 0.3], [0.3, -0.5]])
@@ -205,6 +259,15 @@ def test_permute_factors_identity_swap_and_triple():
     assert np.allclose(got.matrix, want)
     with pytest.raises(StructureError):
         permute_factors(t, (1, 1, 2))
+
+
+@pytest.mark.parametrize("perm", [(1.9, 2), (True, 2), ("1", "2"), (2.0, 1), (1, 1), (1, 2, 3)])
+def test_permutation_entries_must_be_integers(perm):
+    """(1.9, 2) and (True, 2) were truncated to the identity (1, 2)."""
+    x = random_hermitian(6, 0, dims=(2, 3))
+    with pytest.raises(StructureError, match="not a permutation"):
+        permute_factors(x, perm)
+    assert permute_factors(x, np.array([2, 1])).dims == (3, 2)
 
 
 def test_permute_factors_composition_law():
@@ -742,10 +805,14 @@ def test_verifiers_refuse_sample_counts_that_are_not_integers(samples):
 def test_thresholds_outside_zero_to_inf_are_refused():
     """A NaN or negative threshold would certify anything: a non-Hermitian
     matrix as Hermitian, the maximally mixed state as pure or product pure,
-    and a separable state as entangled.  Each of these tests refuses it, and
+    and a separable state as entangled; superop_equal called two identical
+    maps unequal with max_dev 0.0.  Each of these tests refuses it, and
     takes 0."""
     sep = sample_separable((2, 2), 3, 0).density
+    ident = identity_superop((2,))
     for tol in (np.nan, -1.0, np.inf, -np.inf):
+        with pytest.raises(StructureError, match="tolerance"):
+            superop_equal(ident, ident, tol)
         with pytest.raises(StructureError, match="tolerance"):
             herm([[0, 1], [0, 0]], tol=tol)
         with pytest.raises(StructureError, match="tolerance"):
@@ -759,6 +826,7 @@ def test_thresholds_outside_zero_to_inf_are_refused():
     assert is_product_pure(tensor(basis_state(2, 0).projection, basis_state(2, 1).projection),
                            0.0)[0]
     assert not ppt_check(BELL, tol=0.0).positive
+    assert superop_equal(ident, ident, 0.0).equal
 
 
 def test_spectral_defect_matches_purity_defect():

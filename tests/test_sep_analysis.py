@@ -611,6 +611,18 @@ def test_sep_classifier_argument_errors():
         classify_sep_preserver(trace_replacer(random_pure(2, rng), (2, 2), (2,)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: slice_phi(identity_superop((2, 2)), basis_state(2, 0).projection,
+                       basis_state(2, 0).projection, 3), "slice index"),
+    (lambda: classify_multi_preserver(identity_superop((4,))), "at least two factors"),
+    (lambda: classify_multi_preserver(trace_replacer(basis_state(6, 0), (2, 2), (2, 3))),
+     "matching input/output dims"),
+], ids=["slice-index-3", "multi-one-factor", "multi-dims-differ"])
+def test_slice_and_multi_argument_errors(call, message):
+    with pytest.raises(StructureError, match=message):
+        call()
+
+
 def test_soundness_mc_for_positive_classifications():
     rng = np.random.default_rng(8)
     for tag in (2, 6, 7):

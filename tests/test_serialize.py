@@ -56,6 +56,27 @@ def test_matrix_validation_paths():
         matrix_from_json({"dims": [2], "re": [[0, 1], [0, 0]], "im": [[0, 0], [0, 0]]})
 
 
+EYE2 = {"dims": [2], "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
+TERM2 = {"p": 1.0, "factors": [[[1, 0], [0, 0]]]}
+
+
+@pytest.mark.parametrize("read, obj, where, message", [
+    (matrix_from_json, [1], r"\$", "expected an object"),
+    (matrix_from_json, {**EYE2, "re": [[1, "x"], [0, 1]]}, r"\$\.re", "not a numeric array"),
+    (matrix_from_json, {**EYE2, "re": [[1, [0]], [0, 1]]}, r"\$\.re", "not a numeric array"),
+    (matrix_from_json, {**EYE2, "im": [0, 0]}, r"\$\.im", "expected a 2-d array, got 1-d"),
+    (matrix_from_json, {**EYE2, "im": [[0, 0]]}, r"\$", "re/im shapes differ"),
+    (state_from_json, {"dims": [2], "terms": [{"p": 1.0, "factors": [[[1, 0, 0], [0, 0, 0]]]}]},
+     r"\$\.terms\[0\]\.factors\[0\]", r"expected a list of \[re, im\] pairs"),
+    (state_from_json, {"dims": [2], "terms": []}, r"\$\.terms", "expected a nonempty list"),
+    (state_from_json, {"dims": [2], "terms": [{**TERM2, "p": 0.5}]}, r"\$", "weights sum to 0.5"),
+], ids=["not-an-object", "string-entry", "ragged-rows", "one-d-rows", "re-im-shapes",
+        "vector-not-pairs", "empty-terms", "weights-off-one"])
+def test_malformed_json_is_refused_with_its_path(read, obj, where, message):
+    with pytest.raises(StructureError, match=f"^{where}: {message}"):
+        read(obj)
+
+
 def test_superop_round_trip_and_basis_tag():
     op = trace_replacer(random_pure(3, 1), (2,), (3,))
     obj = superop_to_json(op)

@@ -145,6 +145,9 @@ def test_filter_requires_constructive_classification():
     assert c.kind == "not_preserver"
     with pytest.raises(ContractError):
         filter_apply(c, sample_separable((2, 2), 2, 0))
+    ident = classify_sep_preserver(identity_superop((2, 2)))
+    with pytest.raises(StructureError, match="two-factor states"):
+        filter_apply(ident, sample_separable((2, 2, 2), 2, 0))
 
 
 def test_filter_inverse_composes_to_identity():

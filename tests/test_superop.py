@@ -196,6 +196,14 @@ def test_isometry_validation():
         isometry(np.eye(2), "sideways")
     with pytest.raises(StructureError):
         random_isometry(2, 3, 0)
+    # a 1-d vector is the one column of an isometry from dimension 1
+    assert isometry(np.array([0.0, 1.0])).matrix.shape == (2, 1)
+    # random_unitary(0) returned a 0 x 0 array, random_isometry(0, 0) an empty isometry
+    for make in (lambda: random_unitary(0), lambda: random_unitary(2.5),
+                 lambda: random_isometry(0, 0), lambda: random_isometry(2, 1.0),
+                 lambda: random_isometry(2, True)):
+        with pytest.raises(StructureError, match="positive integers"):
+            make()
 
 
 def test_non_finite_input_is_refused():
@@ -391,6 +399,14 @@ def test_canonical_multi_dimension_law():
             (2, 3))
 
 
+@pytest.mark.parametrize("perm", [(1, 1), (1, 2, 3), (0, 1), ("1", "2"), (1.9, 2), (True, 2)])
+def test_canonical_multi_refuses_non_permutations(perm):
+    """("1", "2"), (1.9, 2) and (True, 2) were read as the identity (1, 2)."""
+    isos = (isometry(np.eye(2)), isometry(np.eye(2)))
+    with pytest.raises(StructureError, match="not a permutation"):
+        canonical_multi(MultiForm(perm, isos), (2, 2))
+
+
 def test_affine_to_linear_identity_constant_unitary():
     rng = np.random.default_rng(15)
     ident = affine_to_linear(lambda rho: rho, 3)
@@ -484,6 +500,46 @@ def test_make_superop_validation():
         make_superop((2,), (2,), np.ones((3, 4)))
     with pytest.raises(StructureError):
         make_superop((2,), (2,), np.full((4, 4), np.nan))
+
+
+@pytest.mark.parametrize("dims", [(2.9,), (True, 2), ("2",), (2.0,), (), (0,), (2, -1)],
+                         ids=["float", "bool", "string", "integral-float", "empty", "zero",
+                              "negative"])
+def test_constructors_refuse_dims_that_are_not_positive_integers(dims):
+    """Every constructor checks its dims with the one validator:
+    identity_superop((2.9,)) built a 2-dim map, where the JSON reader
+    refuses the same dims."""
+    eye = isometry(np.eye(2))
+    for make in (lambda: make_superop(dims, (2,), np.eye(4)),
+                 lambda: make_superop((2,), dims, np.eye(4)),
+                 lambda: identity_superop(dims),
+                 lambda: from_action(dims, (2,), lambda a: a),
+                 lambda: from_action((2,), dims, lambda a: a),
+                 lambda: trace_replacer(basis_state(2, 0), dims),
+                 lambda: trace_replacer(basis_state(2, 0), (2,), dims),
+                 lambda: conjugation(eye, dims),
+                 lambda: conjugation(eye, None, dims),
+                 lambda: canonical_sep(SepForm(6, u1=eye, u2=eye), dims),
+                 lambda: canonical_multi(MultiForm((1,), (eye,)), dims)):
+        with pytest.raises(StructureError, match="positive integers"):
+            make()
+
+
+def test_constructor_refusals():
+    """Dims whose product misses the state or the isometry, maps that do
+    not compose, and a basis index out of range."""
+    rng = np.random.default_rng(18)
+    with pytest.raises(StructureError, match="product of factor dims"):
+        trace_replacer(random_pure(3, rng), (2,), (2,))
+    iso = random_isometry(3, 2, rng)
+    for in_dims, out_dims in (((3,), None), (None, (2,)), ((2,), (2, 2))):
+        with pytest.raises(StructureError, match="product of factor dims"):
+            conjugation(iso, in_dims, out_dims)
+    with pytest.raises(StructureError, match="composition dimension mismatch"):
+        compose(identity_superop((2,)), identity_superop((3,)))
+    for idx in (-1, 4):
+        with pytest.raises(IndexError, match="out of range"):
+            basis_element(2, idx)
 
 
 def test_to_choi_of_transpose_is_swap():
