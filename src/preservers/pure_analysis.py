@@ -9,9 +9,10 @@ conjugated inputs one column of its Choi matrix holds the whole wiring.
 :func:`_propose` gathers the 2 n p reads through that column that it needs
 straight from the coefficient matrix (:func:`_feed_reads`), tests them all
 at once and proposes the slots, and :func:`_decide`, the one verdict path
-of all three classifiers, compares the rebuilt product map with the map at
-``tol``; a failure gets an input whose image fails (product) purity.  The
-classification tolerance is the only threshold.
+of all three classifiers, compares the product map of those slots with the
+map at ``tol``, a block of rows at a time; a failure gets an input whose
+image fails (product) purity.  The classification tolerance is the only
+threshold.
 """
 
 import itertools
@@ -43,8 +44,7 @@ from .superop import (
     LINEAR,
     Isometry,
     SuperOperator,
-    _product_map,
-    superop_equal,
+    _compare_product,
 )
 
 TRACE_REPLACER = "trace_replacer"
@@ -389,22 +389,27 @@ def _propose(op: SuperOperator):
 
 
 def _decide(op: SuperOperator, tol: float, seed, probes=None, det_cap: int | None = None):
-    """The verdict path of all three classifiers: (hit, feeds, slots, cmp).
+    """The verdict path of all three classifiers: (hit, feeds, slots,
+    residual).
 
     In order, until one decides: the probe e_0 (x) ... (x) e_0, whose image
     is ``op.coeff[:, 0]``; the extra ``probes`` (a :func:`_scan` family), if
-    any; the wiring that :func:`_propose` reads; the one comparison ``cmp``
-    at ``tol`` against the rebuilt product map; and, when that fails or no
-    map was rebuilt, the witness scan over the first ``det_cap`` (all, if
-    None) products of the spanning families and 1000 seeded draws.  The scan
+    any; the wiring that :func:`_propose` reads; the one comparison at
+    ``tol`` of the product map of its slots with the map, row block by row
+    block as the coefficient gather yields them
+    (``superop._compare_product``), whose largest deviation is the
+    ``residual`` of a positive; and, when that fails or there were no slots
+    to compare, the witness scan over the first ``det_cap`` (all, if None)
+    products of the spanning families and 1000 seeded draws.  The scan
     skips candidate 0 and every probe the family holds (on all-qubit maps
     the uniform product state is candidate (2, ..., 2)), so no candidate is
     tested twice.  Images are tested for purity on the factors
     ``op.out_dims`` (:func:`_rejected`), spectral on one.  ``hit`` is a
     failing probe or the scan's witness, as :func:`_scan` returns it, and
-    None after a passed comparison; a probe that decides leaves the rest
-    None.  A scan that finds no witness raises
-    ``ClassificationError``, the one indeterminate outcome.
+    None after a passed comparison; ``residual`` is None unless the
+    comparison passed, and a probe that decides leaves feeds and slots None
+    too.  A scan that finds no witness raises ``ClassificationError``, the
+    one indeterminate outcome.
     """
     _check_numbers(tol, seed=seed)
 
@@ -415,9 +420,10 @@ def _decide(op: SuperOperator, tol: float, seed, probes=None, det_cap: int | Non
     if hit is not None:
         return hit, None, None, None
     feeds, slots = _propose(op)
-    cmp = slots and superop_equal(op, _product_map(op.in_dims, slots), tol)
-    if cmp and cmp.equal:
-        return None, feeds, slots, cmp
+    if slots:
+        equal, residual = _compare_product(op, slots, tol)
+        if equal:
+            return None, feeds, slots, residual
     family = _family(op.in_dims, det_cap)
     skip = [0] if probes is None else [0] + _positions(family, probes)
     hit = _scan(op, tol, family, 1000, seed, skip)
@@ -426,7 +432,7 @@ def _decide(op: SuperOperator, tol: float, seed, probes=None, det_cap: int | Non
             "map fails reconstruction but no witness was found; "
             f"classification is indeterminate at tol={tol:g}"
         )
-    return hit, feeds, slots, cmp
+    return hit, feeds, slots, None
 
 
 def classify_pure_preserver(op: SuperOperator, tol: float = EPS_CLS,
@@ -439,14 +445,14 @@ def classify_pure_preserver(op: SuperOperator, tol: float = EPS_CLS,
     """
     if len(op.in_dims) != 1 or len(op.out_dims) != 1:
         raise StructureError("single-factor maps only; use the bipartite classifier")
-    hit, _, slots, cmp = _decide(op, tol, seed)
+    hit, _, slots, residual = _decide(op, tol, seed)
     if hit:
         return PureClassification(NOT_PRESERVER, witness=hit[1][0],
                                   residual=float(spectral_defect(np.linalg.eigvalsh(hit[2]))))
     (src, param), = slots
     if src is None:
-        return PureClassification(TRACE_REPLACER, replacement=param, residual=cmp.max_dev)
-    return PureClassification(CONJUGATION, isometry=param, residual=cmp.max_dev)
+        return PureClassification(TRACE_REPLACER, replacement=param, residual=residual)
+    return PureClassification(CONJUGATION, isometry=param, residual=residual)
 
 
 @dataclass(frozen=True)

@@ -125,12 +125,12 @@ def classify_sep_preserver(op: SuperOperator, tol: float = EPS_CLS,
         raise StructureError(
             "bipartite classification needs matching two-factor input/output dims"
         )
-    hit, feeds, slots, cmp = _decide(op, tol, seed)
+    hit, feeds, slots, residual = _decide(op, tol, seed)
     grid = feeds and _grid(feeds)
     if hit:
         return SepClassification(NOT_PRESERVER, witness=hit[1], grid=grid)
     form = _sep_form(_SEP_TAGS[tuple(src for src, _ in slots)], [param for _, param in slots])
-    return SepClassification(FORM, form=form, grid=grid, residual=cmp.max_dev)
+    return SepClassification(FORM, form=form, grid=grid, residual=residual)
 
 
 def check_both_directions(c: SepClassification) -> bool:
@@ -234,7 +234,7 @@ def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
         raise StructureError("multipartite classification needs at least two factors")
     if op.in_dims != op.out_dims:
         raise StructureError("multipartite classification needs matching input/output dims")
-    hit, feeds, slots, cmp = _decide(op, tol, seed, _multi_probes(op.in_dims), 729)
+    hit, feeds, slots, residual = _decide(op, tol, seed, _multi_probes(op.in_dims), 729)
     if hit:
         return MultiClassification(NOT_PRESERVER, witness=hit[1])
     if [] in feeds:
@@ -242,7 +242,7 @@ def classify_multi_preserver(op: SuperOperator, tol: float = EPS_CLS,
             f"output slot {feeds.index([]) + 1} is fed by no input factor: "
             "varying any one input leaves it fixed"))
     form = MultiForm(tuple(src + 1 for src, _ in slots), tuple(iso for _, iso in slots))
-    return MultiClassification(MULTI_FORM, form=form, residual=cmp.max_dev)
+    return MultiClassification(MULTI_FORM, form=form, residual=residual)
 
 
 @dataclass(frozen=True)

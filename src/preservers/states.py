@@ -83,9 +83,12 @@ def separable_from_mixed(weights, factor_matrices, tol: float = 1e-12) -> Separa
 
     ``factor_matrices`` holds, per term, one positive unit-trace matrix per
     factor; each is eigendecomposed and the eigen-branches multiply out into
-    pure product terms (eigenvalues below ``tol`` are dropped).  The weights
-    and the factor traces are checked first, to 1e-12, not normalised away.
+    pure product terms (eigenvalues at or below ``tol`` are dropped, with
+    0 <= tol < inf).  The weights and the factor traces are checked first,
+    to 1e-12, not normalised away, and a factor with no eigenvalue above
+    ``tol`` is refused, not dropped with its term.
     """
+    _check_tol(tol)
     weights = [float(w) for w in weights]
     factor_ops = [[herm(mat) for mat in mats] for mats in factor_matrices]
     _check_weights(weights, factor_ops)
@@ -101,6 +104,8 @@ def separable_from_mixed(weights, factor_matrices, tol: float = 1e-12) -> Separa
                 raise StructureError("factor matrix is not positive semidefinite")
             kept.append([(float(lam), pure_state(vecs[:, i])) for i, lam in enumerate(vals)
                          if lam > tol])
+            if not kept[-1]:
+                raise StructureError(f"a factor matrix has no eigenvalue above tol={tol!r}")
         for branch in itertools.product(*kept):
             out_w.append(math.prod([w] + [lam for lam, _ in branch]))
             out_t.append(tuple(p for _, p in branch))

@@ -110,8 +110,9 @@ def from_action(in_dims, out_dims, action) -> SuperOperator:
 
 # Stacked and gathered evaluations work in blocks of about this many complex
 # entries, which bounds their working set: the witness scans stack input
-# states, and the coefficient gather writes blocks of output entries (at
-# least D_out of them), each as wide as the input basis.
+# states, and the coefficient gather yields blocks of output entries (at
+# least D_out of them), each as wide as the input basis, which either fill
+# a coefficient matrix or are compared with one's rows, with no rebuilt map.
 BLOCK_ENTRIES = 8192
 
 
@@ -273,9 +274,10 @@ def _gather(w, v, a, b, plan) -> np.ndarray:
     return z
 
 
-def _product_coeff(in_dims, slots) -> np.ndarray:
-    """Coefficient matrix of A -> W X W+ with W the Kronecker product of the
-    slot isometries.
+def _coeff_blocks(in_dims, slots):
+    """The coefficient matrix of A -> W X W+, with W the Kronecker product
+    of the slot isometries, as blocks of coordinate rows in order: yields
+    (first row, rows).
 
     Each slot is (source, isometry): source is the 0-based input factor that
     the slot carries (transposed first under the conjugate flag), or a tuple
@@ -284,35 +286,64 @@ def _product_coeff(in_dims, slots) -> np.ndarray:
     state r, a 1-column isometry fed by the trace.
     X is A with every factor no slot carries traced out and the carried
     factors in slot order.  With no carried factor the map only replaces the
-    trace, and its coefficient matrix is an outer product.
+    trace, and its coefficient matrix is an outer product, yielded in slices.
 
     Otherwise X maps matrix units to matrix units or 0, so every coefficient
     is the real or imaginary part of a sum of two products W[a, c] conj(W[b, d])
-    (:func:`_gather_plan`).  They are gathered for the diagonal output
-    entries a = b, then for blocks of the entries a < b, and written
-    straight into the coordinate rows.
+    (:func:`_gather_plan`).  They are gathered for blocks of the output
+    entries, the diagonal ones a = b first and then the entries a < b, so
+    the first block also holds the diagonal rows, and a small map is one
+    block.
     """
     w = reduce(_kron, [p.vector[:, None] if src is None else p.matrix for src, p in slots])
     carried = tuple(pair for src, iso in slots if src is not None for pair in
                     (zip(src, iso.flag) if isinstance(src, tuple) else [(src, iso.flag)]))
-    din = math.prod(in_dims)
-    if not carried:
-        return np.outer(basis.coords(w @ w.conj().T), basis.coords(np.eye(din)))
-    plan = _gather_plan(in_dims, carried)
-    dout = w.shape[0]
-    v = (_UNIT_WEIGHTS[:, None] * w.conj()[:, None, :]).reshape(dout, -1)
-    coeff = np.empty((dout * dout, din * din))
-    diag = np.arange(dout)
-    coeff[:dout] = _gather(w, v, diag, diag, plan).real
-    iu, ju = basis._triu(dout)
+    din, dout = math.prod(in_dims), w.shape[0]
     step = max(dout, BLOCK_ENTRIES // (din * din))
-    for start in range(0, len(iu), step):
-        stop = min(start + step, len(iu))
-        z = _gather(w, v, iu[start:stop], ju[start:stop], plan)
-        rows = coeff[dout + 2 * start:dout + 2 * stop].reshape(stop - start, 2, -1)
-        np.multiply(z.view(np.float64).reshape(stop - start, -1, 2).transpose(0, 2, 1),
-                    SQRT2, out=rows)
+    if not carried:
+        y, x = basis.coords(w @ w.conj().T), basis.coords(np.eye(din))
+        for lo in range(0, len(y), step):
+            yield lo, np.outer(y[lo:lo + step], x)
+        return
+    plan = _gather_plan(in_dims, carried)
+    v = (_UNIT_WEIGHTS[:, None] * w.conj()[:, None, :]).reshape(dout, -1)
+    iu, ju = basis._triu(dout)
+    diag = np.arange(dout)
+    a, b = np.concatenate([diag, iu]), np.concatenate([diag, ju])
+    for lo in range(0, len(a), step):
+        z = _gather(w, v, a[lo:lo + step], b[lo:lo + step], plan)
+        k = max(dout - lo, 0)  # diagonal entries, all in the first block
+        rows = np.empty((2 * len(z) - k, din * din))
+        rows[:k] = z[:k].real
+        np.multiply(z[k:].view(np.float64).reshape(-1, din * din, 2).transpose(0, 2, 1),
+                    SQRT2, out=rows[k:].reshape(-1, 2, din * din))
+        yield 2 * lo - dout + k, rows
+
+
+def _product_coeff(in_dims, slots) -> np.ndarray:
+    """Coefficient matrix of the product map of ``slots`` (see
+    :func:`_coeff_blocks`)."""
+    din = math.prod(in_dims)
+    dout = math.prod(p.dim if src is None else p.d_out for src, p in slots)
+    coeff = np.empty((dout * dout, din * din))
+    for lo, rows in _coeff_blocks(in_dims, slots):
+        coeff[lo:lo + len(rows)] = rows
     return coeff
+
+
+def _compare_product(op: SuperOperator, slots, tol: float) -> tuple[bool, float]:
+    """(equal, max_dev) of ``superop_equal(op, _product_map(op.in_dims,
+    slots), tol)``, one row block of :func:`_coeff_blocks` at a time, with
+    no rebuilt or difference matrix.  The first block deviating by more
+    than ``tol``, or by NaN, ends the comparison with its own deviation."""
+    max_dev = 0.0
+    for lo, rows in _coeff_blocks(op.in_dims, slots):
+        rows -= op.coeff[lo:lo + len(rows)]
+        dev = float(np.abs(rows, out=rows).max())
+        if not dev <= tol:
+            return False, dev
+        max_dev = max(max_dev, dev)
+    return True, max_dev
 
 
 def _product_map(in_dims, slots) -> SuperOperator:

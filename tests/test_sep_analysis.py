@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -285,7 +286,7 @@ def test_positive_classifies_one_anchor_per_side(monkeypatch):
     """An exact bipartite positive gathers its reads through the pivot of
     its Choi matrix once and makes one comparison, whatever its form."""
     reads = _count(monkeypatch, "_gather", (pure_analysis,))
-    comparisons = _count(monkeypatch, "superop_equal", (pure_analysis,))
+    comparisons = _count(monkeypatch, "_compare_product", (pure_analysis,))
     rng = np.random.default_rng(22)
     for tag in range(1, 8):
         for m, n in itertools.product((2, 3), repeat=2):
@@ -335,11 +336,11 @@ def _count(monkeypatch, name, modules):
 
 
 def test_product_positive_makes_one_comparison(monkeypatch):
-    """The rebuilt map's comparison is the one check of a product verdict:
-    an exact positive, bipartite or (2,2,2), gathers its reads once and
-    makes a single comparison."""
+    """The comparison with the product map of the proposed slots is the one
+    check of a product verdict: an exact positive, bipartite or (2,2,2),
+    gathers its reads once and makes a single comparison."""
     reads = _count(monkeypatch, "_gather", (pure_analysis,))
-    calls = _count(monkeypatch, "superop_equal", (pure_analysis,))
+    calls = _count(monkeypatch, "_compare_product", (pure_analysis,))
     rng = np.random.default_rng(23)
     for tag in range(1, 8):
         for m, n in itertools.product((2, 3), repeat=2):
@@ -356,6 +357,25 @@ def test_product_positive_makes_one_comparison(monkeypatch):
         calls.clear()
         assert classify_multi_preserver(canonical_multi(MultiForm(perm, isos), (2, 2, 2))).positive
         assert (len(reads), len(calls)) == (1, 1), (perm, len(reads), len(calls))
+
+
+def test_positive_classify_holds_no_rebuilt_map():
+    """A warm classify of an exact (3,3,3) multipartite form compares the
+    map with the product map of its slots one row block at a time: it
+    allocates under half of the 4.25 MB coefficient matrix, where a rebuilt
+    map and a difference matrix took two."""
+    rng = np.random.default_rng(47)
+    isos = tuple(random_isometry(3, 3, rng, f) for f in (LINEAR, CONJUGATE, LINEAR))
+    op = canonical_multi(MultiForm((3, 1, 2), isos), (3, 3, 3))
+    classify_multi_preserver(op)
+    tracemalloc.start()
+    try:
+        c = classify_multi_preserver(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert c.kind == "multi_form"
+    assert peak < 0.5 * op.coeff.nbytes, peak / op.coeff.nbytes
 
 
 def test_product_negatives_scan_no_section(monkeypatch):

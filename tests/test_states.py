@@ -213,6 +213,21 @@ def test_separable_from_mixed_decomposition():
         separable_from_mixed([0.5, 0.6], [[rho1, rho2], [rho1, rho2]])
 
 
+def test_separable_from_mixed_refuses_a_bad_tol():
+    """A tol outside 0 <= tol < inf is refused as a tolerance, and one that
+    drops every eigen-branch of a factor is named, not reported as a count
+    mismatch or a zero weight."""
+    rho2 = random_pure(3, np.random.default_rng(6)).projection.matrix
+    for tol, mat in ((np.nan, np.eye(2) / 2), (-1.0, np.diag([1.0, 0.0]))):
+        with pytest.raises(StructureError, match="tolerance must be nonnegative and finite"):
+            separable_from_mixed([1.0], [[mat, rho2]], tol=tol)
+    with pytest.raises(StructureError, match=r"no eigenvalue above tol=0\.6"):
+        separable_from_mixed([1.0], [[np.eye(2) / 2, rho2]], tol=0.6)
+    # tol = 0 is accepted and still drops an exact zero eigenvalue
+    s = separable_from_mixed([1.0], [[np.diag([1.0, 0.0]), np.diag([0.0, 1.0, 0.0])]], tol=0.0)
+    assert s.weights == (1.0,)
+
+
 def test_convex_mix_validation():
     a = sample_separable((2, 2), 2, 0)
     b = sample_separable((2, 2), 2, 1)

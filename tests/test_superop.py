@@ -48,7 +48,17 @@ from preservers import (
 )
 from preservers import basis_state
 from preservers.basis import basis_element, basis_label, coords, from_coords, projection_coords
-from preservers.superop import BLOCK_ENTRIES, conjugate_operator
+from preservers import superop
+from preservers.pure_analysis import _propose
+from preservers.superop import (
+    BLOCK_ENTRIES,
+    SuperOperator,
+    _coeff_blocks,
+    _compare_product,
+    _product_map,
+    _sep_slots,
+    conjugate_operator,
+)
 
 
 def test_basis_orthonormality_and_labels():
@@ -659,10 +669,11 @@ def test_conjugation_and_trace_replacer_match_column_reference():
 
 def _row_blocks(op) -> int:
     """Blocks of output entries that the coefficient gather of ``op`` works
-    through: the diagonal, then the entries a < b in blocks."""
+    through: the diagonal entries, then the entries a < b, in blocks of
+    ``step`` entries, the first of which holds the diagonal."""
     dout = op.out_dim
     step = max(dout, BLOCK_ENTRIES // op.in_dim ** 2)
-    return 1 + -(-(dout * (dout - 1) // 2) // step)
+    return -(-(dout * (dout + 1) // 2) // step)
 
 
 def test_canonical_multi_matches_column_reference_across_row_blocks():
@@ -690,6 +701,80 @@ def test_canonical_sep_matches_column_reference_across_row_blocks():
             assert np.max(np.abs(op.coeff - ref.coeff)) <= 1e-14, (form.tag, m, n)
             seen.add(form.tag)
     assert seen == set(range(2, 8))
+
+
+def _comparison_cases(rng):
+    """(op, slots) pairs: maps built from ``slots``, then the same maps with
+    1e-9 coefficient noise, each with its own slots and, where the pivot
+    read proposes any, the proposed ones.  Bipartite forms on (4,4) (form 1
+    carries nothing, forms 3 and 6 pad a slot), multipartite forms on
+    (2,2,3) and (3,3,3), joint carries of both inputs of (2,2) and (4,4),
+    rectangular (2,3) -> (3,4) and (3,4) -> (4,5) carries and trace
+    replacers, on one block and on several."""
+    built = [(canonical_sep(form, (4, 4)), _sep_slots(form)) for form in _sep_forms(4, 4, rng)]
+    for dims, perm in (((2, 2, 3), (2, 1, 3)), ((3, 3, 3), (3, 1, 2))):
+        slots = tuple((p - 1, random_isometry(dims[p - 1], dims[p - 1], rng, f))
+                      for p, f in zip(perm, (LINEAR, CONJUGATE, CONJUGATE)))
+        built.append((canonical_multi(MultiForm(perm, tuple(u for _, u in slots)), dims), slots))
+    for m, front in ((2, True), (4, False)):
+        joint = ((0, 1), Isometry(random_unitary(m * m, rng), (CONJUGATE, LINEAR)))
+        state = (None, random_pure(2, rng))
+        slots = (joint, state) if front else (state, joint)
+        built.append((_product_map((m, m), slots), slots))
+    for m, n in ((2, 3), (3, 4)):
+        slots = ((0, random_isometry(m + 1, m, rng, CONJUGATE)),
+                 (1, random_isometry(n + 1, n, rng, LINEAR)))
+        built.append((_product_map((m, n), slots), slots))
+    for in_dims, r in (((2,), random_pure(3, rng)), ((4, 4), random_pure(16, rng)),
+                       ((3, 3, 3), random_pure(4, rng))):
+        built.append((trace_replacer(r, in_dims), ((None, r),)))
+    for noise in (0.0, 1e-9):
+        for op, slots in built:
+            if noise:
+                op = make_superop(op.in_dims, op.out_dims,
+                                  op.coeff + noise * rng.standard_normal(op.coeff.shape))
+            proposed = _propose(op)[1]
+            yield from ((op, s) for s in (slots, proposed) if s is not None)
+
+
+def test_streamed_comparison_matches_the_rebuilt_map(monkeypatch):
+    """The comparison ``_decide`` makes, one row block of the product map
+    at a time, gives the verdict of ``superop_equal`` against the rebuilt
+    map at every tol, and the same max_dev, bit for bit, when it passes; the
+    dims of the multipartite forms take several blocks.  A deviation in the
+    first rows, or a NaN one, ends it after the first block."""
+    rng = np.random.default_rng(37)
+    outcomes = set()
+    for op, slots in _comparison_cases(rng):
+        blocks = len(list(_coeff_blocks(op.in_dims, slots)))
+        if op.in_dims in ((4, 4), (2, 2, 3), (3, 3, 3)):
+            assert blocks > 1, op.in_dims
+        rebuilt = _product_map(op.in_dims, slots)
+        for tol in (0.0, 1e-9, 1e-8):
+            ref = superop_equal(op, rebuilt, tol)
+            equal, max_dev = _compare_product(op, slots, tol)
+            assert equal == ref.equal, (op.in_dims, tol)
+            if equal:
+                assert max_dev.hex() == ref.max_dev.hex(), (op.in_dims, tol)
+            outcomes.add((equal, blocks > 1))
+    assert outcomes == {(True, True), (False, True), (True, False), (False, False)}
+
+    gathers = []
+    real_gather = superop._gather
+    monkeypatch.setattr(superop, "_gather", lambda *args: gathers.append(1) or real_gather(*args))
+    form = random_sep_form(6, 4, 4, rng)
+    op = canonical_sep(form, (4, 4))
+    for value in (1e-3, np.nan):
+        coeff = op.coeff.copy()
+        coeff[0, 0] += value
+        gathers.clear()
+        equal, max_dev = _compare_product(SuperOperator(op.in_dims, op.out_dims, coeff),
+                                          _sep_slots(form), 1e-8)
+        assert not equal and len(gathers) == 1, value
+        assert max_dev == value or np.isnan(value) and np.isnan(max_dev)
+    gathers.clear()
+    assert _compare_product(op, _sep_slots(form), 1e-8)[0]
+    assert len(gathers) == _row_blocks(op) > 1
 
 
 def test_canonical_sep_working_set_is_blocked():
