@@ -349,8 +349,10 @@ def is_product_pure(a: HermitianOperator, tol: float = PURITY_TOL):
 
 def _first_true(bad: np.ndarray, limit: int) -> int:
     """Index of the first True among ``bad[:limit]``, else ``limit``."""
-    hits = np.flatnonzero(bad[:limit])
-    return int(hits[0]) if hits.size else limit
+    if not limit:
+        return 0
+    i = int(bad[:limit].argmax())
+    return i if bad[i] else limit
 
 
 def _rebuild_deviation(vectors, images: np.ndarray) -> np.ndarray:
@@ -365,12 +367,16 @@ def _product_pure_prefix(images: np.ndarray, dims, tol: float):
     that :func:`first_not_product_pure` rejects, or t, and in ``tops[f]`` the
     factor-f top eigenvectors of the images before it.  One factor stops at
     the image's spectrum: the image is its own reduction, and its rebuild
-    deviation ||A - vv+||_max <= ||A - vv+||_2 is at most its defect."""
-    # eigh, not eigvalsh: a single image's spectrum is then that of is_pure
-    w, v = np.linalg.eigh(images)
-    n, tops = _first_true(spectral_defect(w) > tol, len(images)), []
+    deviation ||A - vv+||_max <= ||A - vv+||_2 is at most its defect.  On
+    more factors nothing reads the image's eigenvectors, so its spectrum is
+    LAPACK's eigenvalue-only solve; the reductions' tops are the rebuild's."""
     if len(dims) == 1:
+        # eigh, not eigvalsh: the top eigenvectors are the returned tops, and
+        # a single image's spectrum is then that of is_pure
+        w, v = np.linalg.eigh(images)
+        n = _first_true(spectral_defect(w) > tol, len(images))
         return n, [v[:n, :, -1]]
+    n, tops = _first_true(spectral_defect(np.linalg.eigvalsh(images)) > tol, len(images)), []
     for f in range(len(dims)):
         if n:
             w, v = np.linalg.eigh(_reduced(images[:n], dims, f))
@@ -388,8 +394,8 @@ def first_not_product_pure(images: np.ndarray, dims, tol: float = PURITY_TOL):
     An image is product pure when it is pure, every factor reduction is pure
     and the tensor product of their top eigenvectors rebuilds it within
     ``tol``, the one threshold of all three checks.  The verdicts are those
-    of stacked ``eigh`` calls, each stage run only up to the first failure
-    so far.
+    of stacked LAPACK eigensolves, each stage run only up to the first
+    failure so far.
     """
     limit = _product_pure_prefix(images, dims, tol)[0]
     return limit if limit < len(images) else None

@@ -274,10 +274,11 @@ def _gather(w, v, a, b, plan) -> np.ndarray:
     return z
 
 
-def _coeff_blocks(in_dims, slots):
+def _coeff_blocks(in_dims, slots, out=None):
     """The coefficient matrix of A -> W X W+, with W the Kronecker product
     of the slot isometries, as blocks of coordinate rows in order: yields
-    (first row, rows).
+    (first row, rows).  Given the matrix ``out``, each block is written
+    straight into its rows of ``out`` and yielded as a view of them.
 
     Each slot is (source, isometry): source is the 0-based input factor that
     the slot carries (transposed first under the conjugate flag), or a tuple
@@ -300,10 +301,15 @@ def _coeff_blocks(in_dims, slots):
                     (zip(src, iso.flag) if isinstance(src, tuple) else [(src, iso.flag)]))
     din, dout = math.prod(in_dims), w.shape[0]
     step = max(dout, BLOCK_ENTRIES // (din * din))
+
+    def dest(lo, count):
+        return np.empty((count, din * din)) if out is None else out[lo:lo + count]
+
     if not carried:
         y, x = basis.coords(w @ w.conj().T), basis.coords(np.eye(din))
         for lo in range(0, len(y), step):
-            yield lo, np.outer(y[lo:lo + step], x)
+            part = y[lo:lo + step]
+            yield lo, np.outer(part, x, out=dest(lo, len(part)))
         return
     plan = _gather_plan(in_dims, carried)
     v = (_UNIT_WEIGHTS[:, None] * w.conj()[:, None, :]).reshape(dout, -1)
@@ -313,11 +319,12 @@ def _coeff_blocks(in_dims, slots):
     for lo in range(0, len(a), step):
         z = _gather(w, v, a[lo:lo + step], b[lo:lo + step], plan)
         k = max(dout - lo, 0)  # diagonal entries, all in the first block
-        rows = np.empty((2 * len(z) - k, din * din))
+        first = 2 * lo - dout + k
+        rows = dest(first, 2 * len(z) - k)
         rows[:k] = z[:k].real
         np.multiply(z[k:].view(np.float64).reshape(-1, din * din, 2).transpose(0, 2, 1),
                     SQRT2, out=rows[k:].reshape(-1, 2, din * din))
-        yield 2 * lo - dout + k, rows
+        yield first, rows
 
 
 def _product_coeff(in_dims, slots) -> np.ndarray:
@@ -326,8 +333,8 @@ def _product_coeff(in_dims, slots) -> np.ndarray:
     din = math.prod(in_dims)
     dout = math.prod(p.dim if src is None else p.d_out for src, p in slots)
     coeff = np.empty((dout * dout, din * din))
-    for lo, rows in _coeff_blocks(in_dims, slots):
-        coeff[lo:lo + len(rows)] = rows
+    for _ in _coeff_blocks(in_dims, slots, coeff):
+        pass
     return coeff
 
 

@@ -467,6 +467,9 @@ def test_first_not_product_pure_agrees_with_is_product_pure(dims):
     exact = np.array([tensor_all([random_pure(k, rng).projection for k in dims]).matrix
                       for _ in range(5)])
     assert first_not_product_pure(exact, dims) is None
+    # an empty stack has no first failure
+    big = int(np.prod(dims))
+    assert first_not_product_pure(np.zeros((0, big, big), complex), dims) is None
 
 
 # factor dims of the product tests, one entry per total dimension 1..9
@@ -756,31 +759,41 @@ def test_one_factor_product_purity_is_the_spectral_test(d, log_tol, seed):
 def test_exact_forms_make_no_stacked_image_eigensolve(monkeypatch):
     """Monte-Carlo verification of exact forms eigensolves its one-image
     probe and that probe's reductions only; every larger stack of images,
-    and of their reductions, is cleared by the certificates."""
+    and of their reductions, is cleared by the certificates.  On two
+    factors or more the image's spectrum is an eigenvalue-only solve, as
+    nothing reads its eigenvectors; the reductions, whose top eigenvectors
+    rebuild the image, and one-factor images, whose tops are returned, go
+    to ``eigh``."""
     rng = np.random.default_rng(41)
-    shapes = []
+    calls = []
 
-    def counting(solve):
-        return lambda a, *args, **kw: shapes.append(a.shape) or solve(a, *args, **kw)
+    def counting(name, solve):
+        return lambda a, *args, **kw: calls.append((name, a.shape)) or solve(a, *args, **kw)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    def solved(side):
+        """(solver, shape) of every solve of a side x side matrix or stack."""
+        return {(name, s) for name, s in calls if s[-2:] == (side, side)}
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
     op = canonical_sep(SepForm(6, u1=random_isometry(3, 3, rng), u2=random_isometry(3, 3, rng)),
                        (3, 3))
     assert mc_verify_product(op, 1000, 3).passed
-    assert (1, 9, 9) in shapes and len(shapes) > 2
-    assert not [s for s in shapes if s[1:] == (9, 9) and s[0] > 1]
+    shapes = [s for _, s in calls]
+    assert len(shapes) > 2
+    assert solved(9) == {("eigvalsh", (1, 9, 9))}
     # nor is any stacked reduction solved, here or on a multipartite form
-    assert (1, 3, 3) in shapes and not [s for s in shapes if s[0] > 1]
-    shapes.clear()
+    assert solved(3) == {("eigh", (1, 3, 3))} and not [s for s in shapes if s[0] > 1]
+    calls.clear()
     op = canonical_multi(MultiForm((3, 1, 2), [random_isometry(2, 2, rng) for _ in range(3)]),
                          (2, 2, 2))
     assert mc_verify_product(op, 1000, 3).passed
-    assert (1, 8, 8) in shapes and (1, 2, 2) in shapes
-    assert not [s for s in shapes if s[0] > 1]
-    shapes.clear()
+    assert solved(8) == {("eigvalsh", (1, 8, 8))} and solved(2) == {("eigh", (1, 2, 2))}
+    assert not [s for _, s in calls if s[0] > 1]
+    calls.clear()
     assert mc_verify_pure(conjugation(random_isometry(9, 4, rng)), 1000, 3).passed
-    assert shapes and not [s for s in shapes if s[0] > 1]
+    assert solved(9) == {("eigh", (1, 9, 9))}
+    assert not [s for _, s in calls if s[0] > 1]
 
 
 def test_as_rng_refuses_bad_seeds():

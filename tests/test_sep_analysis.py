@@ -414,7 +414,9 @@ def _is_first_candidate(witness):
 
 def test_probe_failing_negatives_test_one_image(monkeypatch):
     """A negative whose probe image fails returns the probe as its witness:
-    candidate 0 of the family, and the only image tested."""
+    candidate 0 of the family, and the only image tested.  Its vectors are
+    the caller's own writable copies: writing into them changes neither the
+    cached spanning family nor the next classification's witness."""
     tested = _tested_images(monkeypatch)
     rng = np.random.default_rng(25)
     cases = [(perturbed(canonical_sep(random_sep_form(tag, 2, 2, rng), (2, 2)), 1e-3, rng),
@@ -428,6 +430,11 @@ def test_probe_failing_negatives_test_one_image(monkeypatch):
         assert c.kind == "not_preserver", i
         assert sum(len(args[0]) for args in tested) == 1, i
         assert _is_first_candidate(_witness(c)), i
+        for w in _witness(c):
+            w.vector[:] = 7.0
+            assert np.array_equal(pure_analysis._spanning_vectors(w.dim)[0],
+                                  basis_state(w.dim, 0).vector), i
+        assert _is_first_candidate(_witness(classify(op))), i
 
 
 def test_witness_scans_after_a_passed_probe_skip_it(monkeypatch):
