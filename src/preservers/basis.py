@@ -102,8 +102,8 @@ def projection_coords(psi: np.ndarray) -> np.ndarray:
     of up to 8192 products (a scan block) the two agree bit for bit."""
     d = psi.shape[-1]
     i, j = _pairs(d)
-    prod = np.empty(psi.shape[:-1] + i.shape, dtype=np.complex128)
-    np.multiply(psi[..., i], psi[..., j].conj(), out=prod)
+    prod = np.take(psi, i, axis=-1)
+    prod *= np.take(psi, j, axis=-1).conj()
     out = np.empty(psi.shape[:-1] + (d * d,), dtype=np.float64)
     out[..., :d] = prod.real[..., :d]
     np.multiply(prod.view(np.float64)[..., 2 * d:], SQRT2, out=out[..., d:])  # re, im interleaved

@@ -97,7 +97,7 @@ def find_product_witness(op: SuperOperator, tol: float, seed: int = 0,
     ``det_cap`` (all, if None) products of the spanning families in
     lexicographic order, then seeded random products.
 
-    Candidates are tested in blocks that double from one product; the random
+    Candidates are tested in one lone product, then full blocks; the random
     ones are the draws of ``random_pure``, so the witness is the one a
     state-by-state scan finds.  A Generator passed as ``seed`` advances by
     whole blocks.
@@ -257,9 +257,9 @@ def mc_verify_product(op: SuperOperator, samples: int = 500, seed: int = 0,
     """Monte-Carlo product-purity check on random product pure inputs.
 
     The samples are the draws of ``random_pure``, factor by factor, tested
-    in blocks that double from one input, so the result is that of a
-    sample-by-sample loop; a Generator passed as ``seed`` advances by whole
-    blocks.
+    one lone input first, then in full blocks (see :func:`_scan`), so the
+    result is that of a sample-by-sample loop; a Generator passed as
+    ``seed`` advances by whole blocks.
     """
     _check_numbers(tol, samples, seed)
     hit = _scan(op, tol, random_tries=samples, seed=seed)

@@ -65,7 +65,7 @@ from preservers.sep_analysis import (
     _grid,
     find_product_witness,
 )
-from preservers.superop import SEP_SOURCES, conjugation, isometry, random_unitary
+from preservers.superop import BLOCK_ENTRIES, SEP_SOURCES, conjugation, isometry, random_unitary
 from preservers import basis, pure_analysis
 
 
@@ -1220,6 +1220,36 @@ def test_mc_verify_product_matches_reference(case):
         assert _same_states(got.witness, want[2])
         if seed == 0:
             assert got.samples == (fails_at or 1000) and got.passed == (fails_at is None)
+
+
+def test_mc_blocks_are_one_input_then_full_blocks(monkeypatch):
+    """A Monte-Carlo scan tests one lone input, then full blocks of
+    ``BLOCK_ENTRIES // D**2`` inputs: a passing 1000-sample run on (3,3)
+    sees 1, then 101 at a time; a map that fails at its first sample tests
+    one image; and a Generator seed that fails in the second block is left
+    where a fresh one is after drawing the rows of both blocks."""
+    calls = _count(monkeypatch, "_rejected", (pure_analysis,))
+
+    def blocks():
+        sizes = [len(args[0]) for args in calls]
+        calls.clear()
+        return sizes
+
+    op = PRODUCT_SCAN_CASES["canonical_passes"][0]()
+    assert mc_verify_product(op, 1000, 0).passed
+    assert blocks() == [1] + [101] * 9 + [90]
+    assert mc_verify_product(PRODUCT_SCAN_CASES["noisy_fails_at_once"][0](), 1000, 0).samples == 1
+    assert blocks() == [1]
+    op = PRODUCT_SCAN_CASES["leak_many_hits_per_block"][0]()
+    cap = BLOCK_ENTRIES // max(op.in_dim, op.out_dim) ** 2
+    rng = np.random.default_rng(0)
+    got = mc_verify_product(op, 1000, rng)
+    assert not got.passed and 1 < got.samples <= 1 + cap
+    assert blocks() == [1, cap]
+    fresh = np.random.default_rng(0)
+    for t in (1, cap):
+        fresh.standard_normal((t, 2 * sum(op.in_dims)))
+    assert rng.bit_generator.state == fresh.bit_generator.state
 
 
 @pytest.mark.parametrize("dims, noise", [((2, 2), 0.1), ((2, 2, 2), 0.05)])

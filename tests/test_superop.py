@@ -99,9 +99,10 @@ def test_projection_coords_are_coords_of_the_outer_products():
     """On every block size a scan uses (up to ``BLOCK_ENTRIES // d**2``
     vectors), the coordinates of psi psi+ taken from the vectors are bit
     for bit those of the outer products, also for a reversed, strided
-    stack; a stack with two leading axes keeps its shape."""
+    stack; a stack with two leading axes keeps its shape.  d = 36 and 64
+    are D for (6,6) and (8,8) maps, whose blocks hold 6 and 2 vectors."""
     rng = np.random.default_rng(31)
-    for d in range(1, 17):
+    for d in [*range(1, 17), 36, 64]:
         cap = max(1, BLOCK_ENTRIES // d ** 2)
         for t in sorted({1, 2, 3, cap // 2 or 1, cap}):
             psi = rng.standard_normal((t, d)) + 1j * rng.standard_normal((t, d))
