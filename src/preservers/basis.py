@@ -99,7 +99,9 @@ def projection_coords(psi: np.ndarray) -> np.ndarray:
     """Coordinates of the outer products psi psi+ of the vectors stacked as
     ``psi`` (..., d), without building them.  Each is the same complex
     product that :func:`coords` reads off an outer product, so on stacks
-    of up to 8192 products (a scan block) the two agree bit for bit."""
+    of up to 8192 products (a scan block) the two agree bit for bit.  Real
+    and lower-precision stacks are read as complex128."""
+    psi = np.asarray(psi, dtype=np.complex128)
     d = psi.shape[-1]
     i, j = _pairs(d)
     prod = np.take(psi, i, axis=-1)

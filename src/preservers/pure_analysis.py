@@ -235,8 +235,7 @@ def _scan(op: SuperOperator, tol: float, family=((), ()), random_tries: int = 0,
         g = rng.standard_normal((stop - lo, 2 * offsets[-1]))
         raw = [g[:, 2 * o:2 * o + d] + 1j * g[:, 2 * o + d:2 * (o + d)]
                for o, d in zip(offsets, op.in_dims)]
-        hit = rejected([v / np.sqrt(np.add.reduce((v.conj() * v).real, axis=1, keepdims=True))
-                        for v in raw])
+        hit = rejected([v / np.linalg.norm(v, axis=1, keepdims=True) for v in raw])
         if hit is not None:
             i, image = hit
             return len(rows) + lo + i, tuple(pure_state(v[i]) for v in raw), image

@@ -99,8 +99,10 @@ def test_projection_coords_are_coords_of_the_outer_products():
     """On every block size a scan uses (up to ``BLOCK_ENTRIES // d**2``
     vectors), the coordinates of psi psi+ taken from the vectors are bit
     for bit those of the outer products, also for a reversed, strided
-    stack; a stack with two leading axes keeps its shape.  d = 36 and 64
-    are D for (6,6) and (8,8) maps, whose blocks hold 6 and 2 vectors."""
+    stack; a stack with two leading axes keeps its shape; a real or
+    complex64 stack gives the coordinates of its complex128 copy.  d = 36
+    and 64 are D for (6,6) and (8,8) maps, whose blocks hold 6 and 2
+    vectors."""
     rng = np.random.default_rng(31)
     for d in [*range(1, 17), 36, 64]:
         cap = max(1, BLOCK_ENTRIES // d ** 2)
@@ -111,6 +113,9 @@ def test_projection_coords_are_coords_of_the_outer_products():
                 assert np.array_equal(projection_coords(v), want), (d, t)
     psi = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
     assert np.array_equal(projection_coords(psi), coords(psi[..., :, None] * psi[..., None, :].conj()))
+    for v in (psi.real, psi.astype(np.complex64)):
+        want = v.astype(np.complex128)
+        assert np.array_equal(projection_coords(v), coords(want[..., :, None] * want[..., None, :].conj()))
 
 
 def test_from_action_identity_transpose_and_trace():
