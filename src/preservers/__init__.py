@@ -20,7 +20,6 @@ from .linalg import (
     pure_state,
     random_hermitian,
     random_pure,
-    reduce_to_factor,
     swap_theta,
     tensor,
     tensor_all,
@@ -40,7 +39,6 @@ from .sep_analysis import (
     classify_sep_preserver,
     doubling_obstruction_check,
     mc_verify_product,
-    slice_phi,
 )
 from .states import (
     PptResult,

@@ -219,10 +219,9 @@ def tensor(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
 
 def tensor_all(ops) -> HermitianOperator:
     ops = list(ops)
-    out = ops[0]
-    for op in ops[1:]:
-        out = tensor(out, op)
-    return out
+    if not ops:
+        raise StructureError("tensor_all needs at least one operator")
+    return reduce(tensor, ops)
 
 
 def _reshaped(a: HermitianOperator):
@@ -232,8 +231,8 @@ def _reshaped(a: HermitianOperator):
 
 
 def _factor_index(which: int, n: int) -> int:
-    if not 1 <= which <= n:
-        raise StructureError(f"factor index {which} out of range 1..{n}")
+    if not (_is_index(which) and 1 <= which <= n):
+        raise StructureError(f"factor index {which!r} is not an integer in 1..{n}")
     return which - 1
 
 
@@ -284,13 +283,6 @@ def _reduced(stack: np.ndarray, dims, f: int) -> np.ndarray:
     cols = rows[:f] + [n + 1] + rows[f + 1:]
     t = stack.reshape((len(stack),) + tuple(dims) * 2)
     return np.einsum(t, [0] + rows + cols, [0, f + 1, n + 1])
-
-
-def reduce_to_factor(a: HermitianOperator, which: int) -> HermitianOperator:
-    """Partial trace of every factor except ``which`` (1-based): the one-image
-    view of the stacked reduction that product purity tests."""
-    f = _factor_index(which, len(a.factor_dims()))
-    return HermitianOperator(_reduced(a.matrix[None], a.dims, f)[0], (a.dims[f],))
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +391,6 @@ def first_not_product_pure(images: np.ndarray, dims, tol: float = PURITY_TOL):
     """
     limit = _product_pure_prefix(images, dims, tol)[0]
     return limit if limit < len(images) else None
-
-
-def purity_defect(a: HermitianOperator) -> float:
-    """Distance of the spectrum from (1, 0, ..., 0); 0 for exact pure states."""
-    w, _ = eig_hermitian(a)
-    return float(spectral_defect(w[::-1]))
 
 
 # ---------------------------------------------------------------------------

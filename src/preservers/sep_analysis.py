@@ -30,12 +30,9 @@ import numpy as np
 from .errors import StructureError
 from .linalg import (
     EPS_CLS,
-    HermitianOperator,
     PureState,
     _check_counts,
     _check_numbers,
-    partial_trace,
-    tensor,
     uniform_state,
 )
 from .pure_analysis import NOT_PRESERVER, _decide, _family, _scan
@@ -45,7 +42,6 @@ from .superop import (
     SepForm,
     SuperOperator,
     _sep_form,
-    apply,
 )
 
 # the form tag of each row of slot sources
@@ -54,16 +50,6 @@ _SEP_TAGS = {sources: tag for tag, sources in SEP_SOURCES.items()}
 FORM = "form"
 INSUFFICIENT = "insufficient_richness"
 MULTI_FORM = "multi_form"
-
-
-def slice_phi(op: SuperOperator, a: HermitianOperator, b: HermitianOperator,
-              which: int) -> HermitianOperator:
-    """Slice maps of a bipartite map: which=1 keeps the first output factor of
-    the image of a (x) b, which=2 keeps the second."""
-    if which not in (1, 2):
-        raise StructureError("slice index must be 1 or 2")
-    img = apply(op, tensor(a, b))
-    return partial_trace(img, 2 if which == 1 else 1)
 
 
 def _grid(feeds) -> tuple[str, str]:

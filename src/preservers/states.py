@@ -29,7 +29,7 @@ from .linalg import (
     tensor_all,
 )
 from .sep_analysis import FORM, SepClassification
-from .superop import CONJUGATE, Isometry, _sep_slots
+from .superop import CONJUGATE, Isometry, _check_slots, _sep_slots
 
 
 @dataclass(frozen=True)
@@ -164,6 +164,7 @@ def filter_apply(classification: SepClassification, state: SeparableState) -> Se
     if len(state.dims) != 2:
         raise StructureError("bipartite filters expect two-factor states")
     slots = _sep_slots(classification.form)
+    _check_slots(state.dims, slots)
 
     def map_term(factors):
         return tuple(p if src is None else _map_factor(p, factors[src]) for src, p in slots)

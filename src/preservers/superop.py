@@ -174,6 +174,7 @@ class Isometry:
 
 
 def isometry(matrix, flag: str = LINEAR, tol: float = EPS_ISOMETRY) -> Isometry:
+    _check_tol(tol)
     v = np.asarray(matrix, dtype=np.complex128)
     if v.ndim == 1:
         v = v.reshape(-1, 1)
@@ -185,12 +186,6 @@ def isometry(matrix, flag: str = LINEAR, tol: float = EPS_ISOMETRY) -> Isometry:
     if not dev <= tol:
         raise StructureError(f"matrix is not an isometry: ||V+V - I||_F = {dev:.3e}")
     return Isometry(v, flag)
-
-
-def conjugate_operator(iso: Isometry, a: np.ndarray) -> np.ndarray:
-    """Apply A -> VAV+ (linear flag) or A -> V A^t V+ (conjugate flag)."""
-    x = a.T if iso.flag == CONJUGATE else a
-    return iso.matrix @ x @ iso.matrix.conj().T
 
 
 def random_unitary(d: int, seed=0) -> np.ndarray:
@@ -434,8 +429,8 @@ def _sep_form(tag: int, params) -> SepForm:
     return SepForm(tag, **fields)
 
 
-def _canonical_map(dims, slots) -> SuperOperator:
-    """The product map of ``slots`` on ``dims``, once each carried slot's
+def _check_slots(dims, slots):
+    """Refuse ``slots`` on the factors ``dims`` unless each carried slot's
     isometry takes its factor's dimension and keeps the dimension law."""
     for j, (src, u) in enumerate(slots):
         if src is not None:
@@ -443,6 +438,12 @@ def _canonical_map(dims, slots) -> SuperOperator:
                      f"slot {j + 1} isometry input {u.d_in} != carried factor dimension {dims[src]}")
             _require(u.d_in <= u.d_out,
                      f"slot {j + 1} violates the dimension law d_in <= d_out")
+
+
+def _canonical_map(dims, slots) -> SuperOperator:
+    """The product map of ``slots`` on ``dims``, once :func:`_check_slots`
+    passes."""
+    _check_slots(dims, slots)
     return _product_map(dims, slots)
 
 

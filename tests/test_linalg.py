@@ -29,6 +29,7 @@ from preservers import (
     identity_superop,
     is_product_pure,
     is_pure,
+    isometry,
     mc_verify_product,
     mc_verify_pure,
     partial_trace,
@@ -39,7 +40,6 @@ from preservers import (
     random_hermitian,
     random_isometry,
     random_pure,
-    reduce_to_factor,
     sample_separable,
     superop_equal,
     swap_theta,
@@ -55,7 +55,6 @@ from preservers.linalg import (
     _reduced,
     as_rng,
     first_not_product_pure,
-    purity_defect,
     spectral_defect,
 )
 from preservers.pure_analysis import _cleared, _rejected
@@ -151,10 +150,21 @@ def test_partial_trace_requires_structure():
 
 
 def test_kernel_refusals_and_the_one_factor_partial_trace():
-    """A non-square matrix is not an operator, and tracing out the only
-    factor leaves the 1 x 1 matrix [[Tr A]] on dims (1,)."""
+    """A non-square matrix is not an operator, a factor index that is not an
+    integer is refused (1.5 and 2.0 escaped as TypeError, True was taken as
+    factor 1), an empty tensor_all has no operator to return, and tracing
+    out the only factor leaves the 1 x 1 matrix [[Tr A]] on dims (1,)."""
     with pytest.raises(StructureError, match="square matrix"):
         herm(np.ones((2, 3)))
+    a = herm(np.diag([1.0, 2.0, 3.0, 4.0]), (2, 2))
+    for which in (1.5, 2.0, True, 0, 3):
+        with pytest.raises(StructureError, match="factor index"):
+            partial_trace(a, which)
+        with pytest.raises(StructureError, match="factor index"):
+            partial_transpose(a, which)
+    assert np.array_equal(partial_trace(a, np.int64(2)).matrix, np.diag([3.0, 7.0]))
+    with pytest.raises(StructureError, match="at least one operator"):
+        tensor_all([])
     traced = partial_trace(herm(np.diag([1.0, 2.0, 3.0]), (3,)), 1)
     assert traced.dims == (1,)
     assert np.array_equal(traced.matrix, [[6.0]])
@@ -412,8 +422,9 @@ def test_product_purity_rebuild_uses_tol_alone():
                 for k in dims)
         psi = np.kron(a[:, 0], b[:, 0]) + eps * np.kron(a[:, 1], b[:, 1])
         img = pure_state(psi).projection.with_dims(dims)
-        assert purity_defect(img) <= tol
-        assert all(purity_defect(reduce_to_factor(img, k)) <= tol for k in (1, 2))
+        assert spectral_defect(np.linalg.eigvalsh(img.matrix)) <= tol
+        assert all(spectral_defect(np.linalg.eigvalsh(partial_trace(img, 3 - k).matrix)) <= tol
+                   for k in (1, 2))
         assert not is_product_pure(img, tol)[0]
         assert first_not_product_pure(img.matrix[None], dims, tol) == 0
         assert is_product_pure(img, 1e-10)[0]
@@ -834,7 +845,11 @@ def test_thresholds_outside_zero_to_inf_are_refused():
             is_product_pure(herm(np.eye(4) / 4, (2, 2)), tol)
         with pytest.raises(StructureError, match="tolerance"):
             ppt_check(sep, tol=tol)
+        for m in (np.eye(2), np.ones((2, 2))):
+            with pytest.raises(StructureError, match="tolerance"):
+                isometry(m, tol=tol)
     assert np.array_equal(herm(np.eye(2), tol=0.0).matrix, np.eye(2))
+    assert np.array_equal(isometry(np.eye(2), tol=0.0).matrix, np.eye(2))
     assert is_pure(basis_state(2, 0).projection, 0.0)[0]
     assert is_product_pure(tensor(basis_state(2, 0).projection, basis_state(2, 1).projection),
                            0.0)[0]
@@ -848,8 +863,9 @@ def test_spectral_defect_matches_purity_defect():
         mats = [random_hermitian(d, rng).matrix / d for _ in range(4)]
         mats.append(random_pure(d, rng).projection.matrix)
         w = np.linalg.eigh(np.array(mats))[0]
-        assert np.array_equal(spectral_defect(w),
-                              [purity_defect(HermitianOperator(m)) for m in mats])
+        # the one-image defect that is_pure thresholds
+        assert np.array_equal(spectral_defect(w), [
+            spectral_defect(eig_hermitian(HermitianOperator(m))[0][::-1]) for m in mats])
     assert spectral_defect(np.array([1.0])) == 0.0
 
 

@@ -29,7 +29,7 @@ from preservers import (
     to_choi,
     trace_replacer,
 )
-from preservers.linalg import as_rng, canonical_phase, purity_defect, spectral_defect
+from preservers.linalg import as_rng, canonical_phase, spectral_defect
 from preservers.pure_analysis import _feed_reads, _pivot, _propose, find_impure_witness
 
 
@@ -360,7 +360,7 @@ def _mc_pure_reference(op, samples, seed, tol=1e-8):
         p = random_pure(op.in_dim, rng)
         img = apply(op, p.projection.with_dims(op.in_dims))
         if not is_pure(img, tol)[0]:
-            return False, i + 1, p, purity_defect(img)
+            return False, i + 1, p, spectral_defect(np.linalg.eigvalsh(img.matrix))
     return True, samples, None, 0.0
 
 
@@ -391,7 +391,7 @@ def test_mc_verify_pure_matches_reference(case):
         else:
             assert np.array_equal(got.witness.vector, want[2].vector)
             assert abs(got.defect - want[3]) <= 1e-12
-            assert abs(got.defect - purity_defect(
-                apply(op, got.witness.projection.with_dims(op.in_dims)))) <= 1e-12
+            assert abs(got.defect - spectral_defect(np.linalg.eigvalsh(
+                apply(op, got.witness.projection.with_dims(op.in_dims)).matrix))) <= 1e-12
         if seed == 0:
             assert got.samples == (fails_at or 1000) and got.passed == (fails_at is None)

@@ -43,13 +43,12 @@ from preservers import (
     is_pure,
     make_superop,
     mc_verify_product,
+    partial_trace,
     partial_transpose,
     pure_state,
     random_hermitian,
     random_isometry,
     random_pure,
-    reduce_to_factor,
-    slice_phi,
     superop_equal,
     swap_theta,
     tensor,
@@ -67,28 +66,6 @@ from preservers.sep_analysis import (
 )
 from preservers.superop import BLOCK_ENTRIES, SEP_SOURCES, conjugation, isometry, random_unitary
 from preservers import basis, pure_analysis
-
-
-def test_slice_phi_identity_form1_swap():
-    rng = np.random.default_rng(0)
-    ident = from_action((2, 3), (2, 3), lambda a: a)
-    a = np.random.default_rng(1).standard_normal((2, 2))
-    a = HermitianOperator(a + a.T, (2,))
-    q = random_pure(3, rng).projection
-    assert np.allclose(slice_phi(ident, a, q, 1).matrix, a.matrix, atol=1e-12)
-
-    r1, r2 = random_pure(2, rng), random_pure(3, rng)
-    f1 = canonical_sep(SepForm(1, r1=r1, r2=r2), (2, 3))
-    for _ in range(5):
-        p = random_pure(2, rng).projection
-        qq = random_pure(3, rng).projection
-        assert np.allclose(slice_phi(f1, p, qq, 1).matrix, r1.projection.matrix,
-                           atol=1e-10)
-
-    sw = from_action((2, 2), (2, 2), swap_theta)
-    p = random_pure(2, rng).projection
-    qq = random_pure(2, rng).projection
-    assert np.allclose(slice_phi(sw, p, qq, 1).matrix, qq.matrix, atol=1e-10)
 
 
 def test_round_trip_all_forms_with_grid():
@@ -639,12 +616,10 @@ def test_sep_classifier_argument_errors():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: slice_phi(identity_superop((2, 2)), basis_state(2, 0).projection,
-                       basis_state(2, 0).projection, 3), "slice index"),
     (lambda: classify_multi_preserver(identity_superop((4,))), "at least two factors"),
     (lambda: classify_multi_preserver(trace_replacer(basis_state(6, 0), (2, 2), (2, 3))),
      "matching input/output dims"),
-], ids=["slice-index-3", "multi-one-factor", "multi-dims-differ"])
+], ids=["multi-one-factor", "multi-dims-differ"])
 def test_slice_and_multi_argument_errors(call, message):
     with pytest.raises(StructureError, match=message):
         call()
@@ -1110,7 +1085,7 @@ def test_batched_witness_scan_on_boundary_slices(seed, dims, fixed_slot, which, 
     def section(x):
         ab = list(anchors)
         ab[k] = x
-        return slice_phi(op, *ab, which)
+        return partial_trace(apply(op, tensor(*ab)), 3 - which)
 
     sl = from_action((dims[k],), (dims[which - 1],), section)
     ref, found = _witness_reference(sl, 1e-8, seed=3)
@@ -1292,7 +1267,7 @@ def test_product_purity_checks_each_decide_a_case():
         img = apply(_bipartite_replacer(theta), tensor(random_pure(2, 0).projection,
                                                        random_pure(2, 1).projection))
         assert is_pure(img)[0]
-        assert all(is_pure(reduce_to_factor(img, k))[0] == reductions_pure for k in (1, 2))
+        assert all(is_pure(partial_trace(img, 3 - k))[0] == reductions_pure for k in (1, 2))
         assert not is_product_pure(img)[0]
 
 

@@ -150,6 +150,17 @@ def test_filter_requires_constructive_classification():
         filter_apply(ident, sample_separable((2, 2, 2), 2, 0))
 
 
+def test_filter_refuses_states_on_other_factor_dims():
+    """A form 6 classified on (2,2) carries dimension-2 factors: a state on
+    (3,3) or (2,3) is refused, where the isometry's matmul raised a bare
+    ValueError."""
+    op = canonical_sep(random_sep_form(6, 2, 2, np.random.default_rng(3)), (2, 2))
+    c = classify_sep_preserver(op)
+    for dims in ((3, 3), (2, 3)):
+        with pytest.raises(StructureError, match="dimension"):
+            filter_apply(c, sample_separable(dims, 2, 0))
+
+
 def test_filter_inverse_composes_to_identity():
     rng = np.random.default_rng(3)
     for tag in (6, 7):
